@@ -11,7 +11,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from . import linalg
@@ -127,6 +126,10 @@ class GpParams:
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float).ravel()
+        if not np.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not np.isfinite(self.sigma2):
+            raise ValueError(f"sigma2 must be finite, got {self.sigma2}")
         if self.sigma2 <= 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         if not np.isfinite(phi).all():
@@ -156,20 +159,21 @@ class FitOptions:
 
 def profile_mu(chol, y) -> float:
     """GLS mean (1' R^-1 1)^-1 (1' R^-1 y) for R = chol chol'."""
-    y = np.asarray(y, dtype=float)
-    ones = np.ones_like(y)
-    rinv_y = linalg.solve_with_chol(chol, y)
-    rinv_1 = linalg.solve_with_chol(chol, ones)
-    return float(ones @ rinv_y) / float(ones @ rinv_1)
+    return linalg.CorrFactor.from_lower(chol, y).gls_mean
 
 
 def profile_sigma2(chol, y, mu: float) -> float:
     """(1/n) (y - 1 mu)' R^-1 (y - 1 mu); non-negative by construction."""
-    y = np.asarray(y, dtype=float)
-    resid = y - mu
-    # Triangular solve of L v = resid gives the quadratic form as |v|^2.
-    v = solve_triangular(np.asarray(chol), resid, lower=True)
-    return float(v @ v) / len(y)
+    return linalg.CorrFactor.from_lower(chol, y).quad(mu) / len(y)
+
+
+def _profile(theta, data: Dataset, nugget, sqdiffs):
+    # One factorization of R(theta), escalating the nugget, and the profile
+    # MLEs of mu and sigma2 read from it.
+    lower, _ = linalg.corr_cholesky(data.points, theta, nugget, sqdiffs=sqdiffs)
+    factor = linalg.CorrFactor.from_lower(lower, data.responses)
+    mu = factor.gls_mean
+    return factor, mu, max(factor.quad(mu) / data.n, SIGMA2_FLOOR)
 
 
 def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGET, sqdiffs=None) -> float:
@@ -178,11 +182,8 @@ def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGE
     Raises IllConditionedError when R(theta) cannot be factored even at the
     maximum nugget.
     """
-    theta = np.asarray(theta, dtype=float)
-    chol, _ = linalg.corr_cholesky(data.points, theta, nugget, sqdiffs=sqdiffs)
-    mu = profile_mu(chol, data.responses)
-    s2 = max(profile_sigma2(chol, data.responses, mu), SIGMA2_FLOOR)
-    return 0.5 * (data.n * np.log(s2) + linalg.log_det_from_chol(chol))
+    factor, _, s2 = _profile(np.asarray(theta, dtype=float), data, nugget, sqdiffs)
+    return 0.5 * (data.n * np.log(s2) + factor.log_det)
 
 
 def mle_fit(data: Dataset, opts: FitOptions | None = None) -> GpParams:
@@ -227,9 +228,7 @@ def mle_fit(data: Dataset, opts: FitOptions | None = None) -> GpParams:
         raise OptimizerFailedError("all likelihood-optimization starts failed")
 
     theta_hat = np.exp(best_x)
-    chol, _ = linalg.corr_cholesky(data.points, theta_hat, opts.nugget, sqdiffs=sqd)
-    mu_hat = profile_mu(chol, data.responses)
-    s2_hat = max(profile_sigma2(chol, data.responses, mu_hat), SIGMA2_FLOOR)
+    _, mu_hat, s2_hat = _profile(theta_hat, data, opts.nugget, sqd)
     return GpParams(mu=mu_hat, sigma2=s2_hat, phi=np.sqrt(theta_hat))
 
 
@@ -267,22 +266,19 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
         )
     xs_unit = scale_points(xs, data.ranges, "to_unit")
     theta = params.theta
-    chol, _ = linalg.corr_cholesky(data.points, theta, nugget)
-    y = data.responses
-    ones = np.ones(data.n)
-    rinv_resid = linalg.solve_with_chol(chol, y - params.mu)
-    rinv_1 = linalg.solve_with_chol(chol, ones)
-    one_rinv_one = float(ones @ rinv_1)
+    lower, _ = linalg.corr_cholesky(data.points, theta, nugget)
+    factor = linalg.CorrFactor.from_lower(lower, data.responses)
+    rinv_resid = linalg.solve_with_chol(lower, data.responses - params.mu)
 
     rt = _cross_corr(data.points, xs_unit, theta)
-    r = rt.T
-    rinv_r = linalg.solve_with_chol(chol, r)
     # One contiguous row of length n per mean.  Neither r.T @ v (BLAS GEMV)
     # nor an axis-0 sum of r * v[:, None] sums in the same order at m = 1
     # as at m > 1.
     means = params.mu + (rt * rinv_resid).sum(axis=1)
-    corr_term = (1.0 - ones @ rinv_r) ** 2 / one_rinv_one
-    mses = params.sigma2 * (1.0 - np.einsum("ij,ij->j", r, rinv_r) + corr_term)
+    # With V = L^-1 r: r'R^-1 r = |V|^2 and 1'R^-1 r = (L^-1 1)'V.
+    v = factor.whiten(rt.T)
+    corr_term = (1.0 - factor.w1 @ v) ** 2 / factor.one_rinv_one
+    mses = params.sigma2 * (1.0 - np.einsum("ij,ij->j", v, v) + corr_term)
     out = []
     for m, s in zip(means, mses):
         clamped = s < 0

@@ -16,18 +16,18 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import linalg
-from .errors import IllConditionedError, OptimizerFailedError, SamplerError
+from .errors import IllConditionedError, NotPositiveDefiniteError, OptimizerFailedError, SamplerError
 from .gp import Dataset, FitOptions, GpParams, mle_fit
 
-# Jitter used for every correlation factorization inside the sampler.  It must
-# be fixed (a state-dependent escalation would change the MH target mid-chain)
-# and it is deliberately coarser than the linalg default: deterministic
-# responses drive the exact-interpolation likelihood onto a numerically
-# singular ridge where phi summaries and selection frequencies are artifacts
-# of floating-point conditioning.  Flooring the correlation spectrum at 1e-5
+# Jitter used for every correlation factorization inside the sampler.  It is
+# fixed: a state-dependent escalation would change the MH target mid-chain,
+# so a proposal that does not factor at exactly this nugget is rejected.  It
+# is deliberately coarser than the linalg default: deterministic responses
+# drive the exact-interpolation likelihood onto a numerically singular ridge
+# where phi summaries and selection frequencies are artifacts of
+# floating-point conditioning.  Flooring the correlation spectrum at 1e-5
 # keeps the target well defined; prediction paths keep the sharp default.
 SAMPLER_NUGGET = 1e-5
 
@@ -143,18 +143,17 @@ def _normal_logpdf(x, var):
     return -0.5 * (np.log(2.0 * np.pi * var) + x * x / var)
 
 
-def _quad_form(chol, resid) -> float:
-    # resid' R^-1 resid via one triangular solve; non-negative by construction.
-    v = solve_triangular(np.asarray(chol), resid, lower=True)
-    return float(v @ v)
+def _factor(phi, data, sqdiffs=None) -> linalg.CorrFactor:
+    # R(phi) at exactly SAMPLER_NUGGET; raises NotPositiveDefiniteError.
+    if sqdiffs is None:
+        sqdiffs = linalg.pairwise_sqdiffs(data.points)
+    return linalg.corr_factor(sqdiffs, phi * phi, SAMPLER_NUGGET, data.responses)
 
 
-def _kernel_value(chol, phi, mu, sigma2, gamma, data, hyper) -> float:
-    logdet = linalg.log_det_from_chol(chol)
-    quad = _quad_form(chol, data.responses - mu)
+def _kernel_value(factor, phi, mu, sigma2, gamma, hyper) -> float:
     prior_var = (hyper.tau * np.power(hyper.c, gamma)) ** 2
     prior = float(np.sum(_normal_logpdf(phi, prior_var)))
-    return -0.5 * logdet - quad / (2.0 * sigma2) + prior
+    return -0.5 * factor.log_det - factor.quad(mu) / (2.0 * sigma2) + prior
 
 
 def phi_log_kernel(phi, mu, sigma2, gamma, data: Dataset, hyper: Hyperparams, sqdiffs=None) -> float:
@@ -162,40 +161,42 @@ def phi_log_kernel(phi, mu, sigma2, gamma, data: Dataset, hyper: Hyperparams, sq
 
     log g(phi) = -1/2 log det R(phi) - (y-mu)'R^-1(y-mu)/(2 sigma2)
                  - 1/2 sum_k phi_k^2 / (tau_k c_k^{gamma_k})^2  (+ const).
-    Even in phi: flipping all signs leaves the value unchanged.
+    Even in phi: flipping all signs leaves the value unchanged.  R(phi)
+    carries exactly SAMPLER_NUGGET; NotPositiveDefiniteError is raised
+    when it does not factor there.
     """
     phi = np.asarray(phi, dtype=float)
-    chol, _ = linalg.corr_cholesky(data.points, phi * phi, nugget=SAMPLER_NUGGET, sqdiffs=sqdiffs)
-    return _kernel_value(chol, phi, mu, sigma2, gamma, data, hyper)
+    return _kernel_value(_factor(phi, data, sqdiffs), phi, mu, sigma2, gamma, hyper)
 
 
-def update_mu(state: SamplerState, data: Dataset, chol=None) -> float:
-    """Draw mu from N(GLS mean, sigma2 / (1' R^-1 1))."""
-    if chol is None:
-        chol, _ = linalg.corr_cholesky(data.points, state.phi**2, nugget=SAMPLER_NUGGET)
-    y = data.responses
-    ones = np.ones_like(y)
-    rinv_y = linalg.solve_with_chol(chol, y)
-    rinv_1 = linalg.solve_with_chol(chol, ones)
-    denom = float(ones @ rinv_1)
-    mean = float(ones @ rinv_y) / denom
-    return float(state.rng.normal(mean, np.sqrt(state.sigma2 / denom)))
+def update_mu(state: SamplerState, data: Dataset, factor=None) -> float:
+    """Draw mu from N(GLS mean, sigma2 / (1' R^-1 1)).
+
+    `factor` is the CorrFactor of the current phi; both moments are read
+    from it, without a solve.
+    """
+    if factor is None:
+        factor = _factor(state.phi, data)
+    sd = np.sqrt(state.sigma2 / factor.one_rinv_one)
+    return float(state.rng.normal(factor.gls_mean, sd))
 
 
-def update_sigma2(state: SamplerState, data: Dataset, chol=None) -> float:
+def update_sigma2(state: SamplerState, data: Dataset, factor=None) -> float:
     """Draw sigma2 from InverseGamma(n/2, (y-mu)'R^-1(y-mu)/2).
 
-    Sampled as the reciprocal of a Gamma(n/2, rate=quad/2) draw.
+    Sampled as the reciprocal of a Gamma(n/2, rate=quad/2) draw.  The
+    quadratic form comes from `factor`, the CorrFactor of the current phi,
+    which keeps it for the phi step of the same scan.
     """
-    if chol is None:
-        chol, _ = linalg.corr_cholesky(data.points, state.phi**2, nugget=SAMPLER_NUGGET)
-    quad = _quad_form(chol, data.responses - state.mu)
+    if factor is None:
+        factor = _factor(state.phi, data)
+    quad = factor.quad(state.mu)
     if quad <= 0:
         raise ValueError("non-positive quadratic form in sigma2 update (degenerate residual)")
     return float(1.0 / state.rng.gamma(data.n / 2.0, 2.0 / quad))
 
 
-PhiUpdate = namedtuple("PhiUpdate", ["phi", "accepted", "chol", "proposal_failed"])
+PhiUpdate = namedtuple("PhiUpdate", ["phi", "accepted", "factor", "proposal_failed"])
 
 
 def _rw_propose(rng, phi, prop_sd):
@@ -206,12 +207,14 @@ def _rw_propose(rng, phi, prop_sd):
     return prop, log_u
 
 
-def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, chol=None, sqdiffs=None, log_kernel=None) -> PhiUpdate:
+def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor=None, sqdiffs=None, log_kernel=None) -> PhiUpdate:
     """One block random-walk Metropolis step on phi.
 
     Proposes phi~ ~ N(phi, diag(prop_sd^2)) and accepts with probability
-    min(1, g(phi~)/g(phi)).  A proposal whose correlation matrix cannot be
-    factored is rejected and flagged instead of aborting the chain.
+    min(1, g(phi~)/g(phi)).  The proposal is the scan's one factorization;
+    the current state's log det and quadratic form are read from `factor`.
+    A proposal whose correlation matrix does not factor at exactly
+    SAMPLER_NUGGET is rejected and flagged instead of aborting the chain.
     `log_kernel` substitutes a synthetic target for g (testing hook).
     """
     rng = state.rng
@@ -220,20 +223,20 @@ def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, chol=None
         logp_cur = log_kernel(phi)
         prop, log_u = _rw_propose(rng, phi, hyper.prop_sd)
         accepted = bool(log_u < log_kernel(prop) - logp_cur)
-        return PhiUpdate(prop if accepted else phi, accepted, chol, False)
+        return PhiUpdate(prop if accepted else phi, accepted, factor, False)
 
-    if chol is None:
-        chol, _ = linalg.corr_cholesky(data.points, phi**2, nugget=SAMPLER_NUGGET, sqdiffs=sqdiffs)
-    logp_cur = _kernel_value(chol, phi, state.mu, state.sigma2, state.gamma, data, hyper)
+    if factor is None:
+        factor = _factor(phi, data, sqdiffs)
+    logp_cur = _kernel_value(factor, phi, state.mu, state.sigma2, state.gamma, hyper)
     prop, log_u = _rw_propose(rng, phi, hyper.prop_sd)
     try:
-        prop_chol, _ = linalg.corr_cholesky(data.points, prop**2, nugget=SAMPLER_NUGGET, sqdiffs=sqdiffs)
-    except IllConditionedError:
-        return PhiUpdate(phi, False, chol, True)
-    logp_prop = _kernel_value(prop_chol, prop, state.mu, state.sigma2, state.gamma, data, hyper)
+        prop_factor = _factor(prop, data, sqdiffs)
+    except NotPositiveDefiniteError:
+        return PhiUpdate(phi, False, factor, True)
+    logp_prop = _kernel_value(prop_factor, prop, state.mu, state.sigma2, state.gamma, hyper)
     if log_u < logp_prop - logp_cur:
-        return PhiUpdate(prop, True, prop_chol, False)
-    return PhiUpdate(phi, False, chol, False)
+        return PhiUpdate(prop, True, prop_factor, False)
+    return PhiUpdate(phi, False, factor, False)
 
 
 def inclusion_probabilities(phi, hyper: Hyperparams) -> np.ndarray:
@@ -307,9 +310,9 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
         rng=np.random.default_rng(hyper.seed),
     )
     try:
-        chol, _ = linalg.corr_cholesky(data.points, state.phi**2, nugget=SAMPLER_NUGGET, sqdiffs=sqd)
-    except IllConditionedError as exc:
-        raise SamplerError(0, f"initial correlation matrix: {exc}") from exc
+        factor = _factor(state.phi, data, sqd)
+    except NotPositiveDefiniteError as exc:
+        raise SamplerError(0, f"initial correlation matrix at nugget {SAMPLER_NUGGET:g}: {exc}") from exc
 
     n_keep = len(range(hyper.burnin + 1, hyper.iters + 1, hyper.thin))
     mu_draws = np.empty(n_keep)
@@ -323,15 +326,15 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
     kept = 0
     for scan in range(1, hyper.iters + 1):
         try:
-            state.mu = update_mu(state, data, chol=chol)
-            state.sigma2 = update_sigma2(state, data, chol=chol)
-            step = update_phi(state, data, hyper, chol=chol, sqdiffs=sqd)
+            state.mu = update_mu(state, data, factor)
+            state.sigma2 = update_sigma2(state, data, factor)
+            step = update_phi(state, data, hyper, factor, sqd)
             state.phi = step.phi
-            chol = step.chol
+            factor = step.factor
             accepted += step.accepted
             failures += step.proposal_failed
             state.gamma = update_gamma(state, hyper)
-        except (IllConditionedError, ValueError) as exc:
+        except ValueError as exc:
             raise SamplerError(scan, str(exc)) from exc
         if scan > hyper.burnin and (scan - hyper.burnin - 1) % hyper.thin == 0:
             mu_draws[kept] = state.mu

@@ -149,7 +149,7 @@ def test_criterion5_piston_screening_and_loo():
     )
     if not ok:
         pytest.xfail(
-            msg + "; twelve runs over seven inputs leave the inclusion posterior "
+            msg + "; twelve runs over six inputs leave the inclusion posterior "
             "diffuse (no stable modal set) and the selection-shrunken scales "
             "cost leave-one-out accuracy"
         )
@@ -205,12 +205,13 @@ class TestCriterion6Properties:
             mu=mu_fixed, sigma2=sigma2_fixed, phi=phi,
             gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(0),
         )
+        factor = linalg.CorrFactor.from_lower(chol, y)
         mus = np.empty(n_draws)
         s2s = np.empty(n_draws)
         for i in range(n_draws):
-            mus[i] = update_mu(state, data, chol=chol)
+            mus[i] = update_mu(state, data, factor=factor)
             state.mu = mu_fixed
-            s2s[i] = update_sigma2(state, data, chol=chol)
+            s2s[i] = update_sigma2(state, data, factor=factor)
         z = np.array([
             (mus.mean() - gls_mean) / np.sqrt(mu_var / n_draws),
             (mus.var(ddof=1) - mu_var) / (mu_var * np.sqrt(2.0 / (n_draws - 1))),

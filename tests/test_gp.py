@@ -85,6 +85,17 @@ class TestGpParams:
         with pytest.raises(ValueError, match="phi"):
             GpParams(mu=0.0, sigma2=1.0, phi=[np.nan])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_mu_finite(self, bad):
+        with pytest.raises(ValueError, match="mu"):
+            GpParams(mu=bad, sigma2=1.0, phi=[1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sigma2_finite(self, bad):
+        # A NaN sigma2 once passed and predict_batch returned mse=nan.
+        with pytest.raises(ValueError, match="sigma2"):
+            GpParams(mu=0.0, sigma2=bad, phi=[1.0])
+
 
 class TestProfileEstimates:
     def test_identity_correlation_oracles(self):

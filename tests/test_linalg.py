@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import make_dataset
 from ssgp import linalg
 from ssgp.errors import IllConditionedError, NotPositiveDefiniteError
 
@@ -124,6 +125,18 @@ class TestCholesky:
         with pytest.raises(ValueError, match="symmetric"):
             linalg.chol_decompose(np.array([[1.0, 0.2], [0.4, 1.0]]))
 
+    def test_symmetry_tolerance_is_allclose(self):
+        # Within np.allclose(m, m.T, rtol=1e-10, atol=1e-12) passes; NaN fails.
+        near = np.array([[1.0, 0.5], [0.5 + 5e-11, 1.0]])
+        assert np.allclose(near, near.T, rtol=1e-10, atol=1e-12)
+        linalg.chol_decompose(near)
+        far = np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]])
+        assert not np.allclose(far, far.T, rtol=1e-10, atol=1e-12)
+        with pytest.raises(ValueError, match="symmetric"):
+            linalg.chol_decompose(far)
+        with pytest.raises(ValueError, match="symmetric"):
+            linalg.chol_decompose(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
     def test_indefinite_raises(self):
         with pytest.raises(NotPositiveDefiniteError):
             linalg.chol_decompose(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -214,3 +227,57 @@ class TestCorrCholesky:
         a, _ = linalg.corr_cholesky(pts, [2.0, 0.5])
         b, _ = linalg.corr_cholesky(pts, [2.0, 0.5], sqdiffs=sqd)
         assert np.array_equal(a, b)
+
+
+class TestCorrFactor:
+    """The factor object against explicit inverses and slogdet."""
+
+    @pytest.mark.parametrize("name,n", [("toy", 10), ("linear", 54)])
+    def test_against_explicit_inverse(self, name, n):
+        # Log-uniform phi in [0.1, 2] reaches condition numbers near 1e6 on
+        # toy10; every quantity must agree to 1e-10 relative.
+        data = make_dataset(name, n)
+        sqd = linalg.pairwise_sqdiffs(data.points)
+        y, ones = data.responses, np.ones(data.n)
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            phi = np.exp(rng.uniform(np.log(0.1), np.log(2.0), data.dim))
+            mu = rng.normal()
+            for nugget in (linalg.DEFAULT_NUGGET, 1e-5):
+                f = linalg.corr_factor(sqd, phi**2, nugget, y)
+                r = linalg.corr_matrix_from_sqdiffs(sqd, phi**2, nugget)
+                rinv = np.linalg.inv(r)
+                sign, logdet = np.linalg.slogdet(r)
+                assert sign == 1.0
+                assert f.log_det == pytest.approx(logdet, rel=1e-10)
+                assert f.one_rinv_one == pytest.approx(ones @ rinv @ ones, rel=1e-10)
+                assert f.w1 @ f.wy == pytest.approx(ones @ rinv @ y, rel=1e-10)
+                assert f.gls_mean == pytest.approx((ones @ rinv @ y) / (ones @ rinv @ ones), rel=1e-10)
+                assert f.quad(mu) == pytest.approx((y - mu) @ rinv @ (y - mu), rel=1e-10)
+                assert np.array_equal(f.lower, linalg.chol_decompose(r))
+
+    def test_quad_is_a_fresh_solve_per_mu(self):
+        # The kept quadratic form must never be served for another mu.
+        pts = np.random.default_rng(4).uniform(size=(6, 2))
+        y = np.arange(6.0)
+        f = linalg.corr_factor(linalg.pairwise_sqdiffs(pts), [2.0, 0.5], 1e-8, y)
+        first = f.quad(1.0)
+        assert f.quad(2.5) != first
+        assert f.quad(1.0) == first
+
+    def test_fixed_nugget_does_not_escalate(self):
+        # Duplicate rows at zero nugget: corr_cholesky escalates, the
+        # fixed-nugget factor raises.
+        pts = np.array([[0.3, 0.3], [0.3, 0.3], [0.7, 0.1]])
+        with pytest.raises(NotPositiveDefiniteError):
+            linalg.corr_factor(linalg.pairwise_sqdiffs(pts), [1.0, 1.0], 0.0, np.zeros(3))
+
+    def test_from_lower_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="NaN"):
+            linalg.CorrFactor.from_lower(np.array([[1.0, 0.0], [np.nan, 1.0]]), [1.0, 2.0])
+        with pytest.raises(ValueError, match="NaN"):
+            linalg.CorrFactor.from_lower(np.eye(2), [1.0, np.inf])
+
+    def test_from_lower_shape_checked(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            linalg.CorrFactor.from_lower(np.eye(3), [1.0, 2.0])

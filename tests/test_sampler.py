@@ -8,7 +8,7 @@ from scipy.stats import norm
 import ssgp.sampler as sampler
 from conftest import make_dataset, two_point_dataset
 from ssgp import linalg
-from ssgp.errors import IllConditionedError, OptimizerFailedError, SamplerError
+from ssgp.errors import NotPositiveDefiniteError, OptimizerFailedError, SamplerError
 from ssgp.gp import GpParams
 from ssgp.sampler import (
     SAMPLER_NUGGET,
@@ -209,7 +209,8 @@ class TestConditionalUpdates:
         sigma2 = 2.7
         sd_true = np.sqrt(sigma2 / denom)
         state = SamplerState(mu=0.0, sigma2=sigma2, phi=phi, gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(21))
-        draws = np.array([update_mu(state, toy10, chol=chol) for _ in range(5000)])
+        factor = linalg.CorrFactor.from_lower(chol, toy10.responses)
+        draws = np.array([update_mu(state, toy10, factor=factor) for _ in range(5000)])
         assert abs(draws.mean() - mean_true) < 5 * sd_true / np.sqrt(5000)
         assert abs(draws.var() - sd_true**2) < 5 * sd_true**2 * np.sqrt(2 / 4999)
 
@@ -224,7 +225,8 @@ class TestConditionalUpdates:
         mean_true = b / (a - 1)
         var_true = b**2 / ((a - 1) ** 2 * (a - 2))
         state = SamplerState(mu=mu, sigma2=1.0, phi=phi, gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(22))
-        draws = np.array([update_sigma2(state, toy10, chol=chol) for _ in range(5000)])
+        factor = linalg.CorrFactor.from_lower(chol, toy10.responses)
+        draws = np.array([update_sigma2(state, toy10, factor=factor) for _ in range(5000)])
         assert abs(draws.mean() - mean_true) < 5 * np.sqrt(var_true / 5000)
         assert abs(draws.var() - var_true) / var_true < 0.2
 
@@ -234,7 +236,7 @@ class TestConditionalUpdates:
         data = Dataset.from_arrays([[0.2], [0.8]], [2.0, 2.0])
         state = SamplerState(mu=2.0, sigma2=1.0, phi=np.array([1.0]), gamma=np.ones(1, dtype=np.int64), rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="quadratic form"):
-            update_sigma2(state, data, chol=np.eye(2))
+            update_sigma2(state, data, factor=linalg.CorrFactor.from_lower(np.eye(2), data.responses))
 
     def test_joint_gibbs_reaches_marginal(self, toy10):
         # Alternating the two closed-form updates with phi frozen targets the
@@ -250,9 +252,10 @@ class TestConditionalUpdates:
         target = quad_gls / (toy10.n - 3)
         state = SamplerState(mu=mu_gls, sigma2=1.0, phi=phi, gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(33))
         total = 0.0
+        factor = linalg.CorrFactor.from_lower(chol, y)
         for _ in range(20000):
-            state.mu = update_mu(state, toy10, chol=chol)
-            state.sigma2 = update_sigma2(state, toy10, chol=chol)
+            state.mu = update_mu(state, toy10, factor=factor)
+            state.sigma2 = update_sigma2(state, toy10, factor=factor)
             total += state.sigma2
         assert abs(total / 20000 / target - 1.0) < 0.05
 
@@ -281,21 +284,45 @@ class TestUpdatePhi:
 
     def test_failed_proposal_factorization_rejected(self, toy10, monkeypatch):
         calls = {"n": 0}
-        real = linalg.corr_cholesky
+        real = linalg.corr_factor
 
         def second_call_fails(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise IllConditionedError("forced")
+                raise NotPositiveDefiniteError("forced")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "corr_cholesky", second_call_fails)
+        monkeypatch.setattr(linalg, "corr_factor", second_call_fails)
         hyper = Hyperparams.for_dim(3, tau=0.3)
         state = self._state([0.9, 1.1, 0.2])
         step = update_phi(state, toy10, hyper)
         assert step.proposal_failed
         assert not step.accepted
         assert np.array_equal(step.phi, state.phi)
+
+    def test_scan_kernel_matches_phi_log_kernel(self, toy10):
+        # The log-kernel the scan compares, read from a CorrFactor whose
+        # quadratic form the sigma2 step already computed, against the public
+        # phi_log_kernel and an explicit-inverse evaluation.
+        data = make_dataset("linear", 54)
+        for d in (toy10, data):
+            hyper = default_hyperparams(d)
+            rng = np.random.default_rng(12)
+            for _ in range(10):
+                phi = rng.normal(scale=0.8, size=d.dim)
+                mu, sigma2 = rng.normal(), rng.uniform(0.1, 3.0)
+                gamma = rng.integers(0, 2, size=d.dim)
+                factor = sampler._factor(phi, d)
+                factor.quad(mu)
+                scan = sampler._kernel_value(factor, phi, mu, sigma2, gamma, hyper)
+                public = phi_log_kernel(phi, mu, sigma2, gamma, d, hyper)
+                assert scan == public
+                r = linalg.build_corr_matrix(d.points, phi**2, nugget=SAMPLER_NUGGET)
+                resid = d.responses - mu
+                prior_var = (hyper.tau * hyper.c**gamma) ** 2
+                prior = np.sum(norm.logpdf(phi, scale=np.sqrt(prior_var)))
+                brute = -0.5 * np.linalg.slogdet(r)[1] - resid @ np.linalg.inv(r) @ resid / (2 * sigma2) + prior
+                assert scan == pytest.approx(brute, rel=1e-10)
 
     def test_quick_stationarity_standard_normal(self):
         # Shortened version of the 100k oracle; tight run lives in the
@@ -389,6 +416,41 @@ class TestRunChain:
         with pytest.raises(SamplerError, match="forced failure") as err:
             run_chain(toy10, hyper, init=self._init(toy10))
         assert err.value.scan == 3
+
+    def test_proposal_not_factoring_at_sampler_nugget_is_rejected(self, toy10, monkeypatch):
+        # Every proposal fails at exactly SAMPLER_NUGGET and would factor at
+        # any other nugget.  Each must be a counted rejection, never factored
+        # at an escalated nugget (1e-4) and accepted there.
+        hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.01, iters=40, burnin=10, seed=3)
+        control = run_chain(toy10, hyper, init=self._init(toy10))
+        assert control.accept_rate > 0.5  # these proposals factor and mostly pass
+
+        real = linalg.chol_decompose
+        nuggets = []
+
+        def only_initial_state_factors_at_sampler_nugget(m):
+            nuggets.append(float(m[0, 0]) - 1.0)
+            if len(nuggets) > 1 and nuggets[-1] == pytest.approx(SAMPLER_NUGGET, rel=1e-6):
+                raise NotPositiveDefiniteError("forced")
+            return real(m)
+
+        monkeypatch.setattr(linalg, "chol_decompose", only_initial_state_factors_at_sampler_nugget)
+        chain = run_chain(toy10, hyper, init=self._init(toy10))
+        assert chain.accept_rate == 0.0
+        assert chain.meta["mh_proposal_failures"] == hyper.iters
+        assert np.all(chain.phi == chain.meta["init"]["phi"])
+        assert len(nuggets) == hyper.iters + 1
+        assert nuggets == pytest.approx([SAMPLER_NUGGET] * len(nuggets), rel=1e-6)
+
+    def test_initial_state_not_factoring_is_scan_zero(self, toy10, monkeypatch):
+        def never_factors(m):
+            raise NotPositiveDefiniteError("forced")
+
+        monkeypatch.setattr(linalg, "chol_decompose", never_factors)
+        hyper = Hyperparams.for_dim(3, tau=0.3, iters=30, burnin=5, seed=0)
+        with pytest.raises(SamplerError, match="initial correlation matrix") as err:
+            run_chain(toy10, hyper, init=self._init(toy10))
+        assert err.value.scan == 0
 
     def test_init_fit_failure_is_scan_zero(self, toy10, monkeypatch):
         def no_fit(data, opts=None):
