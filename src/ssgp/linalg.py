@@ -3,8 +3,9 @@
 Correlation matrices here always have unit diagonal before the nugget is
 added.  Everything downstream works with the lower Cholesky factor: the
 log-determinant comes from its diagonal and solves are forward/backward
-substitutions, never an explicit inverse.  CorrFactor holds one factor
-together with what the likelihood, the sampler and the predictor reuse.
+substitutions.  The one explicit inverse is the likelihood gradient's,
+which reads every entry of R^-1.  CorrFactor holds one factor together
+with what the likelihood, the sampler and the predictor reuse.
 """
 
 import warnings
@@ -202,6 +203,11 @@ class CorrFactor:
     def whiten(self, b) -> np.ndarray:
         """L^-1 b."""
         return _whiten(self.lower, b)
+
+    def inverse(self) -> np.ndarray:
+        """R^-1 = V'V with V = L^-1 from one triangular solve."""
+        v = self.whiten(np.eye(len(self.y)))
+        return v.T @ v
 
 
 def corr_factor(sqdiffs, theta, nugget: float, y) -> CorrFactor:

@@ -14,6 +14,7 @@ import hashlib
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,20 @@ class Hyperparams:
     @property
     def dim(self) -> int:
         return len(self.tau)
+
+    @cached_property
+    def _inclusion_terms(self):
+        # What inclusion_probabilities needs besides phi, computed once per
+        # Hyperparams instead of once per scan: the slab and spike variances,
+        # their log(2 pi var) terms, log p and log(1 - p) (-inf at p = 1).
+        slab_var = (self.c * self.tau) ** 2
+        spike_var = self.tau**2
+        with np.errstate(divide="ignore"):
+            log1m_p = np.log1p(-self.p)
+        return (
+            slab_var, np.log(2.0 * np.pi * slab_var), np.log(self.p),
+            spike_var, np.log(2.0 * np.pi * spike_var), log1m_p,
+        )
 
     @classmethod
     def for_dim(cls, d: int, tau=0.3, c=25.0, p=0.5, prop_sd=0.03, iters=6000, burnin=2000, thin=1, seed=0) -> "Hyperparams":
@@ -244,9 +259,12 @@ def inclusion_probabilities(phi, hyper: Hyperparams) -> np.ndarray:
     and b the spike density times 1 - p_k, evaluated through log densities.
     """
     phi = np.asarray(phi, dtype=float)
-    log_a = _normal_logpdf(phi, (hyper.c * hyper.tau) ** 2) + np.log(hyper.p)
-    with np.errstate(divide="ignore"):
-        log_b = _normal_logpdf(phi, hyper.tau**2) + np.log1p(-hyper.p)
+    slab_var, slab_log_norm, log_p, spike_var, spike_log_norm, log1m_p = hyper._inclusion_terms
+    # _normal_logpdf written out with the constant terms hoisted; the same
+    # operations in the same order, so the same bits.
+    sq = phi * phi
+    log_a = -0.5 * (slab_log_norm + sq / slab_var) + log_p
+    log_b = -0.5 * (spike_log_norm + sq / spike_var) + log1m_p
     return np.exp(log_a - np.logaddexp(log_a, log_b))
 
 

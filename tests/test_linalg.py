@@ -254,6 +254,9 @@ class TestCorrFactor:
                 assert f.w1 @ f.wy == pytest.approx(ones @ rinv @ y, rel=1e-10)
                 assert f.gls_mean == pytest.approx((ones @ rinv @ y) / (ones @ rinv @ ones), rel=1e-10)
                 assert f.quad(mu) == pytest.approx((y - mu) @ rinv @ (y - mu), rel=1e-10)
+                # Entrywise, relative to the largest entry: at condition
+                # numbers near 1e6 both inverses carry ~1e-10 of it.
+                assert np.max(np.abs(f.inverse() - rinv)) <= 1e-8 * np.max(np.abs(rinv))
                 assert np.array_equal(f.lower, linalg.chol_decompose(r))
 
     def test_quad_is_a_fresh_solve_per_mu(self):

@@ -139,6 +139,27 @@ class TestInclusionProbabilities:
             b = norm.pdf(phi, scale=tau) * (1.0 - p)
             assert abs(got - a / (a + b)) < 1e-12
 
+    def test_bitwise_equal_to_unhoisted_form(self):
+        # The per-Hyperparams constants are the same arithmetic as the
+        # normal log-densities evaluated in full, so seeded gamma draws are
+        # unchanged; p = 1 gives log(1 - p) = -inf and probability 1.
+        rng = np.random.default_rng(8)
+        for i in range(300):
+            d = int(rng.integers(1, 11))
+            tau = rng.uniform(0.01, 2.0, d)
+            c = rng.uniform(2.5, 80.0, d)
+            p = rng.uniform(0.01, 1.0, d)
+            if i % 5 == 0:
+                p[0] = 1.0
+            phi = rng.normal(scale=2.0, size=d)
+            h = Hyperparams.for_dim(d, tau=tau, c=c, p=p)
+            log_a = sampler._normal_logpdf(phi, (c * tau) ** 2) + np.log(p)
+            with np.errstate(divide="ignore"):
+                log_b = sampler._normal_logpdf(phi, tau**2) + np.log1p(-p)
+            expected = np.exp(log_a - np.logaddexp(log_a, log_b))
+            assert np.array_equal(inclusion_probabilities(phi, h), expected)
+            assert np.array_equal(inclusion_probabilities(phi, h), expected)
+
     def test_monotone_in_abs_phi(self):
         h = Hyperparams.for_dim(1, tau=0.3, c=25.0)
         grid = [inclusion_probabilities(np.array([v]), h)[0] for v in (0.0, 0.3, 0.6, 0.9, 1.5)]
