@@ -4,9 +4,12 @@ Fit ordinary-kriging models to computer-experiment data, place a
 normal-mixture prior with latent inclusion indicators on the correlation
 parameters, sample the posterior by Metropolis-within-Gibbs, and read off
 which inputs matter.
+
+The names below are the user-facing API; the modules (designs, gp, sampler,
+report, testbed, io, linalg) hold the rest.
 """
 
-from .designs import Design, maximin_lhd, random_lhd, scale_points
+from .designs import maximin_lhd, random_lhd
 from .errors import (
     BenchmarkError,
     IllConditionedError,
@@ -14,56 +17,10 @@ from .errors import (
     OptimizerFailedError,
     SamplerError,
 )
-from .gp import (
-    Dataset,
-    FitOptions,
-    GpParams,
-    Prediction,
-    mle_fit,
-    neg_log_profile_likelihood,
-    predict,
-    predict_batch,
-    profile_mu,
-    profile_sigma2,
-)
-from .report import (
-    GammaTable,
-    SelectionReport,
-    autocorrelation,
-    decide_selection,
-    export_trace,
-    marginal_inclusion,
-    select_variables,
-    tabulate_gamma,
-)
-from .sampler import (
-    Chain,
-    Hyperparams,
-    SamplerState,
-    default_hyperparams,
-    derive_seed,
-    inclusion_probabilities,
-    phi_log_kernel,
-    posterior_params,
-    run_chain,
-    update_gamma,
-    update_mu,
-    update_phi,
-    update_sigma2,
-)
-from .testbed import (
-    BenchmarkSpec,
-    ScreeningScore,
-    TestFunction,
-    eval_batch,
-    eval_function,
-    get_function,
-    mar,
-    piston_dataset,
-    rmspe,
-    run_benchmark,
-    screening_score,
-)
+from .gp import Dataset, FitOptions, GpParams, Prediction, mle_fit, predict, predict_batch
+from .report import select_variables
+from .sampler import Chain, Hyperparams, default_hyperparams, posterior_params, run_chain
+from .testbed import BenchmarkSpec, run_benchmark
 
 __version__ = "0.1.0"
 
@@ -72,9 +29,7 @@ __all__ = [
     "BenchmarkSpec",
     "Chain",
     "Dataset",
-    "Design",
     "FitOptions",
-    "GammaTable",
     "GpParams",
     "Hyperparams",
     "IllConditionedError",
@@ -82,41 +37,14 @@ __all__ = [
     "OptimizerFailedError",
     "Prediction",
     "SamplerError",
-    "SamplerState",
-    "ScreeningScore",
-    "SelectionReport",
-    "TestFunction",
-    "autocorrelation",
-    "decide_selection",
     "default_hyperparams",
-    "derive_seed",
-    "eval_batch",
-    "eval_function",
-    "export_trace",
-    "get_function",
-    "inclusion_probabilities",
-    "mar",
-    "marginal_inclusion",
     "maximin_lhd",
     "mle_fit",
-    "neg_log_profile_likelihood",
-    "phi_log_kernel",
-    "piston_dataset",
     "posterior_params",
     "predict",
     "predict_batch",
-    "profile_mu",
-    "profile_sigma2",
     "random_lhd",
-    "rmspe",
     "run_benchmark",
     "run_chain",
-    "scale_points",
-    "screening_score",
     "select_variables",
-    "tabulate_gamma",
-    "update_gamma",
-    "update_mu",
-    "update_phi",
-    "update_sigma2",
 ]

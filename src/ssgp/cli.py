@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gp import Dataset, FitOptions, mle_fit, predict_batch
 from .report import decide_selection, export_trace, marginal_inclusion, tabulate_gamma
-from .sampler import Hyperparams, posterior_params, run_chain
+from .sampler import default_hyperparams, posterior_params, run_chain
 from .testbed import BenchmarkSpec, rmspe, mar, run_benchmark
 
 EXIT_OK = 0
@@ -122,25 +122,6 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _hyper_from_args(args, data: Dataset) -> Hyperparams:
-    deltas = np.ptp(data.points, axis=0)
-    if np.any(deltas <= 0):
-        bad = int(np.argmax(deltas <= 0)) + 1
-        raise ValueError(f"dimension {bad} has zero observed range")
-    tau = args.tau if args.tau is not None else 1.0 / (3.0 * deltas)
-    return Hyperparams.for_dim(
-        data.dim,
-        tau=tau,
-        c=args.c,
-        p=args.p,
-        prop_sd=args.prop_sd,
-        iters=args.iters,
-        burnin=args.burnin,
-        thin=args.thin,
-        seed=args.seed,
-    )
-
-
 def _print_selection(table, report, var_names):
     print("gamma".ljust(4 + 3 * len(report.modal_gamma)) + "freq")
     for vec, freq in table.rows[:5]:
@@ -159,7 +140,11 @@ def _print_selection(table, report, var_names):
 def _cmd_select(args) -> int:
     try:
         data = _load_dataset(args)
-        hyper = _hyper_from_args(args, data)
+        # Flags left out are None and keep the sampler defaults.
+        hyper = default_hyperparams(
+            data, args.seed, tau=args.tau, c=args.c, p=args.p, prop_sd=args.prop_sd,
+            iters=args.iters, burnin=args.burnin, thin=args.thin,
+        )
     except (OSError, ValueError) as exc:
         return _fail(EXIT_INPUT, exc)
     try:
@@ -312,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sel = subs.add_parser("select", help="posterior sampling and variable selection")
     _add_data_flags(p_sel)
-    p_sel.add_argument("--iters", type=int, default=6000)
-    p_sel.add_argument("--burnin", type=int, default=2000)
-    p_sel.add_argument("--thin", type=int, default=1)
+    p_sel.add_argument("--iters", type=int)
+    p_sel.add_argument("--burnin", type=int)
+    p_sel.add_argument("--thin", type=int)
     p_sel.add_argument("--seed", type=int, default=0)
-    p_sel.add_argument("--tau", type=float, default=None)
-    p_sel.add_argument("--c", type=float, default=25.0)
-    p_sel.add_argument("--p", type=float, default=0.5)
-    p_sel.add_argument("--prop-sd", type=float, default=0.03, dest="prop_sd")
+    p_sel.add_argument("--tau", type=float)
+    p_sel.add_argument("--c", type=float)
+    p_sel.add_argument("--p", type=float)
+    p_sel.add_argument("--prop-sd", type=float, dest="prop_sd")
     p_sel.add_argument("--rule", choices=("modal", "median"), default="modal")
     p_sel.add_argument("--chain", default="chain.json")
     p_sel.add_argument("--report", default="report.json")

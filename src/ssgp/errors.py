@@ -17,8 +17,14 @@ class SamplerError(Exception):
     """An MCMC update failed irrecoverably; carries the offending scan index."""
 
     def __init__(self, scan: int, message: str):
-        super().__init__(f"scan {scan}: {message}")
+        # Both arguments in args, so the error survives pickling (a
+        # process-pool worker sends it back that way).
+        super().__init__(scan, message)
         self.scan = scan
+        self.message = message
+
+    def __str__(self):
+        return f"scan {self.scan}: {self.message}"
 
 
 class BenchmarkError(Exception):

@@ -1,11 +1,12 @@
 """Ordinary kriging: profile likelihood, maximum-likelihood fit, prediction.
 
 The model is y(x) = mu + Z(x) with Z a zero-mean stationary Gaussian process
-whose correlation is the Gaussian kernel of linalg.gaussian_corr.  Given the
-correlation parameters theta, the mean and variance have closed-form
-maximizers (profile MLEs); theta itself is found by bounded L-BFGS-B on the
-log scale, with the analytic gradient of the profile likelihood computed
-from the same Cholesky factor as its value.
+whose correlation is the Gaussian kernel
+r(x, x') = exp(-sum_k theta_k (x_k - x'_k)^2) on inputs scaled to the unit
+cube.  Given the correlation parameters theta, the mean and variance have
+closed-form maximizers (profile MLEs); theta itself is found by bounded
+L-BFGS-B on the log scale, with the analytic gradient of the profile
+likelihood computed from the same Cholesky factor as its value.
 """
 
 import hashlib
@@ -21,6 +22,11 @@ from .errors import IllConditionedError, OptimizerFailedError
 # Box bounds for the likelihood search, on the log-theta scale.
 LOG_THETA_LO = np.log(1e-4)
 LOG_THETA_HI = np.log(1e4)
+
+# Multi-start likelihood search: Latin-hypercube starts, and the L-BFGS-B
+# iteration limit of each.
+N_STARTS = 10
+MAX_ITER = 500
 
 # Floor applied to the profiled variance before taking its log; keeps the
 # objective finite when the response is (numerically) constant.
@@ -151,20 +157,8 @@ class Prediction:
 
 @dataclass(frozen=True)
 class FitOptions:
-    n_starts: int = 10
-    max_iter: int = 500
     nugget: float = linalg.DEFAULT_NUGGET
     seed: int = 0
-
-
-def profile_mu(chol, y) -> float:
-    """GLS mean (1' R^-1 1)^-1 (1' R^-1 y) for R = chol chol'."""
-    return linalg.CorrFactor.from_lower(chol, y).gls_mean
-
-
-def profile_sigma2(chol, y, mu: float) -> float:
-    """(1/n) (y - 1 mu)' R^-1 (y - 1 mu); non-negative by construction."""
-    return linalg.CorrFactor.from_lower(chol, y).quad(mu) / len(y)
 
 
 def _profile(theta, data: Dataset, nugget, sqdiffs):
@@ -210,9 +204,9 @@ def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGE
 def mle_fit(data: Dataset, opts: FitOptions | None = None) -> GpParams:
     """Maximum-likelihood kriging fit by multi-start L-BFGS-B on log theta.
 
-    Starts come from a random Latin hypercube over the log-theta box
-    [LOG_THETA_LO, LOG_THETA_HI]^d; each runs bounded L-BFGS-B for at most
-    `max_iter` iterations with the analytic gradient, and the best final
+    N_STARTS starts come from a random Latin hypercube over the log-theta
+    box [LOG_THETA_LO, LOG_THETA_HI]^d; each runs bounded L-BFGS-B for at
+    most MAX_ITER iterations with the analytic gradient, and the best final
     objective wins.  A theta whose correlation matrix cannot be factored
     even at the maximum nugget counts as an infinite objective.  phi is the
     positive square root of the fitted theta.
@@ -234,7 +228,7 @@ def mle_fit(data: Dataset, opts: FitOptions | None = None) -> GpParams:
         return value, g * theta
 
     rng = np.random.default_rng(opts.seed)
-    starts = LOG_THETA_LO + random_lhd(opts.n_starts, d, rng).points * (
+    starts = LOG_THETA_LO + random_lhd(N_STARTS, d, rng).points * (
         LOG_THETA_HI - LOG_THETA_LO
     )
     bounds = [(LOG_THETA_LO, LOG_THETA_HI)] * d
@@ -246,7 +240,7 @@ def mle_fit(data: Dataset, opts: FitOptions | None = None) -> GpParams:
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": opts.max_iter},
+            options={"maxiter": MAX_ITER},
         )
         if np.isfinite(res.fun) and res.fun < best_val:
             best_val, best_x = res.fun, res.x

@@ -8,7 +8,6 @@ which reads every entry of R^-1.  CorrFactor holds one factor together
 with what the likelihood, the sampler and the predictor reuse.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,22 +21,6 @@ MAX_NUGGET = 1e-4
 # Cholesky pivot (squared diagonal entry) at or below this is treated as
 # a positive-definiteness failure.
 PIVOT_TOL = 1e-12
-
-
-def gaussian_corr(xi, xj, theta) -> float:
-    """Correlation exp(-sum_k theta_k |xi_k - xj_k|^2) between two points."""
-    xi = np.asarray(xi, dtype=float)
-    xj = np.asarray(xj, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if not (xi.shape == xj.shape == theta.shape) or xi.ndim != 1 or xi.size < 1:
-        raise ValueError(
-            f"dimension mismatch: xi {xi.shape}, xj {xj.shape}, theta {theta.shape}"
-        )
-    if not (np.isfinite(xi).all() and np.isfinite(xj).all() and np.isfinite(theta).all()):
-        raise ValueError("non-finite input")
-    if np.any(theta < 0):
-        raise ValueError("theta entries must be non-negative")
-    return float(np.exp(-np.sum(theta * (xi - xj) ** 2)))
 
 
 def pairwise_sqdiffs(points) -> np.ndarray:
@@ -70,23 +53,6 @@ def corr_matrix_from_sqdiffs(sqdiffs, theta, nugget: float = DEFAULT_NUGGET) -> 
     np.exp(r, out=r)
     r[:: n + 1] += nugget
     return r.reshape(n, n)
-
-
-def build_corr_matrix(points, theta, nugget: float = DEFAULT_NUGGET) -> np.ndarray:
-    """n x n Gaussian correlation matrix with `nugget` added to the diagonal.
-
-    Duplicate design points combined with a zero nugget make the matrix
-    singular; that situation is flagged with a warning, not an error.
-    """
-    sqd = pairwise_sqdiffs(points)
-    x = np.asarray(points, dtype=float)
-    if nugget == 0 and len(np.unique(x, axis=0)) < len(x):
-        warnings.warn(
-            "duplicate design points with zero nugget: correlation matrix is singular",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return corr_matrix_from_sqdiffs(sqd, theta, nugget)
 
 
 def chol_decompose(m) -> np.ndarray:

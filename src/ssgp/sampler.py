@@ -103,23 +103,35 @@ class Hyperparams:
         )
 
     @classmethod
-    def for_dim(cls, d: int, tau=0.3, c=25.0, p=0.5, prop_sd=0.03, iters=6000, burnin=2000, thin=1, seed=0) -> "Hyperparams":
-        """Hyperparams with scalars broadcast to dimension d."""
-        expand = lambda v: np.full(d, v, dtype=float) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
-        return cls(expand(tau), expand(c), expand(p), expand(prop_sd), iters, burnin, thin, seed)
+    def for_dim(cls, d: int, tau=0.3, **settings) -> "Hyperparams":
+        """Hyperparams of dimension d, a scalar tau broadcast to d entries.
+
+        `settings` are the other fields (c, p, prop_sd as scalars or
+        d-vectors; iters, burnin, thin, seed); omitted ones keep their
+        defaults.
+        """
+        if np.ndim(tau) == 0:
+            tau = np.full(d, tau)
+        return cls(np.asarray(tau, dtype=float), **settings)
 
 
-def default_hyperparams(data: Dataset, seed: int = 0) -> Hyperparams:
-    """Data-driven defaults: tau_k = 1/(3 dx_k) with dx_k the observed range
-    of scaled coordinate k (about 1/3, the conventional 0.3, when the data
-    span the unit cube), c = 25, p = 1/2, prop_sd = 0.03, 6000 scans with
-    2000 burn-in.
+def default_hyperparams(data: Dataset, seed: int = 0, **overrides) -> Hyperparams:
+    """The prior and run settings for `data`: the one place defaults are derived.
+
+    tau_k = 1/(3 dx_k) with dx_k the observed range of scaled coordinate k
+    (1/3 when the data span the unit cube), unless `tau` is given.  Every
+    other setting (c, p, prop_sd, iters, burnin, thin) keeps its Hyperparams
+    default (25, 1/2, 0.03, 6000, 2000, 1) unless given; an override of
+    None keeps the default too.  Raises ValueError when a coordinate has
+    zero observed range.
     """
     deltas = np.ptp(data.points, axis=0)
     if np.any(deltas <= 0):
         bad = int(np.argmax(deltas <= 0)) + 1
         raise ValueError(f"dimension {bad} has zero observed range")
-    return Hyperparams.for_dim(data.dim, tau=1.0 / (3.0 * deltas), seed=seed)
+    settings = {"tau": 1.0 / (3.0 * deltas)}
+    settings.update((k, v) for k, v in overrides.items() if v is not None)
+    return Hyperparams.for_dim(data.dim, seed=seed, **settings)
 
 
 @dataclass
@@ -214,15 +226,7 @@ def update_sigma2(state: SamplerState, data: Dataset, factor=None) -> float:
 PhiUpdate = namedtuple("PhiUpdate", ["phi", "accepted", "factor", "proposal_failed"])
 
 
-def _rw_propose(rng, phi, prop_sd):
-    # Proposal first, acceptance uniform second: the stream stays aligned
-    # whether or not the kernel evaluation below fails.
-    prop = phi + rng.normal(size=phi.shape) * prop_sd
-    log_u = float(np.log(rng.uniform()))
-    return prop, log_u
-
-
-def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor=None, sqdiffs=None, log_kernel=None) -> PhiUpdate:
+def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor=None, sqdiffs=None) -> PhiUpdate:
     """One block random-walk Metropolis step on phi.
 
     Proposes phi~ ~ N(phi, diag(prop_sd^2)) and accepts with probability
@@ -230,20 +234,16 @@ def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor=No
     the current state's log det and quadratic form are read from `factor`.
     A proposal whose correlation matrix does not factor at exactly
     SAMPLER_NUGGET is rejected and flagged instead of aborting the chain.
-    `log_kernel` substitutes a synthetic target for g (testing hook).
     """
     rng = state.rng
     phi = state.phi
-    if log_kernel is not None:
-        logp_cur = log_kernel(phi)
-        prop, log_u = _rw_propose(rng, phi, hyper.prop_sd)
-        accepted = bool(log_u < log_kernel(prop) - logp_cur)
-        return PhiUpdate(prop if accepted else phi, accepted, factor, False)
-
     if factor is None:
         factor = _factor(phi, data, sqdiffs)
     logp_cur = _kernel_value(factor, phi, state.mu, state.sigma2, state.gamma, hyper)
-    prop, log_u = _rw_propose(rng, phi, hyper.prop_sd)
+    # Proposal first, acceptance uniform second: the stream stays aligned
+    # whether or not the proposal factors.
+    prop = phi + rng.normal(size=phi.shape) * hyper.prop_sd
+    log_u = float(np.log(rng.uniform()))
     try:
         prop_factor = _factor(prop, data, sqdiffs)
     except NotPositiveDefiniteError:

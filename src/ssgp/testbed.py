@@ -8,15 +8,16 @@ leave-one-out cross-validation (or an external test file when supplied).
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .designs import maximin_lhd, random_lhd, scale_points
 from .errors import BenchmarkError, IllConditionedError, OptimizerFailedError, SamplerError
 from .gp import Dataset, FitOptions, mle_fit, predict_batch
+from .io import read_data_csv
 from .report import select_variables
-from .sampler import Hyperparams, derive_seed, posterior_params, run_chain
+from .sampler import default_hyperparams, derive_seed, posterior_params, run_chain
 
 UNIT = (0.0, 1.0)
 
@@ -217,23 +218,14 @@ class BenchmarkSpec:
     notes: str = ""
 
 
-def _hyper_for(spec: BenchmarkSpec, data: Dataset, seed: int) -> Hyperparams:
-    deltas = np.ptp(data.points, axis=0)
-    tau = spec.tau if spec.tau is not None else 1.0 / (3.0 * deltas)
-    return Hyperparams.for_dim(
-        data.dim,
-        tau=tau,
-        c=spec.c if spec.c is not None else 25.0,
-        p=spec.p if spec.p is not None else 0.5,
-        prop_sd=spec.prop_sd if spec.prop_sd is not None else 0.03,
-        iters=spec.iters,
-        burnin=spec.burnin,
-        thin=spec.thin,
-        seed=seed,
-    )
+# The BenchmarkSpec fields that set the chain; None keeps the default.
+_CHAIN_FIELDS = ("tau", "c", "p", "prop_sd", "iters", "burnin", "thin")
+
+_DESIGNS = {"maximin-lhd": maximin_lhd, "random-lhd": random_lhd}
 
 
-def _fit_and_sample(data: Dataset, hyper: Hyperparams, rep_seed: int):
+def _fit_and_sample(spec: BenchmarkSpec, data: Dataset, rep_seed: int):
+    hyper = default_hyperparams(data, rep_seed, **{k: getattr(spec, k) for k in _CHAIN_FIELDS})
     # The plain-MLE comparator keeps the sharp prediction nugget; the chain
     # fits its own init so it starts at the mode of the jittered target.
     params_mle = mle_fit(data, FitOptions(seed=derive_seed(rep_seed, "mle")))
@@ -241,73 +233,39 @@ def _fit_and_sample(data: Dataset, hyper: Hyperparams, rep_seed: int):
     return params_mle, chain
 
 
-def _synthetic_replicate(spec: BenchmarkSpec, f: TestFunction, rep: int) -> dict:
-    rep_seed = derive_seed(spec.seed, "rep", rep)
-    if spec.design == "maximin-lhd":
-        design = maximin_lhd(spec.n, f.dim, derive_seed(rep_seed, "design"))
-    elif spec.design == "random-lhd":
-        design = random_lhd(spec.n, f.dim, derive_seed(rep_seed, "design"))
-    else:
-        raise ValueError(f"unknown design kind {spec.design!r}")
-    dom = f.domain()
-    x_orig = scale_points(design.points, dom, "from_unit")
-    y = eval_batch(f, x_orig)
-    data = Dataset(design.points, y, dom)
-
-    hyper = _hyper_for(spec, data, rep_seed)
-    params_mle, chain = _fit_and_sample(data, hyper, rep_seed)
-    sel = select_variables(chain, spec.rule)
-    score = screening_score(sel.selected, f)
-
-    rng = np.random.default_rng(derive_seed(rep_seed, "test"))
-    x_test = scale_points(rng.uniform(size=(spec.n_test, f.dim)), dom, "from_unit")
-    truth = eval_batch(f, x_test)
-    params_post = posterior_params(chain)
-    pred_ssgp = np.array([p.mean for p in predict_batch(params_post, data, x_test)])
-    pred_mle = np.array([p.mean for p in predict_batch(params_mle, data, x_test)])
-
-    return {
-        "rep": rep,
-        "seed": rep_seed,
-        "selected": sorted(sel.selected),
-        "modal_gamma": list(sel.modal_gamma),
-        "modal_freq": sel.modal_freq,
-        "marginal_inclusion": [float(v) for v in sel.marginal],
-        "aci": score.aci,
-        "ami": score.ami,
-        "aci_rate": score.aci_rate,
-        "ami_rate": score.ami_rate,
-        "rmspe_ssgp": rmspe(truth, pred_ssgp),
-        "rmspe_mle": rmspe(truth, pred_mle),
-        "mar_ssgp": mar(truth, pred_ssgp),
-        "mar_mle": mar(truth, pred_mle),
-        "accept_rate": chain.accept_rate,
-    }
+def _means(params, data: Dataset, xs) -> np.ndarray:
+    return np.array([p.mean for p in predict_batch(params, data, xs)])
 
 
-def _loo_predictions(params, data: Dataset) -> np.ndarray:
+def _loo_means(params, data: Dataset) -> np.ndarray:
     # Hyperparameters stay fixed at the full-data values; only the
     # conditioning set changes per fold.
     x_orig = data.original_points()
-    preds = np.empty(data.n)
-    for i in range(data.n):
-        sub = data.drop_run(i)
-        preds[i] = predict_batch(params, sub, x_orig[i : i + 1])[0].mean
-    return preds
+    return np.array([_means(params, data.drop_run(i), x_orig[i : i + 1])[0] for i in range(data.n)])
 
 
-def _piston_replicate(spec: BenchmarkSpec, rep: int) -> dict:
+def _errors(truth, pred_ssgp, pred_mle, suffix="") -> dict:
+    return {
+        f"rmspe_ssgp{suffix}": rmspe(truth, pred_ssgp),
+        f"rmspe_mle{suffix}": rmspe(truth, pred_mle),
+        f"mar_ssgp{suffix}": mar(truth, pred_ssgp),
+        f"mar_mle{suffix}": mar(truth, pred_mle),
+    }
+
+
+def _one_replicate(spec: BenchmarkSpec, rep: int) -> dict:
     rep_seed = derive_seed(spec.seed, "rep", rep)
-    data = piston_dataset()
-    hyper = _hyper_for(spec, data, rep_seed)
-    params_mle, chain = _fit_and_sample(data, hyper, rep_seed)
-    sel = select_variables(chain, spec.rule)
+    if spec.function == "piston":
+        f, data = None, piston_dataset()
+    else:
+        f = get_function(spec.function)
+        design = _DESIGNS[spec.design](spec.n, f.dim, derive_seed(rep_seed, "design"))
+        y = eval_batch(f, scale_points(design.points, f.domain(), "from_unit"))
+        data = Dataset(design.points, y, f.domain())
 
+    params_mle, chain = _fit_and_sample(spec, data, rep_seed)
     params_post = posterior_params(chain)
-    loo_ssgp = _loo_predictions(params_post, data)
-    loo_mle = _loo_predictions(params_mle, data)
-    y = data.responses
-
+    sel = select_variables(chain, spec.rule)
     row = {
         "rep": rep,
         "seed": rep_seed,
@@ -315,29 +273,35 @@ def _piston_replicate(spec: BenchmarkSpec, rep: int) -> dict:
         "modal_gamma": list(sel.modal_gamma),
         "modal_freq": sel.modal_freq,
         "marginal_inclusion": [float(v) for v in sel.marginal],
-        "rmspe_ssgp": rmspe(y, loo_ssgp),
-        "rmspe_mle": rmspe(y, loo_mle),
-        "mar_ssgp": mar(y, loo_ssgp),
-        "mar_mle": mar(y, loo_mle),
         "accept_rate": chain.accept_rate,
     }
-    if spec.test_file is not None:
-        from .io import read_data_csv
-
-        x_test, y_test = read_data_csv(spec.test_file)
-        pred = np.array([p.mean for p in predict_batch(params_post, data, x_test)])
-        pred_m = np.array([p.mean for p in predict_batch(params_mle, data, x_test)])
-        row["rmspe_ssgp_external"] = rmspe(y_test, pred)
-        row["rmspe_mle_external"] = rmspe(y_test, pred_m)
-        row["mar_ssgp_external"] = mar(y_test, pred)
-        row["mar_mle_external"] = mar(y_test, pred_m)
+    if f is None:
+        # No known active set: score leave-one-out prediction, and an
+        # external test set when one is given.
+        row.update(_errors(data.responses, _loo_means(params_post, data), _loo_means(params_mle, data)))
+        if spec.test_file is not None:
+            x_test, y_test = read_data_csv(spec.test_file)
+            pred_ssgp, pred_mle = _means(params_post, data, x_test), _means(params_mle, data, x_test)
+            row.update(_errors(y_test, pred_ssgp, pred_mle, "_external"))
+    else:
+        row.update(asdict(screening_score(sel.selected, f)))
+        rng = np.random.default_rng(derive_seed(rep_seed, "test"))
+        x_test = scale_points(rng.uniform(size=(spec.n_test, f.dim)), f.domain(), "from_unit")
+        pred_ssgp, pred_mle = _means(params_post, data, x_test), _means(params_mle, data, x_test)
+        row.update(_errors(eval_batch(f, x_test), pred_ssgp, pred_mle))
     return row
 
 
-def _one_replicate(spec: BenchmarkSpec, rep: int) -> dict:
-    if spec.function == "piston":
-        return _piston_replicate(spec, rep)
-    return _synthetic_replicate(spec, get_function(spec.function), rep)
+def _run_replicate(spec: BenchmarkSpec, rep: int) -> dict:
+    """The replicate's row, or {rep, error} if it failed.
+
+    Failures are caught here, in the worker, so a process pool only ever
+    sends back plain dicts.
+    """
+    try:
+        return _one_replicate(spec, rep)
+    except (SamplerError, IllConditionedError, OptimizerFailedError, ValueError) as exc:
+        return {"rep": rep, "error": str(exc)}
 
 
 def _aggregate(rows: list) -> dict:
@@ -367,26 +331,19 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1) -> dict:
     """
     if spec.function != "piston":
         get_function(spec.function)
-        if spec.design not in ("maximin-lhd", "random-lhd"):
+        if spec.design not in _DESIGNS:
             raise ValueError(f"unknown design kind {spec.design!r}")
     if spec.reps < 1:
         raise ValueError("reps must be >= 1")
-    rows, failures = [], []
+    reps = range(spec.reps)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_one_replicate, spec, rep) for rep in range(spec.reps)]
-            for rep, fut in enumerate(futures):
-                try:
-                    rows.append(fut.result())
-                except (SamplerError, IllConditionedError, OptimizerFailedError, ValueError) as exc:
-                    failures.append({"rep": rep, "error": str(exc)})
+            results = list(pool.map(_run_replicate, [spec] * spec.reps, reps))
     else:
-        for rep in range(spec.reps):
-            try:
-                rows.append(_one_replicate(spec, rep))
-            except (SamplerError, IllConditionedError, OptimizerFailedError, ValueError) as exc:
-                failures.append({"rep": rep, "error": str(exc)})
-    rows.sort(key=lambda r: r["rep"])
+        # In process, so a tracer installed by the caller sees the replicate.
+        results = [_run_replicate(spec, rep) for rep in reps]
+    rows = [r for r in results if "error" not in r]
+    failures = [r for r in results if "error" in r]
 
     report = {
         "schema_version": 1,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from conftest import make_dataset
+from conftest import make_dataset, use_phi_target
 from ssgp import cli, io, linalg
 from ssgp.gp import FitOptions, mle_fit, predict_batch
 from ssgp.sampler import (
@@ -228,7 +228,7 @@ class TestCriterion6Properties:
         )
         assert ok, msg
 
-    def test_mh_stationarity_oracle(self):
+    def test_mh_stationarity_oracle(self, monkeypatch):
         # Standard-normal log-kernel substituted for the posterior: 100k
         # random-walk steps must reproduce the target moments.
         hyper = Hyperparams.for_dim(1, tau=0.3, prop_sd=2.4)
@@ -237,9 +237,10 @@ class TestCriterion6Properties:
             gamma=np.ones(1, dtype=np.int64), rng=np.random.default_rng(8),
         )
         kernel = lambda v: -0.5 * float(v @ v)
+        use_phi_target(monkeypatch, kernel)
         draws = np.empty(100000)
         for i in range(draws.size):
-            state.phi = update_phi(state, None, hyper, log_kernel=kernel).phi
+            state.phi = update_phi(state, None, hyper).phi
             draws[i] = state.phi[0]
         mean, var = float(draws.mean()), float(draws.var())
         ok = abs(mean) < 0.02 and abs(var - 1.0) < 0.05

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_dataset, two_point_dataset
+from conftest import build_corr_matrix, make_dataset, two_point_dataset
 from ssgp import gp, linalg
 from ssgp.gp import (
     LOG_THETA_HI,
@@ -18,8 +18,6 @@ from ssgp.gp import (
     neg_log_profile_likelihood,
     predict,
     predict_batch,
-    profile_mu,
-    profile_sigma2,
 )
 
 
@@ -118,30 +116,32 @@ class TestProfileEstimates:
         # variance the mean squared residual: 2 and 2/3 for y = (1,2,3).
         chol = np.eye(3)
         y = np.array([1.0, 2.0, 3.0])
-        mu = profile_mu(chol, y)
+        factor = linalg.CorrFactor.from_lower(chol, y)
+        mu = factor.gls_mean
         assert mu == pytest.approx(2.0, abs=1e-15)
-        assert profile_sigma2(chol, y, mu) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert factor.quad(mu) / 3 == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_against_explicit_gls(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(size=(6, 2))
         y = rng.normal(size=6)
         theta = np.array([1.5, 0.4])
-        r = linalg.build_corr_matrix(pts, theta, nugget=1e-8)
+        r = build_corr_matrix(pts, theta, nugget=1e-8)
         chol = linalg.chol_decompose(r)
         rinv = np.linalg.inv(r)
         ones = np.ones(6)
         mu_direct = (ones @ rinv @ y) / (ones @ rinv @ ones)
-        mu = profile_mu(chol, y)
+        factor = linalg.CorrFactor.from_lower(chol, y)
+        mu = factor.gls_mean
         assert mu == pytest.approx(mu_direct, abs=1e-10)
         s2_direct = (y - mu_direct) @ rinv @ (y - mu_direct) / 6
-        assert profile_sigma2(chol, y, mu) == pytest.approx(s2_direct, abs=1e-10)
+        assert factor.quad(mu) / 6 == pytest.approx(s2_direct, abs=1e-10)
 
     def test_objective_against_brute_force(self):
         rng = np.random.default_rng(5)
         data = Dataset.from_arrays(rng.uniform(size=(5, 2)), rng.normal(size=5))
         theta = np.array([2.0, 0.3])
-        r = linalg.build_corr_matrix(data.points, theta, nugget=linalg.DEFAULT_NUGGET)
+        r = build_corr_matrix(data.points, theta, nugget=linalg.DEFAULT_NUGGET)
         rinv = np.linalg.inv(r)
         ones = np.ones(5)
         y = data.responses

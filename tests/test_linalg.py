@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import build_corr_matrix, gaussian_corr, make_dataset
 from ssgp import linalg
 from ssgp.errors import IllConditionedError, NotPositiveDefiniteError
 
@@ -11,41 +11,41 @@ from ssgp.errors import IllConditionedError, NotPositiveDefiniteError
 class TestGaussianCorr:
     def test_hand_values(self):
         # exp(-3 * 0.25) and exp(-1), frozen independently.
-        assert linalg.gaussian_corr([0.0], [0.5], [3.0]) == pytest.approx(
+        assert gaussian_corr([0.0], [0.5], [3.0]) == pytest.approx(
             0.4723665527410147, abs=1e-15
         )
-        assert linalg.gaussian_corr([0.0], [1.0], [1.0]) == pytest.approx(
+        assert gaussian_corr([0.0], [1.0], [1.0]) == pytest.approx(
             0.36787944117144233, abs=1e-15
         )
 
     def test_same_point_is_one(self):
-        assert linalg.gaussian_corr([0.3, 0.7], [0.3, 0.7], [2.0, 5.0]) == 1.0
+        assert gaussian_corr([0.3, 0.7], [0.3, 0.7], [2.0, 5.0]) == 1.0
 
     def test_zero_theta_ignores_coordinates(self):
-        assert linalg.gaussian_corr([0.1], [0.9], [0.0]) == 1.0
+        assert gaussian_corr([0.1], [0.9], [0.0]) == 1.0
 
     def test_separable_product(self):
         # Multi-d correlation is the product of 1-d factors.
         xi, xj = [0.1, 0.4], [0.6, 0.9]
         theta = [2.0, 0.7]
         parts = [
-            linalg.gaussian_corr([xi[k]], [xj[k]], [theta[k]]) for k in range(2)
+            gaussian_corr([xi[k]], [xj[k]], [theta[k]]) for k in range(2)
         ]
-        assert linalg.gaussian_corr(xi, xj, theta) == pytest.approx(
+        assert gaussian_corr(xi, xj, theta) == pytest.approx(
             parts[0] * parts[1], rel=1e-14
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            linalg.gaussian_corr([0.0, 0.1], [0.5], [1.0])
+            gaussian_corr([0.0, 0.1], [0.5], [1.0])
 
     def test_negative_theta(self):
         with pytest.raises(ValueError, match="non-negative"):
-            linalg.gaussian_corr([0.0], [0.5], [-1.0])
+            gaussian_corr([0.0], [0.5], [-1.0])
 
     def test_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            linalg.gaussian_corr([np.nan], [0.5], [1.0])
+            gaussian_corr([np.nan], [0.5], [1.0])
 
 
 class TestCorrMatrix:
@@ -58,7 +58,7 @@ class TestCorrMatrix:
 
     def test_diagonal_carries_nugget(self):
         pts = np.array([[0.1], [0.5], [0.9]])
-        r = linalg.build_corr_matrix(pts, [2.0], nugget=1e-6)
+        r = build_corr_matrix(pts, [2.0], nugget=1e-6)
         assert np.allclose(np.diag(r), 1.0 + 1e-6)
         assert np.allclose(r, r.T)
 
@@ -66,10 +66,10 @@ class TestCorrMatrix:
         rng = np.random.default_rng(3)
         pts = rng.uniform(size=(6, 3))
         theta = np.array([0.5, 2.0, 7.0])
-        r = linalg.build_corr_matrix(pts, theta, nugget=0.0)
+        r = build_corr_matrix(pts, theta, nugget=0.0)
         for i in range(6):
             for j in range(6):
-                expect = linalg.gaussian_corr(pts[i], pts[j], theta)
+                expect = gaussian_corr(pts[i], pts[j], theta)
                 if i == j:
                     expect = 1.0
                 assert r[i, j] == pytest.approx(expect, abs=1e-15)
@@ -77,16 +77,16 @@ class TestCorrMatrix:
     def test_theta_shape_checked(self):
         pts = np.array([[0.1, 0.2], [0.5, 0.6]])
         with pytest.raises(ValueError, match="theta"):
-            linalg.build_corr_matrix(pts, [1.0], nugget=0.0)
+            build_corr_matrix(pts, [1.0], nugget=0.0)
 
     def test_negative_nugget(self):
         with pytest.raises(ValueError, match="nugget"):
-            linalg.build_corr_matrix(np.array([[0.1], [0.9]]), [1.0], nugget=-1e-8)
+            build_corr_matrix(np.array([[0.1], [0.9]]), [1.0], nugget=-1e-8)
 
     def test_duplicate_points_zero_nugget_warns(self):
         pts = np.array([[0.3, 0.3], [0.3, 0.3], [0.7, 0.1]])
         with pytest.warns(RuntimeWarning, match="duplicate"):
-            linalg.build_corr_matrix(pts, [1.0, 1.0], nugget=0.0)
+            build_corr_matrix(pts, [1.0, 1.0], nugget=0.0)
 
     def test_duplicate_points_with_nugget_silent(self):
         pts = np.array([[0.3, 0.3], [0.3, 0.3]])
@@ -94,7 +94,7 @@ class TestCorrMatrix:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            linalg.build_corr_matrix(pts, [1.0, 1.0], nugget=1e-6)
+            build_corr_matrix(pts, [1.0, 1.0], nugget=1e-6)
 
 
 class TestCholesky:

@@ -6,7 +6,7 @@ from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
 import ssgp.sampler as sampler
-from conftest import make_dataset, two_point_dataset
+from conftest import build_corr_matrix, make_dataset, two_point_dataset, use_phi_target
 from ssgp import linalg
 from ssgp.errors import NotPositiveDefiniteError, OptimizerFailedError, SamplerError
 from ssgp.gp import GpParams
@@ -264,10 +264,8 @@ class TestConditionalUpdates:
         # integrated posterior whose sigma2 marginal has mean quad_gls/(n-3).
         phi = np.array([0.9, 1.1, 0.2])
         chol, _ = linalg.corr_cholesky(toy10.points, phi**2, nugget=SAMPLER_NUGGET)
-        from ssgp.gp import profile_mu
-
         y = toy10.responses
-        mu_gls = profile_mu(chol, y)
+        mu_gls = linalg.CorrFactor.from_lower(chol, y).gls_mean
         v = solve_triangular(chol, y - mu_gls, lower=True)
         quad_gls = float(v @ v)
         target = quad_gls / (toy10.n - 3)
@@ -285,21 +283,23 @@ class TestUpdatePhi:
     def _state(self, phi, seed=0):
         return SamplerState(mu=0.0, sigma2=1.0, phi=np.asarray(phi, dtype=float), gamma=np.ones(len(phi), dtype=np.int64), rng=np.random.default_rng(seed))
 
-    def test_flat_kernel_always_accepts(self):
+    def test_flat_kernel_always_accepts(self, monkeypatch):
         hyper = Hyperparams.for_dim(2, tau=0.3)
         state = self._state([0.5, 0.5])
+        use_phi_target(monkeypatch, lambda v: 0.0)
         for _ in range(50):
-            step = update_phi(state, None, hyper, log_kernel=lambda v: 0.0)
+            step = update_phi(state, None, hyper)
             assert step.accepted
             state.phi = step.phi
 
-    def test_impossible_proposal_always_rejects(self):
+    def test_impossible_proposal_always_rejects(self, monkeypatch):
         hyper = Hyperparams.for_dim(1, tau=0.3)
         start = np.array([0.5])
         state = self._state(start)
         kernel = lambda v: 0.0 if np.array_equal(v, start) else -np.inf
+        use_phi_target(monkeypatch, kernel)
         for _ in range(20):
-            step = update_phi(state, None, hyper, log_kernel=kernel)
+            step = update_phi(state, None, hyper)
             assert not step.accepted
             assert np.array_equal(step.phi, start)
 
@@ -338,22 +338,23 @@ class TestUpdatePhi:
                 scan = sampler._kernel_value(factor, phi, mu, sigma2, gamma, hyper)
                 public = phi_log_kernel(phi, mu, sigma2, gamma, d, hyper)
                 assert scan == public
-                r = linalg.build_corr_matrix(d.points, phi**2, nugget=SAMPLER_NUGGET)
+                r = build_corr_matrix(d.points, phi**2, nugget=SAMPLER_NUGGET)
                 resid = d.responses - mu
                 prior_var = (hyper.tau * hyper.c**gamma) ** 2
                 prior = np.sum(norm.logpdf(phi, scale=np.sqrt(prior_var)))
                 brute = -0.5 * np.linalg.slogdet(r)[1] - resid @ np.linalg.inv(r) @ resid / (2 * sigma2) + prior
                 assert scan == pytest.approx(brute, rel=1e-10)
 
-    def test_quick_stationarity_standard_normal(self):
+    def test_quick_stationarity_standard_normal(self, monkeypatch):
         # Shortened version of the 100k oracle; tight run lives in the
         # acceptance suite.
         hyper = Hyperparams.for_dim(1, tau=0.3, prop_sd=2.4)
         state = self._state([0.0], seed=8)
         kernel = lambda v: -0.5 * float(v @ v)
+        use_phi_target(monkeypatch, kernel)
         draws = np.empty(20000)
         for i in range(20000):
-            step = update_phi(state, None, hyper, log_kernel=kernel)
+            step = update_phi(state, None, hyper)
             state.phi = step.phi
             draws[i] = state.phi[0]
         assert abs(draws.mean()) < 0.05

@@ -1,5 +1,8 @@
 """Benchmark functions, embedded piston data, metrics, replication driver."""
 
+import multiprocessing
+import pickle
+
 import numpy as np
 import pytest
 
@@ -234,3 +237,36 @@ class TestRunBenchmark:
     def test_random_design_option(self):
         report = run_benchmark(tiny_spec(design="random-lhd", reps=1))
         assert report["aggregate"]["n_ok"] == 1
+
+
+class TestProcessPool:
+    def test_sampler_error_pickles(self):
+        # A pool worker sends exceptions back pickled; SamplerError once
+        # failed to unpickle and broke the pool.
+        err = pickle.loads(pickle.dumps(SamplerError(7, "forced")))
+        assert isinstance(err, SamplerError)
+        assert err.scan == 7
+        assert str(err) == "scan 7: forced"
+
+    def test_same_report_in_pool(self):
+        serial = run_benchmark(tiny_spec(reps=3), workers=1)
+        pooled = run_benchmark(tiny_spec(reps=3), workers=2)
+        assert canonical_json(pooled) == canonical_json(serial)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers inherit the monkeypatch only when forked",
+    )
+    def test_pool_failure_lands_in_report(self, monkeypatch):
+        def broken(spec, data, rep_seed):
+            raise SamplerError(3, "forced failure")
+
+        monkeypatch.setattr(testbed, "_fit_and_sample", broken)
+        with pytest.raises(BenchmarkError, match="quota") as err:
+            run_benchmark(tiny_spec(), workers=2)
+        report = err.value.report
+        assert report["aggregate"]["n_ok"] == 0
+        assert report["failures"] == [
+            {"rep": 0, "error": "scan 3: forced failure"},
+            {"rep": 1, "error": "scan 3: forced failure"},
+        ]
