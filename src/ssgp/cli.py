@@ -25,7 +25,7 @@ from .errors import (
     SamplerError,
 )
 from .gp import Dataset, FitOptions, mle_fit, predict_batch
-from .report import decide_selection, export_trace, marginal_inclusion, tabulate_gamma
+from .report import decide_selection, marginal_inclusion, tabulate_gamma
 from .sampler import default_hyperparams, posterior_params, run_chain
 from .testbed import BenchmarkSpec, rmspe, mar, run_benchmark
 
@@ -161,7 +161,7 @@ def _cmd_select(args) -> int:
         table,
         extra={"accept_rate": chain.accept_rate, "seed": args.seed},
     )
-    export_trace(chain, args.trace)
+    io.export_trace(chain, args.trace)
     var_names = [f"x{k + 1}" for k in range(data.dim)]
     _print_selection(table, report, var_names)
     print(f"acceptance rate {chain.accept_rate:.3f}")

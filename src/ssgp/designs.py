@@ -57,10 +57,10 @@ def random_lhd(n: int, d: int, seed) -> Design:
     return Design(pts, kind="random-lhd", seed=seed if isinstance(seed, int) else None)
 
 
-def _min_dist_and_crit(pts):
-    # Criterion pair: (min pairwise distance, sum of inverse squared
-    # distances).  The second breaks ties among equal-min configurations.
-    d2 = pdist(pts, "sqeuclidean")
+def _min_dist_and_crit(d2):
+    # Criterion pair from pdist's squared distances: (min pairwise distance,
+    # sum of inverse squared distances).  The second breaks ties among
+    # equal-min configurations.
     return float(np.sqrt(d2.min())), float(np.sum(1.0 / d2))
 
 
@@ -72,6 +72,8 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     it raises the minimum pairwise distance, or leaves it unchanged while
     lowering the inverse-squared-distance sum.  Swaps always involve one of
     the two currently closest points, the pair that limits the criterion.
+    The kept configuration's distances carry over to the next sweep, so each
+    sweep computes the distances of the swapped design only.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
@@ -81,22 +83,24 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     if sweeps is None:
         sweeps = 100 * n
 
-    best_min, best_crit = _min_dist_and_crit(pts)
+    # Row and column of each pdist entry.
+    i, j = np.triu_indices(n, k=1)
+    d2 = pdist(pts, "sqeuclidean")
+    best_min, best_crit = _min_dist_and_crit(d2)
     for _ in range(sweeps):
-        dists = pdist(pts, "sqeuclidean")
-        i, j = np.triu_indices(n, k=1)
-        closest = int(np.argmin(dists))
+        closest = int(np.argmin(d2))
         a = int(i[closest]) if rng.uniform() < 0.5 else int(j[closest])
         b = int(rng.integers(n - 1))
         if b >= a:
             b += 1
         k = int(rng.integers(d))
-        pts[[a, b], k] = pts[[b, a], k]
-        new_min, new_crit = _min_dist_and_crit(pts)
+        pts[a, k], pts[b, k] = pts[b, k], pts[a, k]
+        new_d2 = pdist(pts, "sqeuclidean")
+        new_min, new_crit = _min_dist_and_crit(new_d2)
         if new_min > best_min or (new_min == best_min and new_crit < best_crit):
-            best_min, best_crit = new_min, new_crit
+            best_min, best_crit, d2 = new_min, new_crit, new_d2
         else:
-            pts[[a, b], k] = pts[[b, a], k]
+            pts[a, k], pts[b, k] = pts[b, k], pts[a, k]
     return Design(pts, kind="maximin-lhd", seed=seed if isinstance(seed, int) else None)
 
 

@@ -11,6 +11,7 @@ likelihood computed from the same Cholesky factor as its value.
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -37,6 +38,9 @@ SIGMA2_FLOOR = 1e-300
 class Dataset:
     """Training data scaled to the unit hypercube.
 
+    Immutable: the arrays are read-only copies of the ones passed in, so
+    the cached sqdiffs cannot go stale.
+
     Attributes
     ----------
     points : ndarray, shape (n, d)
@@ -53,9 +57,9 @@ class Dataset:
     ranges: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        y = np.asarray(self.responses, dtype=float).ravel()
-        rng_arr = np.asarray(self.ranges, dtype=float)
+        pts = np.atleast_2d(np.array(self.points, dtype=float))
+        y = np.array(self.responses, dtype=float).ravel()
+        rng_arr = np.array(self.ranges, dtype=float)
         if pts.shape[0] != y.shape[0]:
             raise ValueError(
                 f"{pts.shape[0]} design points but {y.shape[0]} responses"
@@ -79,9 +83,9 @@ class Dataset:
                     raise ValueError(
                         "duplicate design points with differing responses"
                     )
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "responses", y)
-        object.__setattr__(self, "ranges", rng_arr)
+        for name, arr in (("points", pts), ("responses", y), ("ranges", rng_arr)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_arrays(cls, points, responses, ranges=None) -> "Dataset":
@@ -106,6 +110,12 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def sqdiffs(self) -> np.ndarray:
+        """Squared coordinate differences of the points, shape (n, n, d),
+        from which every R(theta) on this design is built."""
+        return linalg.pairwise_sqdiffs(self.points)
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -161,21 +171,22 @@ class FitOptions:
     seed: int = 0
 
 
-def _profile(theta, data: Dataset, nugget, sqdiffs):
+def _profile(theta, data: Dataset, nugget):
     # One factorization of R(theta), escalating the nugget, and the profile
     # MLEs of mu and sigma2 read from it.
-    lower, _ = linalg.corr_cholesky(data.points, theta, nugget, sqdiffs=sqdiffs)
+    lower, _ = linalg.corr_cholesky(data.points, theta, nugget, sqdiffs=data.sqdiffs)
     factor = linalg.CorrFactor.from_lower(lower, data.responses)
     mu = factor.gls_mean
     return factor, mu, max(factor.quad(mu) / data.n, SIGMA2_FLOOR)
 
 
-def _profile_gradient(factor, mu, s2, theta, sqdiffs) -> np.ndarray:
+def _profile_gradient(factor, mu, s2, theta, data: Dataset) -> np.ndarray:
     # d/dtheta_k = -1/2 sum_ij [(R^-1 - a a'/s2) o R0 o D_k]_ij with
     # a = R^-1 (y - mu), R0 = R(theta) without the nugget and D_k the squared
     # coordinate-k differences (R&W 2006, 5.4.1).  mu drops out because it
     # maximizes the likelihood at every theta, the nugget because D_k has a
     # zero diagonal.
+    sqdiffs = data.sqdiffs
     n, _, d = sqdiffs.shape
     w = factor.inverse()
     alpha = w @ (factor.y - mu)
@@ -184,7 +195,7 @@ def _profile_gradient(factor, mu, s2, theta, sqdiffs) -> np.ndarray:
     return -0.5 * (w.reshape(n * n) @ sqdiffs.reshape(n * n, d))
 
 
-def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGET, sqdiffs=None, grad=False):
+def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGET, grad=False):
     """(1/2)[n log sigma2_hat(theta) + log det R(theta)], up to a constant.
 
     With grad=True returns (value, gradient in theta), both from one
@@ -192,13 +203,11 @@ def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGE
     factored even at the maximum nugget.
     """
     theta = np.asarray(theta, dtype=float)
-    if grad and sqdiffs is None:
-        sqdiffs = linalg.pairwise_sqdiffs(data.points)
-    factor, mu, s2 = _profile(theta, data, nugget, sqdiffs)
+    factor, mu, s2 = _profile(theta, data, nugget)
     value = 0.5 * (data.n * np.log(s2) + factor.log_det)
     if not grad:
         return value
-    return value, _profile_gradient(factor, mu, s2, theta, sqdiffs)
+    return value, _profile_gradient(factor, mu, s2, theta, data)
 
 
 def mle_fit(data: Dataset, opts: FitOptions | None = None) -> GpParams:
@@ -216,12 +225,11 @@ def mle_fit(data: Dataset, opts: FitOptions | None = None) -> GpParams:
     if data.n < 2:
         raise ValueError(f"need at least 2 runs to fit, got {data.n}")
     d = data.dim
-    sqd = linalg.pairwise_sqdiffs(data.points)
 
     def objective(logtheta):
         theta = np.exp(logtheta)
         try:
-            value, g = neg_log_profile_likelihood(theta, data, nugget=opts.nugget, sqdiffs=sqd, grad=True)
+            value, g = neg_log_profile_likelihood(theta, data, nugget=opts.nugget, grad=True)
         except IllConditionedError:
             return np.inf, np.zeros(d)
         # Chain rule to log theta.
@@ -248,7 +256,7 @@ def mle_fit(data: Dataset, opts: FitOptions | None = None) -> GpParams:
         raise OptimizerFailedError("all likelihood-optimization starts failed")
 
     theta_hat = np.exp(best_x)
-    _, mu_hat, s2_hat = _profile(theta_hat, data, opts.nugget, sqd)
+    _, mu_hat, s2_hat = _profile(theta_hat, data, opts.nugget)
     return GpParams(mu=mu_hat, sigma2=s2_hat, phi=np.sqrt(theta_hat))
 
 
@@ -286,7 +294,7 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
         )
     xs_unit = scale_points(xs, data.ranges, "to_unit")
     theta = params.theta
-    lower, _ = linalg.corr_cholesky(data.points, theta, nugget)
+    lower, _ = linalg.corr_cholesky(data.points, theta, nugget, sqdiffs=data.sqdiffs)
     factor = linalg.CorrFactor.from_lower(lower, data.responses)
     rinv_resid = linalg.solve_with_chol(lower, data.responses - params.mu)
 

@@ -221,15 +221,32 @@ def save_selection(path, report, table, extra=None) -> None:
     save_json(path, doc)
 
 
+def _trace_header(d) -> list:
+    return ["scan", "mu", "sigma2"] + [f"phi_{k + 1}" for k in range(d)] + [f"gamma_{k + 1}" for k in range(d)]
+
+
+def export_trace(chain: Chain, path) -> None:
+    """Write stored draws as CSV: scan, mu, sigma2, phi_1.., gamma_1..
+
+    Floats are written with repr so a parsed file reproduces the draws
+    bit for bit.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(_trace_header(chain.dim)) + "\n")
+        for i in range(chain.size):
+            cells = [str(int(chain.scans[i])), repr(float(chain.mu[i])), repr(float(chain.sigma2[i]))]
+            cells += [repr(float(v)) for v in chain.phi[i]]
+            cells += [str(int(g)) for g in chain.gamma[i]]
+            fh.write(",".join(cells) + "\n")
+
+
 def load_trace(path) -> Chain:
     """Rebuild a Chain from an exported trace CSV (no meta, rate unknown)."""
     header, rows = _read_rows(path)
     if header[:3] != ["scan", "mu", "sigma2"] or (len(header) - 3) % 2 != 0:
         raise ValueError(f"{path}: not a trace CSV")
     d = (len(header) - 3) // 2
-    expected = ["scan", "mu", "sigma2"] + [f"phi_{k + 1}" for k in range(d)] + [
-        f"gamma_{k + 1}" for k in range(d)
-    ]
+    expected = _trace_header(d)
     if header != expected:
         raise ValueError(f"{path}: trace columns must be {','.join(expected)}")
     table = _parse_table(path, header, rows)

@@ -3,8 +3,8 @@
 The selection rule of record is the modal gamma vector: the configuration
 visited most often after burn-in.  Marginal inclusion rates back a secondary
 median-threshold rule, which stays useful when the mode gets diffuse in
-higher dimensions.  Convergence checks are advisory exports (trace CSV,
-autocorrelation), never automatic reruns.
+higher dimensions.  Convergence checks are advisory (autocorrelation here,
+the trace CSV from io.export_trace), never automatic reruns.
 """
 
 from dataclasses import dataclass
@@ -100,24 +100,3 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     for lag in range(max_lag + 1):
         acf[lag] = float(centered[: len(x) - lag] @ centered[lag:]) / denom
     return acf
-
-
-def export_trace(chain: Chain, path) -> None:
-    """Write stored draws as CSV: scan, mu, sigma2, phi_1.., gamma_1..
-
-    Floats are written with repr so a parsed file reproduces the draws
-    bit for bit.
-    """
-    d = chain.dim
-    header = (
-        ["scan", "mu", "sigma2"]
-        + [f"phi_{k + 1}" for k in range(d)]
-        + [f"gamma_{k + 1}" for k in range(d)]
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(chain.size):
-            cells = [str(int(chain.scans[i])), repr(float(chain.mu[i])), repr(float(chain.sigma2[i]))]
-            cells += [repr(float(v)) for v in chain.phi[i]]
-            cells += [str(int(g)) for g in chain.gamma[i]]
-            fh.write(",".join(cells) + "\n")

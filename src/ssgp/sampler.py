@@ -170,63 +170,47 @@ def _normal_logpdf(x, var):
     return -0.5 * (np.log(2.0 * np.pi * var) + x * x / var)
 
 
-def _factor(phi, data, sqdiffs=None) -> linalg.CorrFactor:
+def _factor(phi, data) -> linalg.CorrFactor:
     # R(phi) at exactly SAMPLER_NUGGET; raises NotPositiveDefiniteError.
-    if sqdiffs is None:
-        sqdiffs = linalg.pairwise_sqdiffs(data.points)
-    return linalg.corr_factor(sqdiffs, phi * phi, SAMPLER_NUGGET, data.responses)
+    return linalg.corr_factor(data.sqdiffs, phi * phi, SAMPLER_NUGGET, data.responses)
 
 
 def _kernel_value(factor, phi, mu, sigma2, gamma, hyper) -> float:
+    # Log full-conditional kernel of phi, up to an additive constant:
+    # -1/2 log det R(phi) - (y-mu)'R^-1(y-mu)/(2 sigma2)
+    # - 1/2 sum_k phi_k^2 / (tau_k c_k^{gamma_k})^2, with R(phi) from `factor`.
     prior_var = (hyper.tau * np.power(hyper.c, gamma)) ** 2
     prior = float(np.sum(_normal_logpdf(phi, prior_var)))
     return -0.5 * factor.log_det - factor.quad(mu) / (2.0 * sigma2) + prior
 
 
-def phi_log_kernel(phi, mu, sigma2, gamma, data: Dataset, hyper: Hyperparams, sqdiffs=None) -> float:
-    """Log full-conditional kernel of phi, up to an additive constant.
-
-    log g(phi) = -1/2 log det R(phi) - (y-mu)'R^-1(y-mu)/(2 sigma2)
-                 - 1/2 sum_k phi_k^2 / (tau_k c_k^{gamma_k})^2  (+ const).
-    Even in phi: flipping all signs leaves the value unchanged.  R(phi)
-    carries exactly SAMPLER_NUGGET; NotPositiveDefiniteError is raised
-    when it does not factor there.
-    """
-    phi = np.asarray(phi, dtype=float)
-    return _kernel_value(_factor(phi, data, sqdiffs), phi, mu, sigma2, gamma, hyper)
-
-
-def update_mu(state: SamplerState, data: Dataset, factor=None) -> float:
+def update_mu(state: SamplerState, factor: linalg.CorrFactor) -> float:
     """Draw mu from N(GLS mean, sigma2 / (1' R^-1 1)).
 
     `factor` is the CorrFactor of the current phi; both moments are read
     from it, without a solve.
     """
-    if factor is None:
-        factor = _factor(state.phi, data)
     sd = np.sqrt(state.sigma2 / factor.one_rinv_one)
     return float(state.rng.normal(factor.gls_mean, sd))
 
 
-def update_sigma2(state: SamplerState, data: Dataset, factor=None) -> float:
+def update_sigma2(state: SamplerState, factor: linalg.CorrFactor) -> float:
     """Draw sigma2 from InverseGamma(n/2, (y-mu)'R^-1(y-mu)/2).
 
     Sampled as the reciprocal of a Gamma(n/2, rate=quad/2) draw.  The
     quadratic form comes from `factor`, the CorrFactor of the current phi,
     which keeps it for the phi step of the same scan.
     """
-    if factor is None:
-        factor = _factor(state.phi, data)
     quad = factor.quad(state.mu)
     if quad <= 0:
         raise ValueError("non-positive quadratic form in sigma2 update (degenerate residual)")
-    return float(1.0 / state.rng.gamma(data.n / 2.0, 2.0 / quad))
+    return float(1.0 / state.rng.gamma(len(factor.y) / 2.0, 2.0 / quad))
 
 
 PhiUpdate = namedtuple("PhiUpdate", ["phi", "accepted", "factor", "proposal_failed"])
 
 
-def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor=None, sqdiffs=None) -> PhiUpdate:
+def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor: linalg.CorrFactor) -> PhiUpdate:
     """One block random-walk Metropolis step on phi.
 
     Proposes phi~ ~ N(phi, diag(prop_sd^2)) and accepts with probability
@@ -237,15 +221,13 @@ def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor=No
     """
     rng = state.rng
     phi = state.phi
-    if factor is None:
-        factor = _factor(phi, data, sqdiffs)
     logp_cur = _kernel_value(factor, phi, state.mu, state.sigma2, state.gamma, hyper)
     # Proposal first, acceptance uniform second: the stream stays aligned
     # whether or not the proposal factors.
     prop = phi + rng.normal(size=phi.shape) * hyper.prop_sd
     log_u = float(np.log(rng.uniform()))
     try:
-        prop_factor = _factor(prop, data, sqdiffs)
+        prop_factor = _factor(prop, data)
     except NotPositiveDefiniteError:
         return PhiUpdate(phi, False, factor, True)
     logp_prop = _kernel_value(prop_factor, prop, state.mu, state.sigma2, state.gamma, hyper)
@@ -303,7 +285,6 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
     d = data.dim
     if hyper.dim != d:
         raise ValueError(f"hyperparameters are for dimension {hyper.dim}, data has {d}")
-    sqd = linalg.pairwise_sqdiffs(data.points)
 
     try:
         if init is not None:
@@ -328,7 +309,7 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
         rng=np.random.default_rng(hyper.seed),
     )
     try:
-        factor = _factor(state.phi, data, sqd)
+        factor = _factor(state.phi, data)
     except NotPositiveDefiniteError as exc:
         raise SamplerError(0, f"initial correlation matrix at nugget {SAMPLER_NUGGET:g}: {exc}") from exc
 
@@ -344,9 +325,9 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
     kept = 0
     for scan in range(1, hyper.iters + 1):
         try:
-            state.mu = update_mu(state, data, factor)
-            state.sigma2 = update_sigma2(state, data, factor)
-            step = update_phi(state, data, hyper, factor, sqd)
+            state.mu = update_mu(state, factor)
+            state.sigma2 = update_sigma2(state, factor)
+            step = update_phi(state, data, hyper, factor)
             state.phi = step.phi
             factor = step.factor
             accepted += step.accepted

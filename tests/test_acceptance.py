@@ -27,7 +27,7 @@ from ssgp.sampler import (
 )
 from ssgp.testbed import BenchmarkSpec, eval_batch, get_function, run_benchmark
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
 
 
 def _line(tag, ok, detail):
@@ -209,9 +209,9 @@ class TestCriterion6Properties:
         mus = np.empty(n_draws)
         s2s = np.empty(n_draws)
         for i in range(n_draws):
-            mus[i] = update_mu(state, data, factor=factor)
+            mus[i] = update_mu(state, factor)
             state.mu = mu_fixed
-            s2s[i] = update_sigma2(state, data, factor=factor)
+            s2s[i] = update_sigma2(state, factor)
         z = np.array([
             (mus.mean() - gls_mean) / np.sqrt(mu_var / n_draws),
             (mus.var(ddof=1) - mu_var) / (mu_var * np.sqrt(2.0 / (n_draws - 1))),
@@ -240,7 +240,7 @@ class TestCriterion6Properties:
         use_phi_target(monkeypatch, kernel)
         draws = np.empty(100000)
         for i in range(draws.size):
-            state.phi = update_phi(state, None, hyper).phi
+            state.phi = update_phi(state, None, hyper, None).phi
             draws[i] = state.phi[0]
         mean, var = float(draws.mean()), float(draws.var())
         ok = abs(mean) < 0.02 and abs(var - 1.0) < 0.05

@@ -9,7 +9,7 @@ from conftest import make_dataset
 from ssgp import io
 from ssgp.errors import OptimizerFailedError, SamplerError
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
 
 
 def write_data_csv(path, points, y):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from conftest import reference_maximin_lhd
 from ssgp.designs import Design, maximin_lhd, random_lhd, scale_points
 
 
@@ -89,6 +90,14 @@ class TestMaximinLhd:
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="n >= 2"):
             maximin_lhd(1, 3, 0)
+
+    @pytest.mark.parametrize("n,d", [(30, 3), (50, 8), (54, 10)])
+    def test_same_designs_as_two_pass_search(self, n, d):
+        # Carrying the kept design's distances across sweeps must not move
+        # a bit of any seeded design at the shipped specs' sizes.
+        for seed in range(5):
+            got = maximin_lhd(n, d, seed).points
+            assert got.tobytes() == reference_maximin_lhd(n, d, seed).points.tobytes()
 
 
 class TestDesignClass:

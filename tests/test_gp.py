@@ -84,6 +84,41 @@ class TestDataset:
         assert np.array_equal(sub.responses, [1.0, 3.0])
         assert np.array_equal(sub.ranges, data.ranges)
 
+    def test_sqdiffs_is_pairwise_sqdiffs(self, toy10):
+        assert toy10.sqdiffs.tobytes() == linalg.pairwise_sqdiffs(toy10.points).tobytes()
+        assert toy10.sqdiffs is toy10.sqdiffs
+
+    def test_arrays_read_only_and_caller_arrays_untouched(self):
+        pts = np.array([[0.1, 0.2], [0.9, 0.8]])
+        y = np.array([1.0, 2.0])
+        data = Dataset(pts, y, np.tile([0.0, 1.0], (2, 1)))
+        with pytest.raises(ValueError, match="read-only"):
+            data.points[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            data.responses[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            data.ranges[0, 0] = 0.5
+        assert pts.flags.writeable and y.flags.writeable
+        pts[0, 0] = 0.5
+        assert data.points[0, 0] == 0.1
+
+    def test_predict_batch_reuses_sqdiffs(self, monkeypatch):
+        data = make_dataset("toy", 10)
+        params = GpParams(mu=0.0, sigma2=1.0, phi=np.ones(data.dim))
+        calls = []
+        real = linalg.pairwise_sqdiffs
+
+        def counting(points):
+            calls.append(1)
+            return real(points)
+
+        monkeypatch.setattr(linalg, "pairwise_sqdiffs", counting)
+        xs = data.original_points()[:3]
+        first = predict_batch(params, data, xs)
+        for _ in range(4):
+            assert predict_batch(params, data, xs) == first
+        assert len(calls) == 1
+
 
 class TestGpParams:
     def test_theta_is_phi_squared(self):
@@ -241,13 +276,12 @@ class TestLikelihoodGradient:
     @pytest.mark.parametrize("nugget", [1e-8, 1e-5])
     def test_matches_central_differences(self, name, nugget, request):
         data = request.getfixturevalue(name)
-        sqd = linalg.pairwise_sqdiffs(data.points)
         rng = np.random.default_rng(23)
         h = 1e-5
         for _ in range(3):
             logtheta = rng.uniform(-3.0, 2.0, size=data.dim)
             theta = np.exp(logtheta)
-            value, g = neg_log_profile_likelihood(theta, data, nugget=nugget, sqdiffs=sqd, grad=True)
+            value, g = neg_log_profile_likelihood(theta, data, nugget=nugget, grad=True)
             assert value == neg_log_profile_likelihood(theta, data, nugget=nugget)
             step = h * np.eye(data.dim)
             fd = np.array([

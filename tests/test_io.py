@@ -9,7 +9,7 @@ from ssgp.gp import Dataset, GpParams
 from ssgp.report import select_variables, tabulate_gamma
 from ssgp.sampler import Hyperparams, run_chain
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
 
 
 @pytest.fixture(scope="module")

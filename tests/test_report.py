@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
+from ssgp.io import export_trace, load_trace
 from ssgp.report import (
     GammaTable,
     autocorrelation,
     decide_selection,
-    export_trace,
     marginal_inclusion,
     select_variables,
     tabulate_gamma,
 )
 from ssgp.sampler import Chain, Hyperparams, run_chain
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
 
 
 def chain_from_gammas(gammas):
@@ -131,8 +131,6 @@ class TestAutocorrelation:
 
 class TestTraceExport:
     def test_round_trip_is_exact(self, tmp_path):
-        from ssgp.io import load_trace
-
         data = make_dataset("toy", 10)
         hyper = Hyperparams.for_dim(3, tau=0.3, iters=60, burnin=20, seed=5)
         chain = run_chain(data, hyper)

@@ -6,7 +6,7 @@ from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
 import ssgp.sampler as sampler
-from conftest import build_corr_matrix, make_dataset, two_point_dataset, use_phi_target
+from conftest import build_corr_matrix, make_dataset, phi_log_kernel, two_point_dataset, use_phi_target
 from ssgp import linalg
 from ssgp.errors import NotPositiveDefiniteError, OptimizerFailedError, SamplerError
 from ssgp.gp import GpParams
@@ -18,7 +18,6 @@ from ssgp.sampler import (
     default_hyperparams,
     derive_seed,
     inclusion_probabilities,
-    phi_log_kernel,
     posterior_params,
     run_chain,
     update_gamma,
@@ -27,7 +26,7 @@ from ssgp.sampler import (
     update_sigma2,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
 
 
 def test_policy_constants_pinned():
@@ -231,7 +230,7 @@ class TestConditionalUpdates:
         sd_true = np.sqrt(sigma2 / denom)
         state = SamplerState(mu=0.0, sigma2=sigma2, phi=phi, gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(21))
         factor = linalg.CorrFactor.from_lower(chol, toy10.responses)
-        draws = np.array([update_mu(state, toy10, factor=factor) for _ in range(5000)])
+        draws = np.array([update_mu(state, factor) for _ in range(5000)])
         assert abs(draws.mean() - mean_true) < 5 * sd_true / np.sqrt(5000)
         assert abs(draws.var() - sd_true**2) < 5 * sd_true**2 * np.sqrt(2 / 4999)
 
@@ -247,7 +246,7 @@ class TestConditionalUpdates:
         var_true = b**2 / ((a - 1) ** 2 * (a - 2))
         state = SamplerState(mu=mu, sigma2=1.0, phi=phi, gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(22))
         factor = linalg.CorrFactor.from_lower(chol, toy10.responses)
-        draws = np.array([update_sigma2(state, toy10, factor=factor) for _ in range(5000)])
+        draws = np.array([update_sigma2(state, factor) for _ in range(5000)])
         assert abs(draws.mean() - mean_true) < 5 * np.sqrt(var_true / 5000)
         assert abs(draws.var() - var_true) / var_true < 0.2
 
@@ -257,7 +256,7 @@ class TestConditionalUpdates:
         data = Dataset.from_arrays([[0.2], [0.8]], [2.0, 2.0])
         state = SamplerState(mu=2.0, sigma2=1.0, phi=np.array([1.0]), gamma=np.ones(1, dtype=np.int64), rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="quadratic form"):
-            update_sigma2(state, data, factor=linalg.CorrFactor.from_lower(np.eye(2), data.responses))
+            update_sigma2(state, linalg.CorrFactor.from_lower(np.eye(2), data.responses))
 
     def test_joint_gibbs_reaches_marginal(self, toy10):
         # Alternating the two closed-form updates with phi frozen targets the
@@ -273,8 +272,8 @@ class TestConditionalUpdates:
         total = 0.0
         factor = linalg.CorrFactor.from_lower(chol, y)
         for _ in range(20000):
-            state.mu = update_mu(state, toy10, factor=factor)
-            state.sigma2 = update_sigma2(state, toy10, factor=factor)
+            state.mu = update_mu(state, factor)
+            state.sigma2 = update_sigma2(state, factor)
             total += state.sigma2
         assert abs(total / 20000 / target - 1.0) < 0.05
 
@@ -288,7 +287,7 @@ class TestUpdatePhi:
         state = self._state([0.5, 0.5])
         use_phi_target(monkeypatch, lambda v: 0.0)
         for _ in range(50):
-            step = update_phi(state, None, hyper)
+            step = update_phi(state, None, hyper, None)
             assert step.accepted
             state.phi = step.phi
 
@@ -299,7 +298,7 @@ class TestUpdatePhi:
         kernel = lambda v: 0.0 if np.array_equal(v, start) else -np.inf
         use_phi_target(monkeypatch, kernel)
         for _ in range(20):
-            step = update_phi(state, None, hyper)
+            step = update_phi(state, None, hyper, None)
             assert not step.accepted
             assert np.array_equal(step.phi, start)
 
@@ -316,7 +315,8 @@ class TestUpdatePhi:
         monkeypatch.setattr(linalg, "corr_factor", second_call_fails)
         hyper = Hyperparams.for_dim(3, tau=0.3)
         state = self._state([0.9, 1.1, 0.2])
-        step = update_phi(state, toy10, hyper)
+        factor = sampler._factor(state.phi, toy10)
+        step = update_phi(state, toy10, hyper, factor)
         assert step.proposal_failed
         assert not step.accepted
         assert np.array_equal(step.phi, state.phi)
@@ -354,7 +354,7 @@ class TestUpdatePhi:
         use_phi_target(monkeypatch, kernel)
         draws = np.empty(20000)
         for i in range(20000):
-            step = update_phi(state, None, hyper)
+            step = update_phi(state, None, hyper, None)
             state.phi = step.phi
             draws[i] = state.phi[0]
         assert abs(draws.mean()) < 0.05
@@ -427,11 +427,11 @@ class TestRunChain:
         real = sampler.update_sigma2
         calls = {"n": 0}
 
-        def flaky(state, data, chol=None):
+        def flaky(state, factor):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise ValueError("forced failure")
-            return real(state, data, chol)
+            return real(state, factor)
 
         monkeypatch.setattr(sampler, "update_sigma2", flaky)
         hyper = Hyperparams.for_dim(3, tau=0.3, iters=30, burnin=5, seed=0)

@@ -21,7 +21,7 @@ from ssgp.testbed import (
     screening_score,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
 
 
 class TestFunctions:
