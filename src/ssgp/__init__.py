@@ -17,7 +17,7 @@ from .errors import (
     OptimizerFailedError,
     SamplerError,
 )
-from .gp import Dataset, FitOptions, GpParams, Prediction, mle_fit, predict, predict_batch
+from .gp import Dataset, FitOptions, GpParams, Prediction, mle_fit, predict_batch
 from .report import select_variables
 from .sampler import Chain, Hyperparams, default_hyperparams, posterior_params, run_chain
 from .testbed import BenchmarkSpec, run_benchmark
@@ -41,7 +41,6 @@ __all__ = [
     "maximin_lhd",
     "mle_fit",
     "posterior_params",
-    "predict",
     "predict_batch",
     "random_lhd",
     "run_benchmark",

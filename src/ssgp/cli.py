@@ -25,7 +25,7 @@ from .errors import (
     SamplerError,
 )
 from .gp import Dataset, FitOptions, mle_fit, predict_batch
-from .report import decide_selection, marginal_inclusion, tabulate_gamma
+from .report import select_variables
 from .sampler import default_hyperparams, posterior_params, run_chain
 from .testbed import BenchmarkSpec, rmspe, mar, run_benchmark
 
@@ -122,9 +122,9 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _print_selection(table, report, var_names):
+def _print_selection(report, var_names):
     print("gamma".ljust(4 + 3 * len(report.modal_gamma)) + "freq")
-    for vec, freq in table.rows[:5]:
+    for vec, freq in report.table[:5]:
         label = "(" + ",".join(str(g) for g in vec) + ")"
         print(label.ljust(4 + 3 * len(vec)) + f"{freq:.4f}")
     names = [var_names[k - 1] for k in sorted(report.selected)]
@@ -151,19 +151,14 @@ def _cmd_select(args) -> int:
         chain = run_chain(data, hyper)
     except SamplerError as exc:
         return _fail(EXIT_SAMPLER, exc)
-    table = tabulate_gamma(chain)
-    marginals = marginal_inclusion(chain)
-    report = decide_selection(table, marginals, args.rule)
+    report = select_variables(chain, args.rule)
     io.save_chain(args.chain, chain, data)
     io.save_selection(
-        args.report,
-        report,
-        table,
-        extra={"accept_rate": chain.accept_rate, "seed": args.seed},
+        args.report, report, extra={"accept_rate": chain.accept_rate, "seed": args.seed}
     )
     io.export_trace(chain, args.trace)
     var_names = [f"x{k + 1}" for k in range(data.dim)]
-    _print_selection(table, report, var_names)
+    _print_selection(report, var_names)
     print(f"acceptance rate {chain.accept_rate:.3f}")
     print(f"wrote {args.chain}, {args.report}, {args.trace}")
     return EXIT_OK
@@ -183,13 +178,9 @@ def _cmd_predict(args) -> int:
             x_test, truth = io.read_data_csv(args.test)
         else:
             x_test, truth = io.read_design_csv(args.test), None
-        if x_test.shape[1] != data.dim:
-            raise ValueError(
-                f"test points have {x_test.shape[1]} columns, model expects {data.dim}"
-            )
+        preds = predict_batch(params, data, x_test)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(EXIT_INPUT, exc)
-    preds = predict_batch(params, data, x_test)
     means = [p.mean for p in preds]
     mses = [p.mse for p in preds]
     io.write_predictions_csv(args.out, means, mses)

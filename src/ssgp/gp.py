@@ -87,6 +87,11 @@ class Dataset:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    def __reduce__(self):
+        # Copies and unpickles go through __init__ too, so they also get
+        # read-only arrays and no stale sqdiffs cache.
+        return (type(self), (self.points, self.responses, self.ranges))
+
     @classmethod
     def from_arrays(cls, points, responses, ranges=None) -> "Dataset":
         """Build a Dataset from original-scale points.
@@ -275,10 +280,14 @@ def _cross_corr(train_pts, test_pts, theta) -> np.ndarray:
 def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT_NUGGET):
     """Kriging predictions at original-scale test points.
 
-    Returns a list of Prediction.  The mean is mu + r' R^-1 (y - 1 mu); the
-    mean squared error includes the mean-estimation correction term
-    (1 - 1' R^-1 r)^2 / (1' R^-1 1).  Negative MSEs from round-off are
-    clamped to zero and flagged.
+    `xstars` is an (m, d) array of points or one 1-D point of length d;
+    either way the result is a list of Prediction, so the prediction at a
+    single point x is predict_batch(params, data, x)[0].  A test point with
+    a non-finite coordinate is rejected with ValueError.
+
+    The mean is mu + r' R^-1 (y - 1 mu); the mean squared error includes
+    the mean-estimation correction term (1 - 1' R^-1 r)^2 / (1' R^-1 1).
+    Negative MSEs from round-off are clamped to zero and flagged.
 
     A point's mean is bitwise the same whatever other points share the call
     and whatever BLAS is linked: no reduction that forms it goes through
@@ -292,6 +301,9 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
         raise ValueError(
             f"test points have {xs.shape[1]} columns, expected {data.dim}"
         )
+    if not np.isfinite(xs).all():
+        bad = int(np.argmin(np.isfinite(xs).all(axis=1)))
+        raise ValueError(f"non-finite coordinate in test point {bad} (0-based)")
     xs_unit = scale_points(xs, data.ranges, "to_unit")
     theta = params.theta
     lower, _ = linalg.corr_cholesky(data.points, theta, nugget, sqdiffs=data.sqdiffs)
@@ -313,11 +325,3 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
         out.append(Prediction(float(m), max(float(s), 0.0), bool(clamped)))
     return out
 
-
-def predict(params: GpParams, data: Dataset, xstar, nugget=linalg.DEFAULT_NUGGET) -> Prediction:
-    """Single-point convenience wrapper around predict_batch.
-
-    The mean equals bitwise the mean predict_batch gives for the same point
-    in any batch; the MSE agrees only to rounding (see predict_batch).
-    """
-    return predict_batch(params, data, np.atleast_2d(xstar), nugget=nugget)[0]

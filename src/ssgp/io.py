@@ -202,7 +202,7 @@ def load_chain(path):
     return chain, _dataset_from_block(doc["dataset"])
 
 
-def save_selection(path, report, table, extra=None) -> None:
+def save_selection(path, report, extra=None) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "selection-report",
@@ -213,7 +213,7 @@ def save_selection(path, report, table, extra=None) -> None:
         "rule": report.rule,
         "tie": bool(report.tie),
         "gamma_table": [
-            {"gamma": [int(g) for g in vec], "freq": float(freq)} for vec, freq in table.rows
+            {"gamma": [int(g) for g in vec], "freq": float(freq)} for vec, freq in report.table
         ],
     }
     if extra:

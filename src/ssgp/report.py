@@ -3,8 +3,10 @@
 The selection rule of record is the modal gamma vector: the configuration
 visited most often after burn-in.  Marginal inclusion rates back a secondary
 median-threshold rule, which stays useful when the mode gets diffuse in
-higher dimensions.  Convergence checks are advisory (autocorrelation here,
-the trace CSV from io.export_trace), never automatic reruns.
+higher dimensions.  select_variables builds the whole SelectionReport,
+frequency table included; nothing else constructs one.  Convergence checks
+are advisory (autocorrelation here, the trace CSV from io.export_trace),
+never automatic reruns.
 """
 
 from dataclasses import dataclass
@@ -15,76 +17,50 @@ from .sampler import Chain
 
 
 @dataclass(frozen=True)
-class GammaTable:
-    """Distinct gamma vectors with visit frequencies, most frequent first.
+class SelectionReport:
+    """The selection read from a chain; select_variables builds it.
 
-    Rows with equal frequency appear in lexicographic order.
+    `table` holds the distinct gamma vectors as (gamma tuple, frequency)
+    rows, most frequent first, rows of equal frequency in lexicographic
+    order.  `selected` holds 1-based variable indices.
     """
 
-    rows: tuple
-
-    def __post_init__(self):
-        total = sum(f for _, f in self.rows)
-        if self.rows and abs(total - 1.0) > 1e-12:
-            raise ValueError(f"frequencies sum to {total}, expected 1")
-
-    def top(self):
-        return self.rows[0]
-
-
-@dataclass(frozen=True)
-class SelectionReport:
     modal_gamma: tuple
     modal_freq: float
     marginal: np.ndarray
     selected: frozenset
+    table: tuple
     rule: str = "modal"
     tie: bool = False
 
 
-def tabulate_gamma(chain: Chain) -> GammaTable:
-    """Exact frequency table of the distinct gamma vectors in a chain."""
+def select_variables(chain: Chain, rule: str = "modal") -> SelectionReport:
+    """Tabulate a chain's gamma draws and apply a selection rule.
+
+    "modal" selects the variables flagged in the most frequent gamma vector;
+    a frequency tie is broken toward the lexicographically smaller vector
+    and flagged.  "median" instead selects marginal inclusion > 1/2, the
+    fraction of stored draws with gamma_k = 1.
+    """
+    if rule not in ("modal", "median"):
+        raise ValueError(f"unknown selection rule {rule!r}")
     if chain.size == 0:
         raise ValueError("empty chain")
     vecs, counts = np.unique(chain.gamma, axis=0, return_counts=True)
     # np.unique returns rows lexicographically sorted; the stable sort by
     # descending count therefore keeps ties in lexicographic order.
     order = np.argsort(-counts, kind="stable")
-    rows = tuple(
+    table = tuple(
         (tuple(int(g) for g in vecs[i]), float(counts[i]) / chain.size) for i in order
     )
-    return GammaTable(rows)
-
-
-def marginal_inclusion(chain: Chain) -> np.ndarray:
-    """Fraction of stored draws with gamma_k = 1, per dimension."""
-    if chain.size == 0:
-        raise ValueError("empty chain")
-    return chain.gamma.mean(axis=0)
-
-
-def decide_selection(table: GammaTable, marginals, rule: str = "modal") -> SelectionReport:
-    """Turn tabulated draws into a set of selected variables (1-based).
-
-    "modal" picks the variables flagged in the most frequent gamma vector;
-    a frequency tie is broken toward the lexicographically smaller vector
-    and flagged.  "median" instead selects marginal inclusion > 1/2.
-    """
-    marginals = np.asarray(marginals, dtype=float)
-    modal_gamma, modal_freq = table.top()
-    tie = len(table.rows) > 1 and table.rows[1][1] == modal_freq
+    modal_gamma, modal_freq = table[0]
+    tie = len(table) > 1 and table[1][1] == modal_freq
+    marginal = chain.gamma.mean(axis=0)
     if rule == "modal":
         selected = frozenset(k + 1 for k, g in enumerate(modal_gamma) if g == 1)
-    elif rule == "median":
-        selected = frozenset(int(k) + 1 for k in np.nonzero(marginals > 0.5)[0])
     else:
-        raise ValueError(f"unknown selection rule {rule!r}")
-    return SelectionReport(modal_gamma, modal_freq, marginals, selected, rule, tie)
-
-
-def select_variables(chain: Chain, rule: str = "modal") -> SelectionReport:
-    """Convenience: tabulate a chain and apply the decision rule."""
-    return decide_selection(tabulate_gamma(chain), marginal_inclusion(chain), rule)
+        selected = frozenset(int(k) + 1 for k in np.nonzero(marginal > 0.5)[0])
+    return SelectionReport(modal_gamma, modal_freq, marginal, selected, table, rule, tie)
 
 
 def autocorrelation(series, max_lag: int) -> np.ndarray:

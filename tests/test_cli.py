@@ -199,6 +199,27 @@ class TestPredictCommand:
         io.write_design_csv(test, np.array([[0.2, 0.3]]))
         assert cli.main(["predict", "--model", model_path, "--test", str(test)]) == 2
 
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_test_cell_exit_2(self, model_path, tmp_path, capsys, cell):
+        test = tmp_path / "test.csv"
+        test.write_text(f"x1,x2,x3\n0.2,0.3,0.4\n0.5,{cell},0.7\n")
+        out = tmp_path / "pred.csv"
+        assert cli.main(["predict", "--model", model_path, "--test", str(test), "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phi_length_mismatch_exit_2(self, model_path, tmp_path, capsys):
+        doc = io.load_json(model_path)
+        doc["phi"] = doc["phi"][:2]
+        bad_model = tmp_path / "model.json"
+        io.save_json(bad_model, doc)
+        test = tmp_path / "test.csv"
+        io.write_design_csv(test, np.array([[0.2, 0.3, 0.4]]))
+        out = tmp_path / "pred.csv"
+        assert cli.main(["predict", "--model", str(bad_model), "--test", str(test), "--out", str(out)]) == 2
+        assert "theta" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchmarkCommand:
     def _spec(self, tmp_path, **overrides):

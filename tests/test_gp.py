@@ -1,5 +1,7 @@
 """Kriging core: dataset validation, profile likelihood, fit, prediction."""
 
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -16,7 +18,6 @@ from ssgp.gp import (
     GpParams,
     mle_fit,
     neg_log_profile_likelihood,
-    predict,
     predict_batch,
 )
 
@@ -101,6 +102,17 @@ class TestDataset:
         assert pts.flags.writeable and y.flags.writeable
         pts[0, 0] = 0.5
         assert data.points[0, 0] == 0.1
+
+    @pytest.mark.parametrize(
+        "clone", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy, copy.copy]
+    )
+    def test_copies_rebuilt_through_init(self, clone):
+        data = make_dataset("toy", 10)
+        data.sqdiffs  # fill the cache before copying
+        dup = clone(data)
+        assert not any(a.flags.writeable for a in (dup.points, dup.responses, dup.ranges))
+        assert dup.fingerprint() == data.fingerprint()
+        assert np.array_equal(dup.sqdiffs, linalg.pairwise_sqdiffs(dup.points))
 
     def test_predict_batch_reuses_sqdiffs(self, monkeypatch):
         data = make_dataset("toy", 10)
@@ -296,20 +308,20 @@ class TestPrediction:
     def test_symmetric_midpoint(self):
         data = Dataset.from_arrays([[0.25], [0.75]], [0.0, 1.0])
         params = mle_fit(data, FitOptions(seed=0))
-        pred = predict(params, data, [0.5])
+        pred = predict_batch(params, data, [0.5])[0]
         # By symmetry the midpoint prediction is the average response.
         assert pred.mean == pytest.approx(0.5, abs=1e-8)
 
     def test_original_scale_inputs(self):
         data = Dataset.from_arrays([[2.5], [7.5]], [0.0, 1.0], ranges=[[0.0, 10.0]])
         params = mle_fit(data, FitOptions(seed=0))
-        assert predict(params, data, [5.0]).mean == pytest.approx(0.5, abs=1e-8)
+        assert predict_batch(params, data, [5.0])[0].mean == pytest.approx(0.5, abs=1e-8)
 
     def test_mse_zero_at_data_grows_away(self, toy10):
         params = mle_fit(toy10, FitOptions(seed=0))
-        at_data = predict(params, toy10, toy10.original_points()[0])
+        at_data = predict_batch(params, toy10, toy10.original_points()[0])[0]
         assert at_data.mse < 1e-6
-        far = predict(params, toy10, [5.0, 5.0, 5.0])
+        far = predict_batch(params, toy10, [5.0, 5.0, 5.0])[0]
         assert far.mse > params.sigma2 * 0.5
         assert not far.clamped
 
@@ -318,7 +330,7 @@ class TestPrediction:
         xs = np.array([[0.2, 0.4, 0.6], [0.9, 0.1, 0.5]])
         batch = predict_batch(params, toy10, xs)
         for i, row in enumerate(xs):
-            single = predict(params, toy10, row)
+            single = predict_batch(params, toy10, row)[0]
             assert batch[i].mean == single.mean
             # Reduction order differs between the batched einsum and the
             # single-point path, so only match to relative rounding.
@@ -333,7 +345,7 @@ class TestPrediction:
         lo, hi = data.ranges.T
         xs = lo + np.random.default_rng(7).random((300, data.dim)) * (hi - lo)
         batch = [p.mean for p in predict_batch(params, data, xs)]
-        single = [predict(params, data, x).mean for x in xs]
+        single = [predict_batch(params, data, x)[0].mean for x in xs]
         pairs = [
             p.mean for i in range(0, len(xs), 2) for p in predict_batch(params, data, xs[i : i + 2])
         ]
@@ -345,8 +357,18 @@ class TestPrediction:
         with pytest.raises(ValueError, match="columns"):
             predict_batch(params, toy10, [[0.5, 0.5]])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_point_rejected(self, toy10, bad):
+        params = GpParams(mu=0.0, sigma2=1.0, phi=np.ones(toy10.dim))
+        xs = toy10.original_points()[:3].copy()
+        xs[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite coordinate in test point 2"):
+            predict_batch(params, toy10, xs)
+        with pytest.raises(ValueError, match="test point 0"):
+            predict_batch(params, toy10, xs[2])
+
     def test_mean_reverts_to_mu_far_away(self):
         data = two_point_dataset()
         params = GpParams(mu=1.5, sigma2=1.0, phi=[3.0])
-        pred = predict(params, data, [60.0])
+        pred = predict_batch(params, data, [60.0])[0]
         assert pred.mean == pytest.approx(1.5, abs=1e-10)

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_dataset
 from ssgp import io
 from ssgp.gp import Dataset, GpParams
-from ssgp.report import select_variables, tabulate_gamma
+from ssgp.report import select_variables
 from ssgp.sampler import Hyperparams, run_chain
 
 pytestmark = pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
@@ -162,16 +162,16 @@ class TestChainDocuments:
 class TestSelectionDocuments:
     def test_layout(self, tmp_path, small_chain):
         chain, _ = small_chain
-        table = tabulate_gamma(chain)
         report = select_variables(chain)
         path = tmp_path / "selection.json"
-        io.save_selection(path, report, table, extra={"accept_rate": chain.accept_rate})
+        io.save_selection(path, report, extra={"accept_rate": chain.accept_rate})
         doc = io.load_json(path)
         assert doc["kind"] == "selection-report"
         assert doc["selected"] == sorted(report.selected)
         assert doc["modal_gamma"] == list(report.modal_gamma)
         assert doc["rule"] == "modal"
         assert abs(sum(r["freq"] for r in doc["gamma_table"]) - 1.0) < 1e-12
+        assert [(tuple(r["gamma"]), r["freq"]) for r in doc["gamma_table"]] == list(report.table)
 
 
 class TestTraceValidation:

@@ -5,14 +5,7 @@ import pytest
 
 from conftest import make_dataset
 from ssgp.io import export_trace, load_trace
-from ssgp.report import (
-    GammaTable,
-    autocorrelation,
-    decide_selection,
-    marginal_inclusion,
-    select_variables,
-    tabulate_gamma,
-)
+from ssgp.report import autocorrelation, select_variables
 from ssgp.sampler import Chain, Hyperparams, run_chain
 
 pytestmark = pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
@@ -35,34 +28,38 @@ def chain_from_gammas(gammas):
 class TestTabulate:
     def test_counts(self):
         chain = chain_from_gammas([[1, 0], [1, 0], [0, 1], [1, 0], [1, 1]])
-        table = tabulate_gamma(chain)
-        assert table.top() == ((1, 0), 0.6)
-        assert dict(table.rows) == {(1, 0): 0.6, (0, 1): 0.2, (1, 1): 0.2}
+        table = select_variables(chain).table
+        assert table[0] == ((1, 0), 0.6)
+        assert dict(table) == {(1, 0): 0.6, (0, 1): 0.2, (1, 1): 0.2}
 
     def test_tied_rows_in_lexicographic_order(self):
         chain = chain_from_gammas([[1, 0], [0, 1], [1, 0], [0, 1]])
-        table = tabulate_gamma(chain)
-        assert table.rows[0][0] == (0, 1)
-        assert table.rows[1][0] == (1, 0)
-        assert table.rows[0][1] == table.rows[1][1] == 0.5
+        table = select_variables(chain).table
+        assert table[0][0] == (0, 1)
+        assert table[1][0] == (1, 0)
+        assert table[0][1] == table[1][1] == 0.5
 
     def test_empty_chain(self):
-        with pytest.raises(ValueError, match="empty"):
-            tabulate_gamma(chain_from_gammas(np.empty((0, 2))))
+        for rule in ("modal", "median"):
+            with pytest.raises(ValueError, match="empty"):
+                select_variables(chain_from_gammas(np.empty((0, 2))), rule)
 
     def test_frequencies_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            GammaTable(rows=(((1, 0), 0.5), ((0, 1), 0.4)))
+        gammas = np.random.default_rng(4).integers(0, 2, size=(4000, 6))
+        table = select_variables(chain_from_gammas(gammas)).table
+        assert abs(sum(f for _, f in table) - 1.0) <= 1e-12
+        assert len(set(g for g, _ in table)) == len(table)
 
 
 class TestMarginals:
     def test_per_dimension_rates(self):
         chain = chain_from_gammas([[1, 0], [1, 1], [1, 0], [0, 0]])
-        assert np.allclose(marginal_inclusion(chain), [0.75, 0.25])
+        assert np.allclose(select_variables(chain).marginal, [0.75, 0.25])
 
     def test_empty_chain(self):
-        with pytest.raises(ValueError, match="empty"):
-            marginal_inclusion(chain_from_gammas(np.empty((0, 3))))
+        for rule in ("modal", "median"):
+            with pytest.raises(ValueError, match="empty"):
+                select_variables(chain_from_gammas(np.empty((0, 3))), rule)
 
 
 class TestDecideSelection:
@@ -89,10 +86,12 @@ class TestDecideSelection:
         assert report.selected == frozenset({2})
 
     def test_unknown_rule(self):
-        chain = chain_from_gammas([[1, 0]])
-        table = tabulate_gamma(chain)
+        # The rule is checked before the chain is read, so an empty chain
+        # reports the rule, not the emptiness.
         with pytest.raises(ValueError, match="rule"):
-            decide_selection(table, marginal_inclusion(chain), rule="mean")
+            select_variables(chain_from_gammas([[1, 0]]), rule="mean")
+        with pytest.raises(ValueError, match="rule"):
+            select_variables(chain_from_gammas(np.empty((0, 2))), rule="mean")
 
     def test_empty_selection_possible(self):
         chain = chain_from_gammas([[0, 0], [0, 0], [1, 0]])
