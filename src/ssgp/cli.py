@@ -78,10 +78,6 @@ def _load_dataset(args) -> Dataset:
     elif args.design and args.response:
         x = io.read_design_csv(args.design)
         y = io.read_response_csv(args.response)
-        if len(y) != len(x):
-            raise ValueError(
-                f"{len(x)} design rows but {len(y)} responses"
-            )
     else:
         raise ValueError("pass --data, or --design together with --response")
 

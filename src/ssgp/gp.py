@@ -154,8 +154,10 @@ class GpParams:
             raise ValueError(f"sigma2 must be finite, got {self.sigma2}")
         if self.sigma2 <= 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if not np.isfinite(phi).all():
-            raise ValueError("non-finite phi")
+        # phi = 1e200 is finite, but its square theta is not.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(phi * phi).all():
+                raise ValueError("phi entries and their squares (theta) must be finite")
         object.__setattr__(self, "phi", phi)
 
     @property

@@ -140,6 +140,12 @@ def _dataset_from_block(block) -> Dataset:
     )
 
 
+def _expect_width(path, name, arr, ndim, data: Dataset):
+    # A parameter block must match the dimension of the dataset it ships with.
+    if arr.ndim != ndim or arr.shape[-1] != data.dim:
+        raise ValueError(f"{path}: {name} has shape {arr.shape}, expected width {data.dim} to match its dataset")
+
+
 def save_model(path, params: GpParams, data: Dataset, extra=None) -> None:
     """Fitted parameters plus the training data they condition on."""
     doc = {
@@ -164,7 +170,9 @@ def load_model(path):
     params = GpParams(
         mu=float(doc["mu"]), sigma2=float(doc["sigma2"]), phi=np.asarray(doc["phi"])
     )
-    return params, _dataset_from_block(doc["dataset"])
+    data = _dataset_from_block(doc["dataset"])
+    _expect_width(path, "phi", params.phi, 1, data)
+    return params, data
 
 
 def save_chain(path, chain: Chain, data: Dataset) -> None:
@@ -199,7 +207,10 @@ def load_chain(path):
         accept_rate=float(doc["accept_rate"]),
         meta=doc["meta"],
     )
-    return chain, _dataset_from_block(doc["dataset"])
+    data = _dataset_from_block(doc["dataset"])
+    _expect_width(path, "phi", chain.phi, 2, data)
+    _expect_width(path, "gamma", chain.gamma, 2, data)
+    return chain, data
 
 
 def save_selection(path, report, extra=None) -> None:

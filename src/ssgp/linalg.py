@@ -6,6 +6,11 @@ log-determinant comes from its diagonal and solves are forward/backward
 substitutions.  The one explicit inverse is the likelihood gradient's,
 which reads every entry of R^-1.  CorrFactor holds one factor together
 with what the likelihood, the sampler and the predictor reuse.
+
+Arguments are checked at the entry points: chol_decompose,
+corr_matrix_from_sqdiffs, CorrFactor.from_lower and solve_with_chol.
+corr_factor and corr_cholesky factor the matrix they build from checked
+theta through _cholesky, which keeps only the breakdown and pivot tests.
 """
 
 from dataclasses import dataclass, field
@@ -43,8 +48,8 @@ def corr_matrix_from_sqdiffs(sqdiffs, theta, nugget: float = DEFAULT_NUGGET) -> 
     n, _, d = sqdiffs.shape
     if theta.shape != (d,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({d},)")
-    if (theta < 0).any():
-        raise ValueError("theta entries must be non-negative")
+    if not ((0 <= theta) & (theta < np.inf)).all():
+        raise ValueError("theta entries must be finite and non-negative")
     if nugget < 0:
         raise ValueError("nugget must be non-negative")
     # sqdiffs @ -theta is -(sqdiffs @ theta) bitwise: rounding is symmetric
@@ -55,15 +60,25 @@ def corr_matrix_from_sqdiffs(sqdiffs, theta, nugget: float = DEFAULT_NUGGET) -> 
     return r.reshape(n, n)
 
 
+def _cholesky(m) -> np.ndarray:
+    # Lower factor of a symmetric matrix; potrf reads only its lower
+    # triangle.  NotPositiveDefiniteError on a breakdown or a pivot at or
+    # below PIVOT_TOL, so the caller rejects or escalates the nugget.
+    lower, info = dpotrf(m, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(f"leading minor of order {info} is not positive definite")
+    if np.any(lower.diagonal() ** 2 <= PIVOT_TOL):
+        raise NotPositiveDefiniteError(f"pivot at or below tolerance {PIVOT_TOL}")
+    return lower
+
+
 def chol_decompose(m) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
-    The one factoring routine: corr_factor and every attempt of
-    corr_cholesky go through it.  Raises ValueError for a matrix that is
-    not square or not symmetric within np.allclose tolerances (a NaN entry
-    fails), and NotPositiveDefiniteError when the factorization breaks down
-    or any pivot falls at or below PIVOT_TOL, signalling the caller to retry
-    with a larger nugget.
+    The entry point for matrices built outside linalg.  Raises ValueError
+    for a matrix that is not square or not symmetric within np.allclose
+    tolerances (a NaN entry fails), and NotPositiveDefiniteError when the
+    factorization breaks down or any pivot falls at or below PIVOT_TOL.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -75,24 +90,11 @@ def chol_decompose(m) -> np.ndarray:
     mt = m.T
     if not ((m == mt).all() or (np.abs(m - mt) <= 1e-12 + 1e-10 * np.abs(mt)).all()):
         raise ValueError("matrix is not symmetric")
-    lower, info = dpotrf(m, lower=1, clean=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(f"leading minor of order {info} is not positive definite")
-    if np.any(lower.diagonal() ** 2 <= PIVOT_TOL):
-        raise NotPositiveDefiniteError(f"pivot at or below tolerance {PIVOT_TOL}")
-    return lower
+    return _cholesky(m)
 
 
-def log_det_from_chol(lower) -> float:
-    """log det M for M = lower @ lower.T, via 2 * sum(log diag(lower))."""
-    diag = np.asarray(lower).diagonal()
-    if (diag <= 0).any():
-        raise ValueError("invalid Cholesky factor: non-positive diagonal")
-    return float(2.0 * np.log(diag).sum())
-
-
-def _check_finite(a):
-    if not np.isfinite(a).all():
+def _check_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("array must not contain infs or NaNs")
 
 
@@ -102,15 +104,8 @@ def solve_with_chol(lower, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape[0] != lower.shape[0]:
         raise ValueError(f"dimension mismatch: factor is {lower.shape[0]}, b has {b.shape[0]} rows")
-    _check_finite(lower)
-    _check_finite(b)
+    _check_finite(lower, b)
     return dpotrs(lower, b, lower=1)[0]
-
-
-def _whiten(lower, b) -> np.ndarray:
-    # L^-1 b by one triangular solve; the factor's diagonal is positive.
-    _check_finite(b)
-    return dtrtrs(lower, b, lower=1)[0]
 
 
 @dataclass(frozen=True)
@@ -135,18 +130,20 @@ class CorrFactor:
 
     @classmethod
     def from_lower(cls, lower, y) -> "CorrFactor":
-        """Factor object for R = lower lower' and responses y."""
+        """Factor object for R = lower lower' and responses y, both checked."""
         lower = np.asarray(lower, dtype=float)
         y = np.asarray(y, dtype=float)
         if y.shape != (lower.shape[0],):
             raise ValueError(f"dimension mismatch: factor is {lower.shape[0]}, y has shape {y.shape}")
-        _check_finite(lower)
-        log_det = log_det_from_chol(lower)
+        _check_finite(lower, y)
+        diag = lower.diagonal()
+        if (diag <= 0).any():
+            raise ValueError("invalid Cholesky factor: non-positive diagonal")
         rhs = np.empty((len(y), 2), order="F")
         rhs[:, 0] = 1.0
         rhs[:, 1] = y
-        w = _whiten(lower, rhs)
-        return cls(lower, y, log_det, w[:, 0], w[:, 1])
+        w = dtrtrs(lower, rhs, lower=1)[0]
+        return cls(lower, y, float(2.0 * np.log(diag).sum()), w[:, 0], w[:, 1])
 
     @property
     def one_rinv_one(self) -> float:
@@ -161,14 +158,14 @@ class CorrFactor:
         """(y - mu)'R^-1(y - mu); non-negative by construction."""
         last_mu, value = self._last_quad
         if mu != last_mu:
-            v = _whiten(self.lower, self.y - mu)
+            v = dtrtrs(self.lower, self.y - mu, lower=1)[0]
             value = float(v @ v)
             self._last_quad[:] = (mu, value)
         return value
 
     def whiten(self, b) -> np.ndarray:
-        """L^-1 b."""
-        return _whiten(self.lower, b)
+        """L^-1 b by one triangular solve; b is not checked."""
+        return dtrtrs(self.lower, b, lower=1)[0]
 
     def inverse(self) -> np.ndarray:
         """R^-1 = V'V with V = L^-1 from one triangular solve."""
@@ -183,7 +180,7 @@ def corr_factor(sqdiffs, theta, nugget: float, y) -> CorrFactor:
     caller whose target is defined at one nugget (the sampler) must not
     switch to another.
     """
-    return CorrFactor.from_lower(chol_decompose(corr_matrix_from_sqdiffs(sqdiffs, theta, nugget)), y)
+    return CorrFactor.from_lower(_cholesky(corr_matrix_from_sqdiffs(sqdiffs, theta, nugget)), y)
 
 
 def corr_cholesky(points, theta, nugget: float = DEFAULT_NUGGET, sqdiffs=None):
@@ -191,7 +188,7 @@ def corr_cholesky(points, theta, nugget: float = DEFAULT_NUGGET, sqdiffs=None):
 
     Tries `nugget` first and multiplies by 10 after each positive-definiteness
     failure, up to MAX_NUGGET.  Each attempt is the fixed-nugget
-    chol_decompose that corr_factor uses.  Returns (lower, nugget_used);
+    factorization that corr_factor uses.  Returns (lower, nugget_used);
     raises IllConditionedError when even the maximum nugget fails.
     """
     if sqdiffs is None:
@@ -199,7 +196,7 @@ def corr_cholesky(points, theta, nugget: float = DEFAULT_NUGGET, sqdiffs=None):
     attempt = nugget
     while True:
         try:
-            lower = chol_decompose(corr_matrix_from_sqdiffs(sqdiffs, theta, attempt))
+            lower = _cholesky(corr_matrix_from_sqdiffs(sqdiffs, theta, attempt))
             return lower, attempt
         except NotPositiveDefiniteError:
             if attempt >= MAX_NUGGET:

@@ -289,7 +289,7 @@ class TestCriterion6Properties:
                 worst = max(
                     worst,
                     float(np.max(np.abs(linalg.solve_with_chol(chol, rhs) - inv @ rhs))),
-                    abs(linalg.log_det_from_chol(chol) - np.linalg.slogdet(mat)[1]),
+                    abs(linalg.CorrFactor.from_lower(chol, rhs).log_det - np.linalg.slogdet(mat)[1]),
                 )
         ok = worst < 1e-8
         msg = _line(

@@ -95,6 +95,14 @@ class TestFitCommand:
         _, data = io.load_model(out)
         assert np.array_equal(data.ranges, [[2.0, 8.0]])
 
+    def test_design_response_count_mismatch_exit_2(self, tmp_path, capsys):
+        design, response = tmp_path / "design.csv", tmp_path / "response.csv"
+        io.write_design_csv(design, np.linspace(0.1, 0.9, 10).reshape(5, 2))
+        response.write_text("y\n1.0\n2.0\n3.0\n4.0\n")
+        assert cli.main(["fit", "--design", str(design), "--response", str(response)]) == 2
+        err = capsys.readouterr().err
+        assert "5 design points" in err and "4 responses" in err
+
     def test_malformed_ranges(self, toy_csv):
         assert cli.main(["fit", "--data", toy_csv, "--ranges", "0:1"]) == 2
         assert cli.main(["fit", "--data", toy_csv, "--ranges", "0:1,0:1,bad"]) == 2
@@ -217,7 +225,38 @@ class TestPredictCommand:
         io.write_design_csv(test, np.array([[0.2, 0.3, 0.4]]))
         out = tmp_path / "pred.csv"
         assert cli.main(["predict", "--model", str(bad_model), "--test", str(test), "--out", str(out)]) == 2
-        assert "theta" in capsys.readouterr().err
+        assert f"{bad_model}: phi has shape (2,)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phi_width_mismatch_in_chain_exit_2(self, toy_csv, tmp_path, capsys):
+        chain = tmp_path / "chain.json"
+        cli.main(["select", "--data", toy_csv, "--iters", "200", "--burnin", "50",
+                  "--chain", str(chain), "--report", str(tmp_path / "r.json"),
+                  "--trace", str(tmp_path / "t.csv")])
+        doc = io.load_json(chain)
+        doc["draws"]["phi"] = [row[:2] for row in doc["draws"]["phi"]]
+        io.save_json(chain, doc)
+        test = tmp_path / "test.csv"
+        io.write_design_csv(test, np.array([[0.2, 0.3, 0.4]]))
+        out = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert cli.main(["predict", "--chain", str(chain), "--test", str(test), "--out", str(out)]) == 2
+        assert f"{chain}: phi has shape (150, 2)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phi_square_overflow_exit_2(self, model_path, tmp_path, capsys):
+        # phi = 1e200 is finite, but theta = phi**2 is not.  The model is
+        # rejected where it is read, with no overflow RuntimeWarning (the
+        # test configuration turns one into an error).
+        doc = io.load_json(model_path)
+        doc["phi"][0] = 1e200
+        bad_model = tmp_path / "model.json"
+        io.save_json(bad_model, doc)
+        test = tmp_path / "test.csv"
+        io.write_design_csv(test, np.array([[0.2, 0.3, 0.4]]))
+        out = tmp_path / "pred.csv"
+        assert cli.main(["predict", "--model", str(bad_model), "--test", str(test), "--out", str(out)]) == 2
+        assert "phi" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -144,6 +144,10 @@ class TestGpParams:
     def test_phi_finite(self):
         with pytest.raises(ValueError, match="phi"):
             GpParams(mu=0.0, sigma2=1.0, phi=[np.nan])
+        # Finite, but its square (theta) is not: rejected without the
+        # overflow RuntimeWarning, which the test configuration makes an error.
+        with pytest.raises(ValueError, match="phi"):
+            GpParams(mu=0.0, sigma2=1.0, phi=[0.5, 1e200])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_mu_finite(self, bad):

@@ -158,6 +158,17 @@ class TestChainDocuments:
         with pytest.raises(ValueError, match="chain"):
             io.load_chain(path)
 
+    @pytest.mark.parametrize("name", ["phi", "gamma"])
+    def test_width_checked(self, tmp_path, small_chain, name):
+        chain, data = small_chain
+        path = tmp_path / "chain.json"
+        io.save_chain(path, chain, data)
+        doc = io.load_json(path)
+        doc["draws"][name] = [row[:-1] for row in doc["draws"][name]]
+        io.save_json(path, doc)
+        with pytest.raises(ValueError, match=rf"chain\.json: {name} has shape \({chain.size}, {data.dim - 1}\)"):
+            io.load_chain(path)
+
 
 class TestSelectionDocuments:
     def test_layout(self, tmp_path, small_chain):

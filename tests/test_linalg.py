@@ -5,7 +5,10 @@ import pytest
 
 from conftest import build_corr_matrix, gaussian_corr, make_dataset
 from ssgp import linalg
+from ssgp.designs import scale_points
 from ssgp.errors import IllConditionedError, NotPositiveDefiniteError
+from ssgp.gp import FitOptions, mle_fit, predict_batch
+from ssgp.sampler import Hyperparams, run_chain
 
 
 class TestGaussianCorr:
@@ -83,6 +86,13 @@ class TestCorrMatrix:
         with pytest.raises(ValueError, match="nugget"):
             build_corr_matrix(np.array([[0.1], [0.9]]), [1.0], nugget=-1e-8)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_theta_values_checked(self, bad):
+        # A non-finite theta would put NaN into R; internal factorizations
+        # run no symmetry or finite scan, so it must stop here.
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            build_corr_matrix(np.array([[0.1, 0.2], [0.5, 0.6]]), [1.0, bad], nugget=0.0)
+
     def test_duplicate_points_zero_nugget_warns(self):
         pts = np.array([[0.3, 0.3], [0.3, 0.3], [0.7, 0.1]])
         with pytest.warns(RuntimeWarning, match="duplicate"):
@@ -109,11 +119,11 @@ class TestCholesky:
     def test_log_det_hand_values(self):
         lower = linalg.chol_decompose(np.array([[1.0, 0.5], [0.5, 1.0]]))
         # det = 0.75, frozen log.
-        assert linalg.log_det_from_chol(lower) == pytest.approx(
+        assert linalg.CorrFactor.from_lower(lower, np.zeros(2)).log_det == pytest.approx(
             -0.2876820724517809, abs=1e-14
         )
         lower = linalg.chol_decompose(np.diag([4.0, 9.0]))
-        assert linalg.log_det_from_chol(lower) == pytest.approx(
+        assert linalg.CorrFactor.from_lower(lower, np.zeros(2)).log_det == pytest.approx(
             3.58351893845611, abs=1e-13
         )
 
@@ -148,7 +158,7 @@ class TestCholesky:
 
     def test_log_det_rejects_bad_factor(self):
         with pytest.raises(ValueError, match="diagonal"):
-            linalg.log_det_from_chol(np.array([[1.0, 0.0], [0.5, -0.1]]))
+            linalg.CorrFactor.from_lower(np.array([[1.0, 0.0], [0.5, -0.1]]), [1.0, 2.0])
 
     def test_solve_shape_checked(self):
         lower = np.eye(3)
@@ -176,7 +186,7 @@ class TestAgainstExplicitInverse:
             assert np.max(np.abs(x - np.linalg.inv(m) @ b)) < 1e-8
             sign, logdet = np.linalg.slogdet(m)
             assert sign == 1.0
-            assert abs(linalg.log_det_from_chol(lower) - logdet) < 1e-8
+            assert abs(linalg.CorrFactor.from_lower(lower, b).log_det - logdet) < 1e-8
 
     def test_matrix_rhs(self):
         rng = np.random.default_rng(7)
@@ -208,7 +218,7 @@ class TestCorrCholesky:
             seen.append(float(m[0, 0]) - 1.0)
             raise NotPositiveDefiniteError("forced")
 
-        monkeypatch.setattr(linalg, "chol_decompose", always_fail)
+        monkeypatch.setattr(linalg, "_cholesky", always_fail)
         pts = np.array([[0.2], [0.8]])
         with pytest.raises(IllConditionedError, match="not positive definite"):
             linalg.corr_cholesky(pts, [1.0], nugget=0.0)
@@ -284,3 +294,28 @@ class TestCorrFactor:
     def test_from_lower_shape_checked(self):
         with pytest.raises(ValueError, match="mismatch"):
             linalg.CorrFactor.from_lower(np.eye(3), [1.0, 2.0])
+
+
+class TestInternalFactorizations:
+    def test_do_not_go_through_chol_decompose(self, toy10, monkeypatch):
+        # The fit, the chain and the predictor factor what linalg built
+        # through the private routine; chol_decompose, the checked entry
+        # for outside matrices, is never reached, and breaking it changes
+        # no bit of their seeded outputs.
+        def outputs():
+            fit = mle_fit(toy10, FitOptions(seed=3))
+            hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.1, iters=300, burnin=50, seed=2)
+            chain = run_chain(toy10, hyper, init=fit)
+            xs = scale_points(np.random.default_rng(4).uniform(size=(25, 3)), toy10.ranges, "from_unit")
+            preds = predict_batch(fit, toy10, xs)
+            return [fit.phi, [fit.mu, fit.sigma2], chain.mu, chain.sigma2, chain.phi, chain.gamma,
+                    [p.mean for p in preds], [p.mse for p in preds]]
+
+        expected = outputs()
+
+        def broken(m):
+            raise AssertionError("chol_decompose reached")
+
+        monkeypatch.setattr(linalg, "chol_decompose", broken)
+        for got, want in zip(outputs(), expected, strict=True):
+            assert np.array_equal(got, want)

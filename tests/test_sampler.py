@@ -447,7 +447,7 @@ class TestRunChain:
         control = run_chain(toy10, hyper, init=self._init(toy10))
         assert control.accept_rate > 0.5  # these proposals factor and mostly pass
 
-        real = linalg.chol_decompose
+        real = linalg._cholesky
         nuggets = []
 
         def only_initial_state_factors_at_sampler_nugget(m):
@@ -456,7 +456,7 @@ class TestRunChain:
                 raise NotPositiveDefiniteError("forced")
             return real(m)
 
-        monkeypatch.setattr(linalg, "chol_decompose", only_initial_state_factors_at_sampler_nugget)
+        monkeypatch.setattr(linalg, "_cholesky", only_initial_state_factors_at_sampler_nugget)
         chain = run_chain(toy10, hyper, init=self._init(toy10))
         assert chain.accept_rate == 0.0
         assert chain.meta["mh_proposal_failures"] == hyper.iters
@@ -468,7 +468,7 @@ class TestRunChain:
         def never_factors(m):
             raise NotPositiveDefiniteError("forced")
 
-        monkeypatch.setattr(linalg, "chol_decompose", never_factors)
+        monkeypatch.setattr(linalg, "_cholesky", never_factors)
         hyper = Hyperparams.for_dim(3, tau=0.3, iters=30, burnin=5, seed=0)
         with pytest.raises(SamplerError, match="initial correlation matrix") as err:
             run_chain(toy10, hyper, init=self._init(toy10))
