@@ -6,6 +6,7 @@ distance of a random start by within-column swaps, which preserve the
 stratification by construction.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,36 +73,59 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     it raises the minimum pairwise distance, or leaves it unchanged while
     lowering the inverse-squared-distance sum.  Swaps always involve one of
     the two currently closest points, the pair that limits the criterion.
-    The kept configuration's distances carry over to the next sweep, so each
-    sweep computes the distances of the swapped design only.
+
+    A swap moves only points a and b, so each sweep recomputes only their
+    distances to the others, in the same order of summation over the
+    coordinates as pdist (Jin, Chen & Sudjianto 2005).  A swap that brings
+    a or b closer to some point than the current minimum is rejected
+    without the inverse-square sum: the other distances cannot raise the
+    minimum back.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     rng = _as_rng(seed)
     design = random_lhd(n, d, rng)
-    pts = design.points.copy()
+    # One row per coordinate, so the axis-0 sum below adds coordinate by
+    # coordinate, as pdist does.
+    cols = design.points.T.copy()
     if sweeps is None:
         sweeps = 100 * n
 
-    # Row and column of each pdist entry.
+    # d2 holds the squared distances in pdist order, plus a spare last slot
+    # that pos[p, p] points at: pos[p, q] is the slot of pair {p, q}, so a
+    # point's whole row of distances is scattered by d2[pos[p]] = row.
     i, j = np.triu_indices(n, k=1)
-    d2 = pdist(pts, "sqeuclidean")
-    best_min, best_crit = _min_dist_and_crit(d2)
+    npairs = len(i)
+    pos = np.full((n, n), npairs)
+    pos[i, j] = pos[j, i] = np.arange(npairs)
+    d2 = np.append(pdist(design.points, "sqeuclidean"), np.inf)
+    best_min, best_crit = _min_dist_and_crit(d2[:npairs])
+    closest = int(np.argmin(d2[:npairs]))
     for _ in range(sweeps):
-        closest = int(np.argmin(d2))
-        a = int(i[closest]) if rng.uniform() < 0.5 else int(j[closest])
+        a = int(i[closest]) if rng.random() < 0.5 else int(j[closest])
         b = int(rng.integers(n - 1))
         if b >= a:
             b += 1
         k = int(rng.integers(d))
-        pts[a, k], pts[b, k] = pts[b, k], pts[a, k]
-        new_d2 = pdist(pts, "sqeuclidean")
-        new_min, new_crit = _min_dist_and_crit(new_d2)
+        cols[k, a], cols[k, b] = cols[k, b], cols[k, a]
+        diff = cols.take((a, b), axis=1)[:, :, None] - cols[:, None, :]
+        diff *= diff
+        rows = diff.sum(axis=0)
+        # A point's distance to itself is no pair; it lands in the spare slot.
+        rows[0, a] = rows[1, b] = np.inf
+        if math.sqrt(rows.min()) < best_min:
+            cols[k, a], cols[k, b] = cols[k, b], cols[k, a]
+            continue
+        new_d2 = d2.copy()
+        new_d2[pos[a]] = rows[0]
+        new_d2[pos[b]] = rows[1]
+        new_min, new_crit = _min_dist_and_crit(new_d2[:npairs])
         if new_min > best_min or (new_min == best_min and new_crit < best_crit):
             best_min, best_crit, d2 = new_min, new_crit, new_d2
+            closest = int(np.argmin(d2[:npairs]))
         else:
-            pts[a, k], pts[b, k] = pts[b, k], pts[a, k]
-    return Design(pts, kind="maximin-lhd", seed=seed if isinstance(seed, int) else None)
+            cols[k, a], cols[k, b] = cols[k, b], cols[k, a]
+    return Design(cols.T.copy(), kind="maximin-lhd", seed=seed if isinstance(seed, int) else None)
 
 
 def scale_points(points, ranges, direction: str = "from_unit") -> np.ndarray:

@@ -39,7 +39,7 @@ class Dataset:
     """Training data scaled to the unit hypercube.
 
     Immutable: the arrays are read-only copies of the ones passed in, so
-    the cached sqdiffs cannot go stale.
+    the cached sqdiffs and the last prediction factor cannot go stale.
 
     Attributes
     ----------
@@ -89,7 +89,7 @@ class Dataset:
 
     def __reduce__(self):
         # Copies and unpickles go through __init__ too, so they also get
-        # read-only arrays and no stale sqdiffs cache.
+        # read-only arrays and none of the caches.
         return (type(self), (self.points, self.responses, self.ranges))
 
     @classmethod
@@ -122,6 +122,23 @@ class Dataset:
         from which every R(theta) on this design is built."""
         return linalg.pairwise_sqdiffs(self.points)
 
+    def _prediction_factor(self, theta, nugget, mu):
+        # (CorrFactor of R(theta), R^-1 (y - mu)) for predict_batch.  Both
+        # depend only on this data and the exact bits of theta, nugget and
+        # mu, so the last pair is kept: a fitted model is queried call after
+        # call, and a hit returns the very arrays the miss computed.  Only a
+        # successful miss is stored, so every key that can hit has passed
+        # all of linalg's checks.
+        key = np.concatenate([theta, np.array([nugget, mu], dtype=float)]).tobytes()
+        memo = self.__dict__.get("_prediction_memo")
+        if memo is not None and memo[0] == key:
+            return memo[1], memo[2]
+        lower, _ = linalg.corr_cholesky(self.points, theta, nugget, sqdiffs=self.sqdiffs)
+        factor = linalg.CorrFactor.from_lower(lower, self.responses)
+        rinv_resid = linalg.solve_with_chol(lower, self.responses - mu)
+        object.__setattr__(self, "_prediction_memo", (key, factor, rinv_resid))
+        return factor, rinv_resid
+
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(self.points.tobytes())
@@ -140,14 +157,17 @@ class Dataset:
 
 @dataclass(frozen=True)
 class GpParams:
-    """Kriging parameters; theta is derived from phi as theta_k = phi_k^2."""
+    """Kriging parameters; theta is derived from phi as theta_k = phi_k^2.
+
+    phi is a read-only copy of the array passed in.
+    """
 
     mu: float
     sigma2: float
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float).ravel()
+        phi = np.array(self.phi, dtype=float).ravel()
         if not np.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not np.isfinite(self.sigma2):
@@ -158,7 +178,12 @@ class GpParams:
         with np.errstate(over="ignore"):
             if not np.isfinite(phi * phi).all():
                 raise ValueError("phi entries and their squares (theta) must be finite")
+        phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
+
+    def __reduce__(self):
+        # As for Dataset: copies and unpickles get a read-only phi of their own.
+        return (type(self), (self.mu, self.sigma2, self.phi))
 
     @property
     def theta(self) -> np.ndarray:
@@ -297,6 +322,12 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     goes through a multi-right-hand-side solve, so it agrees across batches
     only to rounding, and `clamped` can differ between batches for an MSE
     at round-off level.
+
+    The factorization of R(theta), with its nugget escalation, and the
+    solve R^-1 (y - mu) are kept on `data` for the last (theta, nugget, mu)
+    predicted, so repeated calls with one model pay only for their test
+    points.  Reusing them changes no bit of any result; each call still
+    checks its own test points.
     """
     xs = np.atleast_2d(np.asarray(xstars, dtype=float))
     if xs.shape[1] != data.dim:
@@ -308,10 +339,11 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
         raise ValueError(f"non-finite coordinate in test point {bad} (0-based)")
     xs_unit = scale_points(xs, data.ranges, "to_unit")
     theta = params.theta
-    lower, _ = linalg.corr_cholesky(data.points, theta, nugget, sqdiffs=data.sqdiffs)
-    factor = linalg.CorrFactor.from_lower(lower, data.responses)
-    rinv_resid = linalg.solve_with_chol(lower, data.responses - params.mu)
+    factor, rinv_resid = data._prediction_factor(theta, nugget, params.mu)
 
+    # A dimension with theta_k = 0 adds +0.0 to every exponent whatever the
+    # coordinate; zeroing it keeps a huge one from forming inf * 0 = NaN.
+    xs_unit[:, theta == 0] = 0.0
     rt = _cross_corr(data.points, xs_unit, theta)
     # One contiguous row of length n per mean.  Neither r.T @ v (BLAS GEMV)
     # nor an axis-0 sum of r * v[:, None] sums in the same order at m = 1

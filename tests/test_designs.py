@@ -6,6 +6,7 @@ from scipy.spatial.distance import pdist
 
 from conftest import reference_maximin_lhd
 from ssgp.designs import Design, maximin_lhd, random_lhd, scale_points
+from ssgp.sampler import derive_seed
 
 
 def _strata_ok(pts):
@@ -91,11 +92,12 @@ class TestMaximinLhd:
         with pytest.raises(ValueError, match="n >= 2"):
             maximin_lhd(1, 3, 0)
 
-    @pytest.mark.parametrize("n,d", [(30, 3), (50, 8), (54, 10)])
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (12, 6), (30, 3), (50, 8), (54, 10)])
     def test_same_designs_as_two_pass_search(self, n, d):
-        # Carrying the kept design's distances across sweeps must not move
-        # a bit of any seeded design at the shipped specs' sizes.
-        for seed in range(5):
+        # Updating only the swapped points' distances, and rejecting early,
+        # must not move a bit of any seeded design: the shipped specs' sizes,
+        # the smallest ones, and a 64-bit seed such as the testbed derives.
+        for seed in [*range(5), derive_seed(0, "design")]:
             got = maximin_lhd(n, d, seed).points
             assert got.tobytes() == reference_maximin_lhd(n, d, seed).points.tobytes()
 

@@ -22,6 +22,24 @@ from ssgp.gp import (
 )
 
 
+def _count_calls(monkeypatch, module, name):
+    # Route module.name through a wrapper that records each call.
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _bits(preds):
+    # Every field of every prediction, as exact bit patterns.
+    return [(np.float64(p.mean).tobytes(), np.float64(p.mse).tobytes(), p.clamped) for p in preds]
+
+
 @pytest.fixture(scope="module")
 def borehole50():
     return make_dataset("borehole", 50)
@@ -106,30 +124,59 @@ class TestDataset:
     @pytest.mark.parametrize(
         "clone", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy, copy.copy]
     )
-    def test_copies_rebuilt_through_init(self, clone):
+    def test_copies_rebuilt_through_init(self, clone, monkeypatch):
         data = make_dataset("toy", 10)
-        data.sqdiffs  # fill the cache before copying
+        params = GpParams(mu=0.0, sigma2=1.0, phi=np.ones(data.dim))
+        xs = data.original_points()[:3]
+        predict_batch(params, data, xs)  # fill the caches before copying
         dup = clone(data)
         assert not any(a.flags.writeable for a in (dup.points, dup.responses, dup.ranges))
         assert dup.fingerprint() == data.fingerprint()
         assert np.array_equal(dup.sqdiffs, linalg.pairwise_sqdiffs(dup.points))
+        # The copy factors R afresh: it carries no prediction factor.
+        factorizations = _count_calls(monkeypatch, linalg, "corr_cholesky")
+        assert _bits(predict_batch(params, dup, xs)) == _bits(predict_batch(params, data, xs))
+        assert len(factorizations) == 1
 
     def test_predict_batch_reuses_sqdiffs(self, monkeypatch):
         data = make_dataset("toy", 10)
         params = GpParams(mu=0.0, sigma2=1.0, phi=np.ones(data.dim))
-        calls = []
-        real = linalg.pairwise_sqdiffs
-
-        def counting(points):
-            calls.append(1)
-            return real(points)
-
-        monkeypatch.setattr(linalg, "pairwise_sqdiffs", counting)
+        sqdiffs = _count_calls(monkeypatch, linalg, "pairwise_sqdiffs")
+        factorizations = _count_calls(monkeypatch, linalg, "corr_cholesky")
+        solves = _count_calls(monkeypatch, linalg, "solve_with_chol")
         xs = data.original_points()[:3]
-        first = predict_batch(params, data, xs)
-        for _ in range(4):
-            assert predict_batch(params, data, xs) == first
-        assert len(calls) == 1
+        first = _bits(predict_batch(params, data, xs))
+        for x in [xs, xs[0], xs[1:], xs]:
+            predict_batch(params, data, x)
+        assert (len(sqdiffs), len(factorizations), len(solves)) == (1, 1, 1)
+        # A repeated call returns the first call's output bit for bit.
+        assert _bits(predict_batch(params, data, xs)) == first
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"mu": 0.7},
+            {"phi": np.linspace(0.5, 1.5, 3)},
+            {"nugget": 1e-6},
+        ],
+    )
+    def test_new_model_on_one_dataset_matches_fresh_copy(self, change):
+        # Switching mu, phi or the nugget on a Dataset that has predicted
+        # gives bitwise what a Dataset that never predicted gives.
+        data = make_dataset("toy", 10)
+        base = {"mu": 0.2, "sigma2": 1.5, "phi": np.ones(3)}
+        xs = np.random.default_rng(3).uniform(size=(5, 3))
+        predict_batch(GpParams(**base), data, xs)
+        params = GpParams(**{**base, **{k: v for k, v in change.items() if k != "nugget"}})
+        nugget = change.get("nugget", linalg.DEFAULT_NUGGET)
+        fresh = Dataset(data.points, data.responses, data.ranges)
+        assert _bits(predict_batch(params, data, xs, nugget=nugget)) == _bits(
+            predict_batch(params, fresh, xs, nugget=nugget)
+        )
+        # And back to the first model: the memo holds one model at a time.
+        assert _bits(predict_batch(GpParams(**base), data, xs)) == _bits(
+            predict_batch(GpParams(**base), fresh, xs)
+        )
 
 
 class TestGpParams:
@@ -148,6 +195,18 @@ class TestGpParams:
         # overflow RuntimeWarning, which the test configuration makes an error.
         with pytest.raises(ValueError, match="phi"):
             GpParams(mu=0.0, sigma2=1.0, phi=[0.5, 1e200])
+
+    def test_owns_a_read_only_phi(self):
+        phi = np.array([0.5, 2.0])
+        params = GpParams(mu=0.0, sigma2=1.0, phi=phi)
+        phi[0] = 7.0
+        phi[1] = 1e200
+        assert params.phi.tolist() == [0.5, 2.0]
+        with pytest.raises(ValueError, match="read-only"):
+            params.phi[0] = 7.0
+        for dup in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params), copy.copy(params)):
+            assert not dup.phi.flags.writeable
+            assert dup.phi.tolist() == [0.5, 2.0] and (dup.mu, dup.sigma2) == (0.0, 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_mu_finite(self, bad):
@@ -370,6 +429,15 @@ class TestPrediction:
             predict_batch(params, toy10, xs)
         with pytest.raises(ValueError, match="test point 0"):
             predict_batch(params, toy10, xs[2])
+
+    def test_zero_theta_ignores_a_huge_coordinate(self):
+        # theta_0 = 0 makes coordinate 0 irrelevant, even one whose square
+        # overflows; the prediction once came out NaN there.
+        data = Dataset.from_arrays([[0.1, 0.2], [0.5, 0.9], [0.8, 0.4]], [1.0, -0.5, 2.0])
+        params = GpParams(mu=0.4, sigma2=1.3, phi=[0.0, 1.0])
+        huge, plain = predict_batch(params, data, [[1e308, 0.5], [0.3, 0.5]])
+        assert np.isfinite([huge.mean, huge.mse]).all()
+        assert _bits([huge]) == _bits([plain])
 
     def test_mean_reverts_to_mu_far_away(self):
         data = two_point_dataset()

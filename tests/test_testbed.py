@@ -238,6 +238,20 @@ class TestRunBenchmark:
         report = run_benchmark(tiny_spec(design="random-lhd", reps=1))
         assert report["aggregate"]["n_ok"] == 1
 
+    def test_design_goes_through_module_attribute(self, monkeypatch):
+        # Tracing wraps testbed.maximin_lhd; a replicate must call it by
+        # that name.
+        calls = []
+        real = testbed.maximin_lhd
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(testbed, "maximin_lhd", counting)
+        run_benchmark(tiny_spec(reps=1))
+        assert len(calls) == 1
+
 
 class TestProcessPool:
     def test_sampler_error_pickles(self):
