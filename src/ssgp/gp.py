@@ -122,22 +122,31 @@ class Dataset:
         from which every R(theta) on this design is built."""
         return linalg.pairwise_sqdiffs(self.points)
 
+    @cached_property
+    def _unit_map(self):
+        # (lo, width) of the ranges __post_init__ checked, so predict_batch
+        # maps test points to the unit cube by scale_points' expression
+        # (x - lo) / width without checking the ranges again.
+        lo = self.ranges[:, 0]
+        return lo, self.ranges[:, 1] - lo
+
     def _prediction_factor(self, theta, nugget, mu):
-        # (CorrFactor of R(theta), R^-1 (y - mu)) for predict_batch.  Both
-        # depend only on this data and the exact bits of theta, nugget and
-        # mu, so the last pair is kept: a fitted model is queried call after
-        # call, and a hit returns the very arrays the miss computed.  Only a
-        # successful miss is stored, so every key that can hit has passed
-        # all of linalg's checks.
+        # (CorrFactor of R(theta), R^-1 (y - mu), 1'R^-1 1) for predict_batch.
+        # All three depend only on this data and the exact bits of theta,
+        # nugget and mu, so the last triple is kept: a fitted model is
+        # queried call after call, and a hit returns the very values the
+        # miss computed.  Only a successful miss is stored, so every key
+        # that can hit has passed all of linalg's checks.
         key = np.concatenate([theta, np.array([nugget, mu], dtype=float)]).tobytes()
         memo = self.__dict__.get("_prediction_memo")
         if memo is not None and memo[0] == key:
-            return memo[1], memo[2]
+            return memo[1:]
         lower, _ = linalg.corr_cholesky(self.points, theta, nugget, sqdiffs=self.sqdiffs)
         factor = linalg.CorrFactor.from_lower(lower, self.responses)
         rinv_resid = linalg.solve_with_chol(lower, self.responses - mu)
-        object.__setattr__(self, "_prediction_memo", (key, factor, rinv_resid))
-        return factor, rinv_resid
+        memo = (key, factor, rinv_resid, factor.one_rinv_one)
+        object.__setattr__(self, "_prediction_memo", memo)
+        return memo[1:]
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -292,16 +301,41 @@ def mle_fit(data: Dataset, opts: FitOptions | None = None) -> GpParams:
     return GpParams(mu=mu_hat, sigma2=s2_hat, phi=np.sqrt(theta_hat))
 
 
+# Test-point count from which _cross_corr sums its exponent one coordinate
+# at a time rather than in one einsum.  A cost choice only: both paths sum
+# the same terms in the same order.  The loop pays four numpy calls per
+# coordinate; the einsum builds an (m, n, d) difference tensor.  At n = 54,
+# d = 10 on a shared 2-vCPU x86-64 machine the loop takes ~34 us to the
+# einsum's ~10 us at m = 1, about the same at m = 32 (72 and 68 us), and
+# ~1.4 ms to ~1.9 ms at m = 1000.
+_LOOP_MIN_WIDTH = 32
+
+
 def _cross_corr(train_pts, test_pts, theta) -> np.ndarray:
     """Correlations between test and training points, shape (m, n).
 
-    Each exponent is summed over the contiguous d axis of one (test, train)
-    pair, so its value does not depend on m.  A BLAS contraction here
-    (tensordot over the flattened (n*m, d) array) sums in an order that
+    Each exponent sum_k theta_k (x_k - x'_k)^2 is accumulated coordinate by
+    coordinate, k = 0 to d-1, starting from zero, on both paths: the einsum
+    below _LOOP_MIN_WIDTH test points and the per-coordinate loop from it.
+    So its value does not depend on m or on the path, and the width at which
+    the path changes is only a cost choice.  The loop keeps two (m, n)
+    buffers in place of the einsum's (m, n, d) tensor.  A BLAS contraction
+    here (tensordot over the flattened (n*m, d) array) sums in an order that
     changes with m.
     """
-    diff = test_pts[:, None, :] - train_pts[None, :, :]
-    return np.exp(-np.einsum("mnd,mnd,d->mn", diff, diff, theta))
+    m = len(test_pts)
+    if m < _LOOP_MIN_WIDTH:
+        diff = test_pts[:, None, :] - train_pts[None, :, :]
+        return np.exp(-np.einsum("mnd,mnd,d->mn", diff, diff, theta))
+    acc = np.zeros((m, len(train_pts)))
+    term = np.empty_like(acc)
+    for k, theta_k in enumerate(theta.tolist()):
+        np.subtract(test_pts[:, k, None], train_pts[:, k], out=term)
+        term *= term
+        term *= theta_k
+        acc += term
+    np.negative(acc, out=acc)
+    return np.exp(acc, out=acc)
 
 
 def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT_NUGGET):
@@ -318,16 +352,19 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
 
     A point's mean is bitwise the same whatever other points share the call
     and whatever BLAS is linked: no reduction that forms it goes through
-    BLAS or runs in an order that depends on the number of points.  The MSE
-    goes through a multi-right-hand-side solve, so it agrees across batches
-    only to rounding, and `clamped` can differ between batches for an MSE
-    at round-off level.
+    BLAS or runs in an order that depends on the number of points.  Its
+    correlations are summed coordinate by coordinate at any width; the
+    width from which _cross_corr loops over coordinates instead of building
+    an (m, n, d) tensor is only a cost choice.  The MSE goes through a
+    multi-right-hand-side solve, so it agrees across batches only to
+    rounding, and `clamped` can differ between batches for an MSE at
+    round-off level.
 
-    The factorization of R(theta), with its nugget escalation, and the
-    solve R^-1 (y - mu) are kept on `data` for the last (theta, nugget, mu)
-    predicted, so repeated calls with one model pay only for their test
-    points.  Reusing them changes no bit of any result; each call still
-    checks its own test points.
+    The factorization of R(theta), with its nugget escalation, the solve
+    R^-1 (y - mu) and 1'R^-1 1 are kept on `data` for the last (theta,
+    nugget, mu) predicted, so repeated calls with one model pay only for
+    their test points.  Reusing them changes no bit of any result; each call
+    still checks its own test points.
     """
     xs = np.atleast_2d(np.asarray(xstars, dtype=float))
     if xs.shape[1] != data.dim:
@@ -337,13 +374,15 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     if not np.isfinite(xs).all():
         bad = int(np.argmin(np.isfinite(xs).all(axis=1)))
         raise ValueError(f"non-finite coordinate in test point {bad} (0-based)")
-    xs_unit = scale_points(xs, data.ranges, "to_unit")
+    lo, width = data._unit_map
+    xs_unit = (xs - lo) / width
     theta = params.theta
-    factor, rinv_resid = data._prediction_factor(theta, nugget, params.mu)
+    factor, rinv_resid, one_rinv_one = data._prediction_factor(theta, nugget, params.mu)
 
     # A dimension with theta_k = 0 adds +0.0 to every exponent whatever the
     # coordinate; zeroing it keeps a huge one from forming inf * 0 = NaN.
-    xs_unit[:, theta == 0] = 0.0
+    if not theta.all():
+        xs_unit[:, theta == 0] = 0.0
     rt = _cross_corr(data.points, xs_unit, theta)
     # One contiguous row of length n per mean.  Neither r.T @ v (BLAS GEMV)
     # nor an axis-0 sum of r * v[:, None] sums in the same order at m = 1
@@ -351,11 +390,6 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     means = params.mu + (rt * rinv_resid).sum(axis=1)
     # With V = L^-1 r: r'R^-1 r = |V|^2 and 1'R^-1 r = (L^-1 1)'V.
     v = factor.whiten(rt.T)
-    corr_term = (1.0 - factor.w1 @ v) ** 2 / factor.one_rinv_one
+    corr_term = (1.0 - factor.w1 @ v) ** 2 / one_rinv_one
     mses = params.sigma2 * (1.0 - np.einsum("ij,ij->j", v, v) + corr_term)
-    out = []
-    for m, s in zip(means, mses):
-        clamped = s < 0
-        out.append(Prediction(float(m), max(float(s), 0.0), bool(clamped)))
-    return out
-
+    return [Prediction(m, max(s, 0.0), s < 0) for m, s in zip(means.tolist(), mses.tolist())]

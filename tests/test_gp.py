@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import build_corr_matrix, make_dataset, two_point_dataset
 from ssgp import gp, linalg
+from ssgp.designs import scale_points
 from ssgp.gp import (
     LOG_THETA_HI,
     LOG_THETA_LO,
@@ -409,11 +411,17 @@ class TestPrediction:
         xs = lo + np.random.default_rng(7).random((300, data.dim)) * (hi - lo)
         batch = [p.mean for p in predict_batch(params, data, xs)]
         single = [predict_batch(params, data, x)[0].mean for x in xs]
-        pairs = [
-            p.mean for i in range(0, len(xs), 2) for p in predict_batch(params, data, xs[i : i + 2])
-        ]
-        mismatched = [i for i in range(len(xs)) if not batch[i] == single[i] == pairs[i]]
-        assert mismatched == []
+        # Width 2, and widths either side of where _cross_corr switches from
+        # its einsum to its per-coordinate loop.
+        t = gp._LOOP_MIN_WIDTH
+        for width in (2, t - 1, t, t + 1):
+            chunked = [
+                p.mean
+                for i in range(0, len(xs), width)
+                for p in predict_batch(params, data, xs[i : i + width])
+            ]
+            mismatched = [i for i in range(len(xs)) if not batch[i] == single[i] == chunked[i]]
+            assert mismatched == [], width
 
     def test_dimension_checked(self, toy10):
         params = mle_fit(toy10, FitOptions(seed=0))
@@ -438,6 +446,54 @@ class TestPrediction:
         huge, plain = predict_batch(params, data, [[1e308, 0.5], [0.3, 0.5]])
         assert np.isfinite([huge.mean, huge.mse]).all()
         assert _bits([huge]) == _bits([plain])
+        # The same inside a batch wide enough for the per-coordinate loop.
+        wide = np.tile([0.3, 0.5], (gp._LOOP_MIN_WIDTH, 1))
+        wide[0, 0] = 1e308
+        huge, plain_in_wide = predict_batch(params, data, wide)[:2]
+        assert np.isfinite([huge.mean, huge.mse]).all()
+        assert _bits([huge]) == _bits([plain_in_wide])
+        assert huge.mean == plain.mean
+
+    def test_negative_mse_clamped_to_zero(self, toy20):
+        # At the training points with no nugget the MSE is zero up to
+        # round-off, so some raw values come out negative.  The raw values
+        # are the MSE formula on the same factor; each unclamped result must
+        # equal its raw value bitwise, which holds the formula here to the
+        # one in predict_batch.
+        params = mle_fit(toy20, FitOptions(seed=0))
+        lower, _ = linalg.corr_cholesky(toy20.points, params.theta, 0.0)
+        factor = linalg.CorrFactor.from_lower(lower, toy20.responses)
+        t = gp._LOOP_MIN_WIDTH
+        xs = np.resize(toy20.original_points(), (t + 1, toy20.dim))
+        xs_unit = scale_points(xs, toy20.ranges, "to_unit")
+        v = factor.whiten(gp._cross_corr(toy20.points, xs_unit, params.theta).T)
+        corr_term = (1.0 - factor.w1 @ v) ** 2 / factor.one_rinv_one
+        raw = params.sigma2 * (1.0 - np.einsum("ij,ij->j", v, v) + corr_term)
+        wide = predict_batch(params, toy20, xs, nugget=0.0)
+        assert (raw < 0).any() and (raw >= 0).any()
+        for p, s in zip(wide, raw):
+            if s < 0:
+                assert p.clamped and np.float64(p.mse).tobytes() == np.float64(0.0).tobytes()
+            else:
+                assert not p.clamped and p.mse == s
+        # Flags and mse bits agree below and above the loop width.
+        narrow = predict_batch(params, toy20, xs[: t - 1], nugget=0.0)
+        assert _bits(narrow) == _bits(wide[: t - 1])
+
+    def test_wide_batch_peak_memory(self, linear54):
+        # The exponent is built in two (m, n) buffers; the einsum's (m, n, d)
+        # difference tensor alone would take m n d 8 bytes.
+        params = GpParams(mu=0.3, sigma2=2.0, phi=np.linspace(0.2, 1.5, linear54.dim))
+        lo, hi = linear54.ranges.T
+        xs = lo + np.random.default_rng(3).random((2000, linear54.dim)) * (hi - lo)
+        predict_batch(params, linear54, xs[0])  # factor the model first
+        tracemalloc.start()
+        try:
+            predict_batch(params, linear54, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(xs) * linear54.n * linear54.dim * 8 / 2
 
     def test_mean_reverts_to_mu_far_away(self):
         data = two_point_dataset()
