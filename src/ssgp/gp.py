@@ -131,7 +131,8 @@ class Dataset:
         return lo, self.ranges[:, 1] - lo
 
     def _prediction_factor(self, theta, nugget, mu):
-        # (CorrFactor of R(theta), R^-1 (y - mu), 1'R^-1 1) for predict_batch.
+        # (CorrFactor of R(theta), R^-1 (y - mu), 1'R^-1 1) for predict_batch
+        # and testbed's closed-form leave-one-out.
         # All three depend only on this data and the exact bits of theta,
         # nugget and mu, so the last triple is kept: a fitted model is
         # queried call after call, and a hit returns the very values the
@@ -157,11 +158,6 @@ class Dataset:
 
     def original_points(self) -> np.ndarray:
         return scale_points(self.points, self.ranges, "from_unit")
-
-    def drop_run(self, i: int) -> "Dataset":
-        """Dataset with run i removed (for leave-one-out loops). Ranges kept."""
-        keep = np.arange(self.n) != i
-        return Dataset(self.points[keep], self.responses[keep], self.ranges)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ substitutions.  The one explicit inverse is the likelihood gradient's,
 which reads every entry of R^-1.  CorrFactor holds one factor together
 with what the likelihood, the sampler and the predictor reuse.
 
-Arguments are checked at the entry points: chol_decompose,
-corr_matrix_from_sqdiffs, CorrFactor.from_lower and solve_with_chol.
-corr_factor and corr_cholesky factor the matrix they build from checked
-theta through _cholesky, which keeps only the breakdown and pivot tests.
+Arguments are checked at the entry points: corr_matrix_from_sqdiffs,
+CorrFactor.from_lower and solve_with_chol.  corr_factor and corr_cholesky
+factor the matrix they build from checked theta through _cholesky, which
+keeps only the breakdown and pivot tests.
 """
 
 from dataclasses import dataclass, field
@@ -70,27 +70,6 @@ def _cholesky(m) -> np.ndarray:
     if np.any(lower.diagonal() ** 2 <= PIVOT_TOL):
         raise NotPositiveDefiniteError(f"pivot at or below tolerance {PIVOT_TOL}")
     return lower
-
-
-def chol_decompose(m) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
-
-    The entry point for matrices built outside linalg.  Raises ValueError
-    for a matrix that is not square or not symmetric within np.allclose
-    tolerances (a NaN entry fails), and NotPositiveDefiniteError when the
-    factorization breaks down or any pivot falls at or below PIVOT_TOL.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    # np.allclose(m, m.T, rtol=1e-10, atol=1e-12) without its overhead: an
-    # exactly symmetric matrix passes at once, as equal entries (infinite
-    # ones too) pass allclose; any other is held to the allclose predicate,
-    # which a NaN fails.
-    mt = m.T
-    if not ((m == mt).all() or (np.abs(m - mt) <= 1e-12 + 1e-10 * np.abs(mt)).all()):
-        raise ValueError("matrix is not symmetric")
-    return _cholesky(m)
 
 
 def _check_finite(*arrays):

@@ -4,9 +4,9 @@ The selection rule of record is the modal gamma vector: the configuration
 visited most often after burn-in.  Marginal inclusion rates back a secondary
 median-threshold rule, which stays useful when the mode gets diffuse in
 higher dimensions.  select_variables builds the whole SelectionReport,
-frequency table included; nothing else constructs one.  Convergence checks
-are advisory (autocorrelation here, the trace CSV from io.export_trace),
-never automatic reruns.
+frequency table included; nothing else constructs one.  Convergence is
+checked by hand from the trace CSV that io.export_trace writes, never by
+automatic reruns.
 """
 
 from dataclasses import dataclass
@@ -61,18 +61,3 @@ def select_variables(chain: Chain, rule: str = "modal") -> SelectionReport:
     else:
         selected = frozenset(int(k) + 1 for k in np.nonzero(marginal > 0.5)[0])
     return SelectionReport(modal_gamma, modal_freq, marginal, selected, table, rule, tie)
-
-
-def autocorrelation(series, max_lag: int) -> np.ndarray:
-    """Sample autocorrelation at lags 0..max_lag (lag 0 is exactly 1)."""
-    x = np.asarray(series, dtype=float).ravel()
-    if len(x) <= max_lag:
-        raise ValueError(f"series of length {len(x)} too short for max_lag {max_lag}")
-    centered = x - x.mean()
-    denom = float(centered @ centered)
-    if denom == 0:
-        raise ValueError("zero-variance series has no autocorrelation")
-    acf = np.empty(max_lag + 1)
-    for lag in range(max_lag + 1):
-        acf[lag] = float(centered[: len(x) - lag] @ centered[lag:]) / denom
-    return acf

@@ -4,7 +4,8 @@ replication driver that ties designs, chains and selection together.
 The synthetic functions are deterministic simulators with a known active
 set, so selection quality can be scored exactly.  The piston slap data is a
 fixed 12-run experiment; there prediction quality is assessed by
-leave-one-out cross-validation (or an external test file when supplied).
+leave-one-out cross-validation (or an external test file when supplied),
+in closed form from the one factor that predict_batch memoizes.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -16,6 +17,7 @@ from .designs import maximin_lhd, random_lhd, scale_points
 from .errors import BenchmarkError, IllConditionedError, OptimizerFailedError, SamplerError
 from .gp import Dataset, FitOptions, mle_fit, predict_batch
 from .io import read_data_csv
+from .linalg import DEFAULT_NUGGET
 from .report import select_variables
 from .sampler import default_hyperparams, derive_seed, posterior_params, run_chain
 
@@ -238,10 +240,23 @@ def _means(params, data: Dataset, xs) -> np.ndarray:
 
 
 def _loo_means(params, data: Dataset) -> np.ndarray:
-    # Hyperparameters stay fixed at the full-data values; only the
-    # conditioning set changes per fold.
-    x_orig = data.original_points()
-    return np.array([_means(params, data.drop_run(i), x_orig[i : i + 1])[0] for i in range(data.n)])
+    """Leave-one-out kriging means, theta and mu fixed at the full-data values.
+
+    Closed form (Dubrule 1983; Rasmussen & Williams 2006, eq. 5.12):
+    y_i - [R^-1 (y - mu)]_i / [R^-1]_ii, read off the factor and the solve
+    that predict_batch memoizes, so all n folds cost one factorization.
+
+    Every fold is conditioned at the nugget the full data factored at.  A
+    fold factored on its own starts from the same DEFAULT_NUGGET and could
+    settle on another only if the full data had escalated; every Cholesky
+    pivot of R + nugget I is at least the nugget, far above PIVOT_TOL, so
+    only round-off near 1e-8 would escalate it.
+    """
+    factor, rinv_resid, _ = data._prediction_factor(params.theta, DEFAULT_NUGGET, params.mu)
+    # diag R^-1 = column sums of squares of V = L^-1, by predict_batch's
+    # einsum rather than a GEMM, so no bit depends on the BLAS thread count.
+    v = factor.whiten(np.eye(data.n))
+    return data.responses - rinv_resid / np.einsum("ij,ij->j", v, v)
 
 
 def _errors(truth, pred_ssgp, pred_mle, suffix="") -> dict:

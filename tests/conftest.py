@@ -1,7 +1,7 @@
 """Shared helpers: small deterministic datasets built from the test functions,
-the scalar kernel, the full correlation matrix, the phi log-kernel and a
-reference maximin search as oracles, and a synthetic target for the phi
-step."""
+the scalar kernel, the full correlation matrix, a checked Cholesky, the phi
+log-kernel, a per-fold leave-one-out and a reference maximin search as
+oracles, and a synthetic target for the phi step."""
 
 import warnings
 
@@ -11,8 +11,8 @@ from scipy.spatial.distance import pdist
 
 import ssgp.sampler as sampler
 from ssgp.designs import Design, _as_rng, maximin_lhd, random_lhd, scale_points
-from ssgp.gp import Dataset
-from ssgp.linalg import DEFAULT_NUGGET, corr_matrix_from_sqdiffs, pairwise_sqdiffs
+from ssgp.gp import Dataset, predict_batch
+from ssgp.linalg import DEFAULT_NUGGET, _cholesky, corr_matrix_from_sqdiffs, pairwise_sqdiffs
 from ssgp.testbed import eval_batch, get_function
 
 
@@ -71,6 +71,40 @@ def build_corr_matrix(points, theta, nugget: float = DEFAULT_NUGGET) -> np.ndarr
             stacklevel=2,
         )
     return corr_matrix_from_sqdiffs(sqd, theta, nugget)
+
+
+def chol_decompose(m) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive-definite matrix.
+
+    The entry point for matrices built outside linalg.  Raises ValueError
+    for a matrix that is not square or not symmetric within np.allclose
+    tolerances (a NaN entry fails), and NotPositiveDefiniteError when the
+    factorization breaks down or any pivot falls at or below PIVOT_TOL.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    # np.allclose(m, m.T, rtol=1e-10, atol=1e-12) without its overhead: an
+    # exactly symmetric matrix passes at once, as equal entries (infinite
+    # ones too) pass allclose; any other is held to the allclose predicate,
+    # which a NaN fails.
+    mt = m.T
+    if not ((m == mt).all() or (np.abs(m - mt) <= 1e-12 + 1e-10 * np.abs(mt)).all()):
+        raise ValueError("matrix is not symmetric")
+    return _cholesky(m)
+
+
+def loo_means_by_folds(params, data: Dataset, nugget: float) -> np.ndarray:
+    """Leave-one-out means the long way: for each run i, a new Dataset of
+    the other n-1 runs, predicted at run i with theta and mu fixed and the
+    factorization started at `nugget`."""
+    x_orig = data.original_points()
+    means = np.empty(data.n)
+    for i in range(data.n):
+        keep = np.arange(data.n) != i
+        fold = Dataset(data.points[keep], data.responses[keep], data.ranges)
+        means[i] = predict_batch(params, fold, x_orig[i : i + 1], nugget=nugget)[0].mean
+    return means
 
 
 def use_phi_target(monkeypatch, log_kernel):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import build_corr_matrix, make_dataset, two_point_dataset
+from conftest import build_corr_matrix, chol_decompose, make_dataset, two_point_dataset
 from ssgp import gp, linalg
 from ssgp.designs import scale_points
 from ssgp.gp import (
@@ -97,13 +97,6 @@ class TestDataset:
         c = Dataset.from_arrays([[0.1], [0.9]], [1.0, 2.5])
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
-
-    def test_drop_run(self):
-        data = Dataset.from_arrays([[0.1], [0.5], [0.9]], [1.0, 2.0, 3.0])
-        sub = data.drop_run(1)
-        assert sub.n == 2
-        assert np.array_equal(sub.responses, [1.0, 3.0])
-        assert np.array_equal(sub.ranges, data.ranges)
 
     def test_sqdiffs_is_pairwise_sqdiffs(self, toy10):
         assert toy10.sqdiffs.tobytes() == linalg.pairwise_sqdiffs(toy10.points).tobytes()
@@ -239,7 +232,7 @@ class TestProfileEstimates:
         y = rng.normal(size=6)
         theta = np.array([1.5, 0.4])
         r = build_corr_matrix(pts, theta, nugget=1e-8)
-        chol = linalg.chol_decompose(r)
+        chol = chol_decompose(r)
         rinv = np.linalg.inv(r)
         ones = np.ones(6)
         mu_direct = (ones @ rinv @ y) / (ones @ rinv @ ones)

@@ -1,11 +1,11 @@
-"""Selection summaries, tie handling, autocorrelation, trace export."""
+"""Selection summaries, tie handling, trace export."""
 
 import numpy as np
 import pytest
 
 from conftest import make_dataset
 from ssgp.io import export_trace, load_trace
-from ssgp.report import autocorrelation, select_variables
+from ssgp.report import select_variables
 from ssgp.sampler import Chain, Hyperparams, run_chain
 
 pytestmark = pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
@@ -96,36 +96,6 @@ class TestDecideSelection:
     def test_empty_selection_possible(self):
         chain = chain_from_gammas([[0, 0], [0, 0], [1, 0]])
         assert select_variables(chain).selected == frozenset()
-
-
-class TestAutocorrelation:
-    def test_hand_values(self):
-        acf = autocorrelation([1.0, 2.0, 3.0, 4.0], max_lag=3)
-        assert np.allclose(acf, [1.0, 0.25, -0.3, -0.45])
-
-    def test_lag_zero_is_one(self):
-        rng = np.random.default_rng(0)
-        acf = autocorrelation(rng.normal(size=500), max_lag=10)
-        assert acf[0] == 1.0
-
-    def test_white_noise_decorrelates(self):
-        rng = np.random.default_rng(1)
-        acf = autocorrelation(rng.normal(size=10000), max_lag=5)
-        assert np.max(np.abs(acf[1:])) < 0.05
-
-    def test_alternating_series(self):
-        x = np.tile([1.0, -1.0], 50)
-        acf = autocorrelation(x, max_lag=2)
-        assert acf[1] == pytest.approx(-0.99, abs=0.01)
-        assert acf[2] == pytest.approx(0.98, abs=0.01)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError, match="too short"):
-            autocorrelation([1.0, 2.0], max_lag=5)
-
-    def test_zero_variance(self):
-        with pytest.raises(ValueError, match="zero-variance"):
-            autocorrelation([2.0, 2.0, 2.0], max_lag=1)
 
 
 class TestTraceExport:

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 import ssgp.testbed as testbed
+from conftest import loo_means_by_folds, make_dataset
+from ssgp import linalg
 from ssgp.errors import BenchmarkError, SamplerError
+from ssgp.gp import Dataset, FitOptions, mle_fit
 from ssgp.io import canonical_json
+from ssgp.sampler import derive_seed, posterior_params
 from ssgp.testbed import (
     BenchmarkSpec,
     eval_batch,
@@ -108,6 +112,55 @@ class TestPistonData:
     def test_response_units_preserved(self):
         data = piston_dataset()
         assert data.responses.min() > 50.0 and data.responses.max() < 60.0
+
+
+def loo_cases():
+    # (params, data): the MLE and posterior plug-ins of criterion 5's first
+    # replicate, on a shorter chain; and toy10 with two runs repeated, so R
+    # is as near singular as a Dataset allows and each fold still holds a
+    # copy of the run it leaves out.
+    spec = BenchmarkSpec(function="piston", iters=2000, burnin=500, tau=0.3, c=25.0, prop_sd=0.03)
+    params_mle, chain = testbed._fit_and_sample(spec, piston_dataset(), derive_seed(0, "rep", 0))
+    base = make_dataset("toy", 10)
+    duplicated = Dataset(
+        np.vstack([base.points, base.points[:2]]),
+        np.concatenate([base.responses, base.responses[:2]]),
+        base.ranges,
+    )
+    return {
+        "piston-mle": (params_mle, piston_dataset()),
+        "piston-posterior": (posterior_params(chain), piston_dataset()),
+        "duplicated-runs": (mle_fit(base, FitOptions(seed=1)), duplicated),
+    }
+
+
+class TestLeaveOneOut:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return loo_cases()
+
+    @pytest.mark.parametrize("case", ["piston-mle", "piston-posterior", "duplicated-runs"])
+    def test_matches_per_fold_oracle(self, cases, case):
+        params, data = cases[case]
+        # The oracle conditions each fold at the nugget the full data
+        # factored at, as the closed form does.
+        _, used = linalg.corr_cholesky(data.points, params.theta, linalg.DEFAULT_NUGGET)
+        expected = loo_means_by_folds(params, data, used)
+        assert np.max(np.abs(testbed._loo_means(params, data) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["piston-mle", "piston-posterior"])
+    def test_one_factorization_per_plug_in(self, cases, case, monkeypatch):
+        calls = []
+        factor = linalg.corr_cholesky
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "corr_cholesky", counted)
+        # A fresh Dataset: no factor is memoized yet.
+        testbed._loo_means(cases[case][0], piston_dataset())
+        assert len(calls) == 1
 
 
 class TestMetrics:
