@@ -15,25 +15,15 @@ from scipy.spatial.distance import pdist
 
 @dataclass(frozen=True)
 class Design:
-    """A set of points in the unit hypercube plus how it was made."""
+    """A set of points in the unit hypercube, one row per point."""
 
     points: np.ndarray
-    kind: str = "external"
-    seed: int | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError(f"points must be 2-D, got shape {pts.shape}")
         object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 def _as_rng(seed):
@@ -55,7 +45,7 @@ def random_lhd(n: int, d: int, seed) -> Design:
     for k in range(d):
         perm = rng.permutation(n) + 1
         pts[:, k] = (perm - rng.uniform(size=n)) / n
-    return Design(pts, kind="random-lhd", seed=seed if isinstance(seed, int) else None)
+    return Design(pts)
 
 
 def _min_dist_and_crit(d2):
@@ -68,10 +58,10 @@ def _min_dist_and_crit(d2):
 def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     """Maximin Latin hypercube via within-column pair-swap hill climbing.
 
-    Starts from random_lhd and tries `sweeps` (default 100*n) candidate
-    swaps, each exchanging two entries of one column.  A swap is kept when
-    it raises the minimum pairwise distance, or leaves it unchanged while
-    lowering the inverse-squared-distance sum.  Swaps always involve one of
+    Starts from random_lhd and tries `sweeps` (default 100*n, at least 0)
+    candidate swaps, each exchanging two entries of one column.  A swap is
+    kept when it raises the minimum pairwise distance, or leaves it
+    unchanged while lowering the inverse-squared-distance sum.  Swaps always involve one of
     the two currently closest points, the pair that limits the criterion.
 
     A swap moves only points a and b, so each sweep recomputes only their
@@ -83,6 +73,8 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
+    if sweeps is not None and sweeps < 0:
+        raise ValueError(f"sweeps must be >= 0, got {sweeps}")
     rng = _as_rng(seed)
     design = random_lhd(n, d, rng)
     # One row per coordinate, so the axis-0 sum below adds coordinate by
@@ -125,7 +117,7 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
             closest = int(np.argmin(d2[:npairs]))
         else:
             cols[k, a], cols[k, b] = cols[k, b], cols[k, a]
-    return Design(cols.T.copy(), kind="maximin-lhd", seed=seed if isinstance(seed, int) else None)
+    return Design(cols.T.copy())
 
 
 def scale_points(points, ranges, direction: str = "from_unit") -> np.ndarray:

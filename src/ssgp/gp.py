@@ -6,7 +6,9 @@ r(x, x') = exp(-sum_k theta_k (x_k - x'_k)^2) on inputs scaled to the unit
 cube.  Given the correlation parameters theta, the mean and variance have
 closed-form maximizers (profile MLEs); theta itself is found by bounded
 L-BFGS-B on the log scale, with the analytic gradient of the profile
-likelihood computed from the same Cholesky factor as its value.
+likelihood computed from the same Cholesky factor as its value; the
+profile mean is that factor's GLS mean.  Prediction keeps the last model's
+factor and R^-1 (y - mu) on the Dataset.
 """
 
 import hashlib
@@ -131,10 +133,10 @@ class Dataset:
         return lo, self.ranges[:, 1] - lo
 
     def _prediction_factor(self, theta, nugget, mu):
-        # (CorrFactor of R(theta), R^-1 (y - mu), 1'R^-1 1) for predict_batch
-        # and testbed's closed-form leave-one-out.
-        # All three depend only on this data and the exact bits of theta,
-        # nugget and mu, so the last triple is kept: a fitted model is
+        # (CorrFactor of R(theta), R^-1 (y - mu)) for predict_batch and
+        # testbed's closed-form leave-one-out.
+        # Both depend only on this data and the exact bits of theta,
+        # nugget and mu, so the last pair is kept: a fitted model is
         # queried call after call, and a hit returns the very values the
         # miss computed.  Only a successful miss is stored, so every key
         # that can hit has passed all of linalg's checks.
@@ -145,7 +147,7 @@ class Dataset:
         lower, _ = linalg.corr_cholesky(self.points, theta, nugget, sqdiffs=self.sqdiffs)
         factor = linalg.CorrFactor.from_lower(lower, self.responses)
         rinv_resid = linalg.solve_with_chol(lower, self.responses - mu)
-        memo = (key, factor, rinv_resid, factor.one_rinv_one)
+        memo = (key, factor, rinv_resid)
         object.__setattr__(self, "_prediction_memo", memo)
         return memo[1:]
 
@@ -155,9 +157,6 @@ class Dataset:
         h.update(self.responses.tobytes())
         h.update(self.ranges.tobytes())
         return h.hexdigest()
-
-    def original_points(self) -> np.ndarray:
-        return scale_points(self.points, self.ranges, "from_unit")
 
 
 @dataclass(frozen=True)
@@ -356,8 +355,8 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     rounding, and `clamped` can differ between batches for an MSE at
     round-off level.
 
-    The factorization of R(theta), with its nugget escalation, the solve
-    R^-1 (y - mu) and 1'R^-1 1 are kept on `data` for the last (theta,
+    The factor of R(theta), with its nugget escalation and 1'R^-1 1, and
+    the solve R^-1 (y - mu) are kept on `data` for the last (theta,
     nugget, mu) predicted, so repeated calls with one model pay only for
     their test points.  Reusing them changes no bit of any result; each call
     still checks its own test points.
@@ -373,7 +372,7 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     lo, width = data._unit_map
     xs_unit = (xs - lo) / width
     theta = params.theta
-    factor, rinv_resid, one_rinv_one = data._prediction_factor(theta, nugget, params.mu)
+    factor, rinv_resid = data._prediction_factor(theta, nugget, params.mu)
 
     # A dimension with theta_k = 0 adds +0.0 to every exponent whatever the
     # coordinate; zeroing it keeps a huge one from forming inf * 0 = NaN.
@@ -386,6 +385,6 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     means = params.mu + (rt * rinv_resid).sum(axis=1)
     # With V = L^-1 r: r'R^-1 r = |V|^2 and 1'R^-1 r = (L^-1 1)'V.
     v = factor.whiten(rt.T)
-    corr_term = (1.0 - factor.w1 @ v) ** 2 / one_rinv_one
+    corr_term = (1.0 - factor.w1 @ v) ** 2 / factor.one_rinv_one
     mses = params.sigma2 * (1.0 - np.einsum("ij,ij->j", v, v) + corr_term)
     return [Prediction(m, max(s, 0.0), s < 0) for m, s in zip(means.tolist(), mses.tolist())]

@@ -146,6 +146,16 @@ def _expect_width(path, name, arr, ndim, data: Dataset):
         raise ValueError(f"{path}: {name} has shape {arr.shape}, expected width {data.dim} to match its dataset")
 
 
+def _indicators(path, name, values) -> np.ndarray:
+    # gamma draws as int64; an entry other than exactly 0 or 1 is refused,
+    # not truncated.
+    g = np.asarray(values, dtype=float)
+    bad = (g != 0) & (g != 1)
+    if bad.any():
+        raise ValueError(f"{path}: {name} entry {float(g[bad][0])!r} is not 0 or 1")
+    return g.astype(np.int64)
+
+
 def save_model(path, params: GpParams, data: Dataset, extra=None) -> None:
     """Fitted parameters plus the training data they condition on."""
     doc = {
@@ -198,11 +208,14 @@ def load_chain(path):
     if doc.get("kind") != "chain":
         raise ValueError(f"{path}: not a chain document")
     draws = doc["draws"]
+    for name in ("mu", "sigma2", "phi", "gamma"):
+        if len(draws[name]) != len(draws["scan"]):
+            raise ValueError(f"{path}: draws.{name} has {len(draws[name])} entries, draws.scan {len(draws['scan'])}")
     chain = Chain(
         mu=np.asarray(draws["mu"], dtype=float),
         sigma2=np.asarray(draws["sigma2"], dtype=float),
         phi=np.asarray(draws["phi"], dtype=float),
-        gamma=np.asarray(draws["gamma"], dtype=np.int64),
+        gamma=_indicators(path, "draws.gamma", draws["gamma"]),
         scans=np.asarray(draws["scan"], dtype=np.int64),
         accept_rate=float(doc["accept_rate"]),
         meta=doc["meta"],
@@ -265,7 +278,7 @@ def load_trace(path) -> Chain:
         mu=table[:, 1],
         sigma2=table[:, 2],
         phi=table[:, 3 : 3 + d],
-        gamma=table[:, 3 + d :].astype(np.int64),
+        gamma=_indicators(path, "gamma", table[:, 3 + d :]),
         scans=table[:, 0].astype(np.int64),
         accept_rate=float("nan"),
         meta={},

@@ -5,7 +5,8 @@ added.  Everything downstream works with the lower Cholesky factor: the
 log-determinant comes from its diagonal and solves are forward/backward
 substitutions.  The one explicit inverse is the likelihood gradient's,
 which reads every entry of R^-1.  CorrFactor holds one factor together
-with what the likelihood, the sampler and the predictor reuse.
+with what the likelihood, the sampler and the predictor reuse: log det R,
+1'R^-1 1 and the GLS mean, each computed once when the factor is built.
 
 Arguments are checked at the entry points: corr_matrix_from_sqdiffs,
 CorrFactor.from_lower and solve_with_chol.  corr_factor and corr_cholesky
@@ -91,19 +92,21 @@ def solve_with_chol(lower, b) -> np.ndarray:
 class CorrFactor:
     """One Cholesky factorization R = L L' and what its readers reuse.
 
-    Built once per theta at one nugget: the lower factor, log det R, and
-    L^-1 1 and L^-1 y from one two-column triangular solve, so 1'R^-1 1,
-    1'R^-1 y and the GLS mean are dot products.  A quadratic form
-    (y - mu)'R^-1(y - mu) is |L^-1 (y - mu)|^2 from one triangular solve of
-    the residual; the last one is kept, so the Gibbs scan's sigma2 and phi
-    steps share it.
+    Built once per theta at one nugget, with everything that depends only
+    on R and y: the lower factor, log det R, w1 = L^-1 1, 1'R^-1 1 and the
+    GLS mean (1'R^-1 1)^-1 1'R^-1 y, the last two dot products of the
+    columns of one two-column triangular solve [L^-1 1, L^-1 y].  A
+    quadratic form (y - mu)'R^-1(y - mu) is |L^-1 (y - mu)|^2 from one
+    triangular solve of the residual; the last one is kept, so the Gibbs
+    scan's sigma2 and phi steps share it.
     """
 
     lower: np.ndarray
     y: np.ndarray
     log_det: float
     w1: np.ndarray
-    wy: np.ndarray
+    one_rinv_one: float
+    gls_mean: float
     # [mu, quad] of the last quad(mu) call.
     _last_quad: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
 
@@ -122,16 +125,10 @@ class CorrFactor:
         rhs[:, 0] = 1.0
         rhs[:, 1] = y
         w = dtrtrs(lower, rhs, lower=1)[0]
-        return cls(lower, y, float(2.0 * np.log(diag).sum()), w[:, 0], w[:, 1])
-
-    @property
-    def one_rinv_one(self) -> float:
-        return float(self.w1 @ self.w1)
-
-    @property
-    def gls_mean(self) -> float:
-        """(1'R^-1 1)^-1 1'R^-1 y."""
-        return float(self.w1 @ self.wy) / self.one_rinv_one
+        w1 = w[:, 0]
+        one_rinv_one = float(w1 @ w1)
+        gls_mean = float(w1 @ w[:, 1]) / one_rinv_one
+        return cls(lower, y, float(2.0 * np.log(diag).sum()), w1, one_rinv_one, gls_mean)
 
     def quad(self, mu) -> float:
         """(y - mu)'R^-1(y - mu); non-negative by construction."""

@@ -7,7 +7,10 @@ Each phi_k gets a two-component normal-mixture prior: a narrow N(0, tau_k^2)
 much the data push phi_k away from zero.  mu carries a flat prior and sigma2
 the scale-invariant 1/sigma2 prior, so both have closed-form conditionals;
 phi is updated by a single-block random-walk Metropolis step and gamma by
-componentwise Bernoulli draws.
+componentwise Bernoulli draws.  Both steps read the mixture prior from one
+table that Hyperparams computes once; log det R, 1'R^-1 1, the GLS mean
+and the quadratic form are read off the linalg.CorrFactor of the current
+phi.
 """
 
 import hashlib
@@ -89,18 +92,20 @@ class Hyperparams:
         return len(self.tau)
 
     @cached_property
-    def _inclusion_terms(self):
-        # What inclusion_probabilities needs besides phi, computed once per
-        # Hyperparams instead of once per scan: the slab and spike variances,
-        # their log(2 pi var) terms, log p and log(1 - p) (-inf at p = 1).
-        slab_var = (self.c * self.tau) ** 2
-        spike_var = self.tau**2
+    def _prior_table(self):
+        # The mixture prior of phi, computed once per Hyperparams instead of
+        # once per scan; row g of each (2, d) array is for gamma_k = g.  The
+        # variances tau^2 and (c tau)^2, their log(2 pi var) terms, and
+        # log P(gamma_k = g): log(1 - p) (-inf at p = 1) and log p.
+        var = np.stack([self.tau**2, (self.c * self.tau) ** 2])
         with np.errstate(divide="ignore"):
-            log1m_p = np.log1p(-self.p)
-        return (
-            slab_var, np.log(2.0 * np.pi * slab_var), np.log(self.p),
-            spike_var, np.log(2.0 * np.pi * spike_var), log1m_p,
-        )
+            log_weight = np.stack([np.log1p(-self.p), np.log(self.p)])
+        return var, np.log(2.0 * np.pi * var), log_weight
+
+    def _prior_logpdf(self, phi) -> np.ndarray:
+        # log N(phi_k; 0, var[g, k]) for both components, shape (2, d).
+        var, log_norm, _ = self._prior_table
+        return -0.5 * (log_norm + phi * phi / var)
 
     @classmethod
     def for_dim(cls, d: int, tau=0.3, **settings) -> "Hyperparams":
@@ -166,10 +171,6 @@ class Chain:
         return self.phi.shape[1]
 
 
-def _normal_logpdf(x, var):
-    return -0.5 * (np.log(2.0 * np.pi * var) + x * x / var)
-
-
 def _factor(phi, data) -> linalg.CorrFactor:
     # R(phi) at exactly SAMPLER_NUGGET; raises NotPositiveDefiniteError.
     return linalg.corr_factor(data.sqdiffs, phi * phi, SAMPLER_NUGGET, data.responses)
@@ -178,9 +179,10 @@ def _factor(phi, data) -> linalg.CorrFactor:
 def _kernel_value(factor, phi, mu, sigma2, gamma, hyper) -> float:
     # Log full-conditional kernel of phi, up to an additive constant:
     # -1/2 log det R(phi) - (y-mu)'R^-1(y-mu)/(2 sigma2)
-    # - 1/2 sum_k phi_k^2 / (tau_k c_k^{gamma_k})^2, with R(phi) from `factor`.
-    prior_var = (hyper.tau * np.power(hyper.c, gamma)) ** 2
-    prior = float(np.sum(_normal_logpdf(phi, prior_var)))
+    # + sum_k log N(phi_k; 0, (tau_k c_k^{gamma_k})^2), with R(phi) from
+    # `factor` and each prior term the gamma_k row of the Hyperparams table.
+    spike, slab = hyper._prior_logpdf(phi)
+    prior = float(np.where(gamma, slab, spike).sum())
     return -0.5 * factor.log_det - factor.quad(mu) / (2.0 * sigma2) + prior
 
 
@@ -240,13 +242,8 @@ def inclusion_probabilities(phi, hyper: Hyperparams) -> np.ndarray:
     """P(gamma_k = 1 | phi_k) = a / (a + b) with a the slab density times p_k
     and b the spike density times 1 - p_k, evaluated through log densities.
     """
-    phi = np.asarray(phi, dtype=float)
-    slab_var, slab_log_norm, log_p, spike_var, spike_log_norm, log1m_p = hyper._inclusion_terms
-    # _normal_logpdf written out with the constant terms hoisted; the same
-    # operations in the same order, so the same bits.
-    sq = phi * phi
-    log_a = -0.5 * (slab_log_norm + sq / slab_var) + log_p
-    log_b = -0.5 * (spike_log_norm + sq / spike_var) + log1m_p
+    _, _, log_weight = hyper._prior_table
+    log_b, log_a = hyper._prior_logpdf(np.asarray(phi, dtype=float)) + log_weight
     return np.exp(log_a - np.logaddexp(log_a, log_b))
 
 
@@ -313,16 +310,14 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
     except NotPositiveDefiniteError as exc:
         raise SamplerError(0, f"initial correlation matrix at nugget {SAMPLER_NUGGET:g}: {exc}") from exc
 
-    n_keep = len(range(hyper.burnin + 1, hyper.iters + 1, hyper.thin))
-    mu_draws = np.empty(n_keep)
-    sigma2_draws = np.empty(n_keep)
-    phi_draws = np.empty((n_keep, d))
-    gamma_draws = np.empty((n_keep, d), dtype=np.int64)
-    scans = np.empty(n_keep, dtype=np.int64)
+    kept = range(hyper.burnin + 1, hyper.iters + 1, hyper.thin)
+    mu_draws = np.empty(len(kept))
+    sigma2_draws = np.empty(len(kept))
+    phi_draws = np.empty((len(kept), d))
+    gamma_draws = np.empty((len(kept), d), dtype=np.int64)
 
     accepted = 0
     failures = 0
-    kept = 0
     for scan in range(1, hyper.iters + 1):
         try:
             state.mu = update_mu(state, factor)
@@ -335,13 +330,12 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
             state.gamma = update_gamma(state, hyper)
         except ValueError as exc:
             raise SamplerError(scan, str(exc)) from exc
-        if scan > hyper.burnin and (scan - hyper.burnin - 1) % hyper.thin == 0:
-            mu_draws[kept] = state.mu
-            sigma2_draws[kept] = state.sigma2
-            phi_draws[kept] = state.phi
-            gamma_draws[kept] = state.gamma
-            scans[kept] = scan
-            kept += 1
+        if scan in kept:
+            row = kept.index(scan)
+            mu_draws[row] = state.mu
+            sigma2_draws[row] = state.sigma2
+            phi_draws[row] = state.phi
+            gamma_draws[row] = state.gamma
 
     rate = accepted / hyper.iters
     if not 0.1 <= rate <= 0.6:
@@ -366,7 +360,7 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
         "init": {"mu": params.mu, "sigma2": params.sigma2, "phi": _float_list(phi0)},
         "mh_proposal_failures": failures,
     }
-    return Chain(mu_draws, sigma2_draws, phi_draws, gamma_draws, scans, rate, meta)
+    return Chain(mu_draws, sigma2_draws, phi_draws, gamma_draws, np.array(kept, dtype=np.int64), rate, meta)
 
 
 def posterior_params(chain: Chain) -> GpParams:

@@ -252,7 +252,7 @@ def _loo_means(params, data: Dataset) -> np.ndarray:
     pivot of R + nugget I is at least the nugget, far above PIVOT_TOL, so
     only round-off near 1e-8 would escalate it.
     """
-    factor, rinv_resid, _ = data._prediction_factor(params.theta, DEFAULT_NUGGET, params.mu)
+    factor, rinv_resid = data._prediction_factor(params.theta, DEFAULT_NUGGET, params.mu)
     # diag R^-1 = column sums of squares of V = L^-1, by predict_batch's
     # einsum rather than a GEMM, so no bit depends on the BLAS thread count.
     v = factor.whiten(np.eye(data.n))

@@ -1,7 +1,8 @@
 """Shared helpers: small deterministic datasets built from the test functions,
-the scalar kernel, the full correlation matrix, a checked Cholesky, the phi
-log-kernel, a per-fold leave-one-out and a reference maximin search as
-oracles, and a synthetic target for the phi step."""
+the scalar kernel, the full correlation matrix, a checked Cholesky, the
+normal log-density, the phi log-kernel, a per-fold leave-one-out and a
+reference maximin search as oracles, and a synthetic target for the phi
+step."""
 
 import warnings
 
@@ -98,13 +99,19 @@ def loo_means_by_folds(params, data: Dataset, nugget: float) -> np.ndarray:
     """Leave-one-out means the long way: for each run i, a new Dataset of
     the other n-1 runs, predicted at run i with theta and mu fixed and the
     factorization started at `nugget`."""
-    x_orig = data.original_points()
+    x_orig = scale_points(data.points, data.ranges, "from_unit")
     means = np.empty(data.n)
     for i in range(data.n):
         keep = np.arange(data.n) != i
         fold = Dataset(data.points[keep], data.responses[keep], data.ranges)
         means[i] = predict_batch(params, fold, x_orig[i : i + 1], nugget=nugget)[0].mean
     return means
+
+
+def normal_logpdf(x, var):
+    """log N(x; 0, var) evaluated in full, every term per call: the
+    density the sampler's prior table must reproduce bit for bit."""
+    return -0.5 * (np.log(2.0 * np.pi * var) + x * x / var)
 
 
 def use_phi_target(monkeypatch, log_kernel):
@@ -162,4 +169,4 @@ def reference_maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> De
             best_min, best_crit = new_min, new_crit
         else:
             pts[[a, b], k] = pts[[b, a], k]
-    return Design(pts, kind="maximin-lhd", seed=seed if isinstance(seed, int) else None)
+    return Design(pts)

@@ -1,13 +1,16 @@
 """Release gate: the shipped benchmark protocols plus exact property checks.
 
-Each numbered test runs one protocol end to end (same settings as the JSON
-files under experiments/) and prints a single PASS/FAIL line with the
-measured numbers.  Protocols whose screening targets this sampler genuinely
-misses print the measurement and mark themselves xfail rather than loosening
-the target, so a change that clears the bar surfaces as an unexpected pass.
+Each numbered test runs one protocol end to end, read from its JSON file
+under experiments/ as `ssgp benchmark` reads it, and prints a single
+PASS/FAIL line with the measured numbers.  Protocols whose screening
+targets this sampler genuinely misses print the measurement and mark
+themselves xfail rather than loosening the target, so a change that clears
+the bar surfaces as an unexpected pass.
 """
 
+import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from scipy.stats import norm
 
 from conftest import chol_decompose, make_dataset, use_phi_target
 from ssgp import cli, io, linalg
+from ssgp.designs import scale_points
 from ssgp.gp import FitOptions, mle_fit, predict_batch
 from ssgp.sampler import (
     Hyperparams,
@@ -36,20 +40,26 @@ def _line(tag, ok, detail):
     return msg
 
 
-def _master_seed_rows(n_seeds=5, **spec_kwargs):
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
+
+
+def _spec(name, **overrides):
+    # The shipped protocol experiments/<name>.json with `overrides` replaced.
+    return dataclasses.replace(cli._spec_from_file(EXPERIMENTS / f"{name}.json"), **overrides)
+
+
+def _master_seed_rows(name, n_seeds=5):
     # One independent single-replicate run per master seed.
     rows = []
     for s in range(n_seeds):
-        report = run_benchmark(BenchmarkSpec(reps=1, seed=s, **spec_kwargs))
+        report = run_benchmark(_spec(name, reps=1, seed=s))
         rows.extend(report["replicates"])
     return rows
 
 
 def test_criterion1_toy_screening_and_prediction():
     t0 = time.perf_counter()
-    rows = _master_seed_rows(
-        function="toy", n=30, iters=6000, burnin=2000, tau=0.3, c=25.0
-    )
+    rows = _master_seed_rows("toy")
     per_chain = (time.perf_counter() - t0) / len(rows)
     modal_hits = sum(
         r["modal_gamma"] == [1, 1, 0] and r["modal_freq"] >= 0.4 for r in rows
@@ -69,10 +79,7 @@ def test_criterion1_toy_screening_and_prediction():
 
 
 def test_criterion2_linear_screening():
-    spec = BenchmarkSpec(
-        function="linear", n=54, reps=20, iters=6000, burnin=2000, tau=0.3, c=25.0, seed=0
-    )
-    agg = run_benchmark(spec)["aggregate"]
+    agg = run_benchmark(_spec("linear"))["aggregate"]
     aci, ami = agg["mean_aci"], agg["mean_ami"]
     ok = aci >= 3.8 and ami <= 1.0
     msg = _line(
@@ -88,10 +95,7 @@ def test_criterion2_linear_screening():
 
 
 def test_criterion3_sinusoidal_screening():
-    spec = BenchmarkSpec(
-        function="sinusoidal", n=54, reps=20, iters=6000, burnin=2000, tau=0.3, c=25.0, seed=0
-    )
-    agg = run_benchmark(spec)["aggregate"]
+    agg = run_benchmark(_spec("sinusoidal"))["aggregate"]
     aci, ami = agg["mean_aci"], agg["mean_ami"]
     ok = aci >= 1.3 and ami <= 0.5
     msg = _line(
@@ -107,10 +111,7 @@ def test_criterion3_sinusoidal_screening():
 
 
 def test_criterion4_borehole_screening_and_prediction():
-    rows = _master_seed_rows(
-        function="borehole", n=50, iters=5000, burnin=1000,
-        tau=0.3, c=15.0, n_test=500,
-    )
+    rows = _master_seed_rows("borehole")
     # marginal_inclusion follows the input order r_w, r, T_u, H_u, T_l, H_l, L, K_w
     rw_top = sum(r["marginal_inclusion"][0] >= max(r["marginal_inclusion"]) for r in rows)
     kw_top2 = sum(
@@ -131,10 +132,7 @@ def test_criterion4_borehole_screening_and_prediction():
 
 
 def test_criterion5_piston_screening_and_loo():
-    rows = _master_seed_rows(
-        function="piston", iters=7000, burnin=1500,
-        tau=0.3, c=25.0, prop_sd=0.03,
-    )
+    rows = _master_seed_rows("piston")
     incl = sum({1, 5, 6} <= set(r["selected"]) for r in rows)
     ratios = [r["rmspe_ssgp"] / r["rmspe_mle"] for r in rows]
     mean_ratio = float(np.mean(ratios))
@@ -163,7 +161,7 @@ class TestCriterion6Properties:
         # nugget 0 satisfies the "at most 1e-8" condition.
         _, used = linalg.corr_cholesky(data.points, params.theta, 0.0)
         assert used == 0.0
-        preds = predict_batch(params, data, data.original_points(), nugget=0.0)
+        preds = predict_batch(params, data, scale_points(data.points, data.ranges, "from_unit"), nugget=0.0)
         worst_err = max(abs(p.mean - y) for p, y in zip(preds, data.responses))
         worst_mse = max(p.mse for p in preds)
         ok = worst_err < 1e-6 and worst_mse < 1e-6

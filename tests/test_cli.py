@@ -50,6 +50,12 @@ class TestDesignCommand:
         code = cli.main(["design", "--kind", "random-lhd", "--n", "0", "--d", "2", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_negative_sweeps_exit_2(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = cli.main(["design", "--n", "6", "--d", "2", "--sweeps", "-5", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_argparse_failures_exit_2(self):
         assert cli.main(["design", "--d", "2"]) == 2  # missing --n
         assert cli.main(["design", "--n", "4", "--d", "2", "--nope"]) == 2

@@ -34,11 +34,8 @@ class TestRandomLhd:
         c = random_lhd(10, 3, 43).points
         assert not np.array_equal(a, c)
 
-    def test_metadata(self):
-        design = random_lhd(8, 2, 5)
-        assert design.kind == "random-lhd"
-        assert design.seed == 5
-        assert design.n == 8 and design.dim == 2
+    def test_shape(self):
+        assert random_lhd(8, 2, 5).points.shape == (8, 2)
 
     @pytest.mark.parametrize("n,d", [(0, 2), (3, 0), (-1, 1)])
     def test_size_validation(self, n, d):
@@ -54,9 +51,7 @@ class TestRandomLhd:
 
 class TestMaximinLhd:
     def test_still_a_latin_hypercube(self):
-        design = maximin_lhd(15, 3, 0)
-        assert _strata_ok(design.points)
-        assert design.kind == "maximin-lhd"
+        assert _strata_ok(maximin_lhd(15, 3, 0).points)
 
     def test_never_worse_than_its_start(self):
         # The swap search starts from random_lhd on the same generator and
@@ -73,6 +68,11 @@ class TestMaximinLhd:
         start = random_lhd(10, 2, np.random.default_rng(3)).points
         final = maximin_lhd(10, 2, 3, sweeps=0).points
         assert np.array_equal(final, start)
+
+    @pytest.mark.parametrize("sweeps", [-1, -5])
+    def test_negative_sweeps_rejected(self, sweeps):
+        with pytest.raises(ValueError, match="sweeps"):
+            maximin_lhd(10, 2, 3, sweeps=sweeps)
 
     def test_actually_improves_typical_starts(self):
         # Not guaranteed pointwise, but over several seeds the search should
@@ -107,10 +107,6 @@ class TestDesignClass:
         with pytest.raises(ValueError, match="2-D"):
             Design(np.ones(5))
 
-    def test_external_default(self):
-        design = Design(np.ones((3, 2)))
-        assert design.kind == "external"
-        assert design.seed is None
 
 
 class TestScalePoints:

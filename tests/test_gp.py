@@ -61,7 +61,7 @@ class TestDataset:
     def test_from_arrays_scales(self):
         data = Dataset.from_arrays([[5.0], [15.0]], [1.0, 2.0], ranges=[[0.0, 20.0]])
         assert np.allclose(data.points, [[0.25], [0.75]])
-        assert np.allclose(data.original_points(), [[5.0], [15.0]])
+        assert np.allclose(scale_points(data.points, data.ranges, "from_unit"), [[5.0], [15.0]])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="2 design points but 3"):
@@ -122,7 +122,7 @@ class TestDataset:
     def test_copies_rebuilt_through_init(self, clone, monkeypatch):
         data = make_dataset("toy", 10)
         params = GpParams(mu=0.0, sigma2=1.0, phi=np.ones(data.dim))
-        xs = data.original_points()[:3]
+        xs = scale_points(data.points, data.ranges, "from_unit")[:3]
         predict_batch(params, data, xs)  # fill the caches before copying
         dup = clone(data)
         assert not any(a.flags.writeable for a in (dup.points, dup.responses, dup.ranges))
@@ -139,7 +139,7 @@ class TestDataset:
         sqdiffs = _count_calls(monkeypatch, linalg, "pairwise_sqdiffs")
         factorizations = _count_calls(monkeypatch, linalg, "corr_cholesky")
         solves = _count_calls(monkeypatch, linalg, "solve_with_chol")
-        xs = data.original_points()[:3]
+        xs = scale_points(data.points, data.ranges, "from_unit")[:3]
         first = _bits(predict_batch(params, data, xs))
         for x in [xs, xs[0], xs[1:], xs]:
             predict_batch(params, data, x)
@@ -262,14 +262,14 @@ class TestMleFit:
         # error at nugget eps is eps times the kriging weight vector, which
         # here has norm ~1e3.
         params = mle_fit(toy20, FitOptions(seed=0))
-        preds = predict_batch(params, toy20, toy20.original_points(), nugget=0.0)
+        preds = predict_batch(params, toy20, scale_points(toy20.points, toy20.ranges, "from_unit"), nugget=0.0)
         for p, y in zip(preds, toy20.responses):
             assert abs(p.mean - y) < 1e-6
             assert p.mse < 1e-6
 
     def test_near_interpolation_at_default_nugget(self, toy20):
         params = mle_fit(toy20, FitOptions(seed=0))
-        preds = predict_batch(params, toy20, toy20.original_points())
+        preds = predict_batch(params, toy20, scale_points(toy20.points, toy20.ranges, "from_unit"))
         for p, y in zip(preds, toy20.responses):
             assert abs(p.mean - y) < 1e-3
 
@@ -377,7 +377,7 @@ class TestPrediction:
 
     def test_mse_zero_at_data_grows_away(self, toy10):
         params = mle_fit(toy10, FitOptions(seed=0))
-        at_data = predict_batch(params, toy10, toy10.original_points()[0])[0]
+        at_data = predict_batch(params, toy10, scale_points(toy10.points, toy10.ranges, "from_unit")[0])[0]
         assert at_data.mse < 1e-6
         far = predict_batch(params, toy10, [5.0, 5.0, 5.0])[0]
         assert far.mse > params.sigma2 * 0.5
@@ -424,7 +424,7 @@ class TestPrediction:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_point_rejected(self, toy10, bad):
         params = GpParams(mu=0.0, sigma2=1.0, phi=np.ones(toy10.dim))
-        xs = toy10.original_points()[:3].copy()
+        xs = scale_points(toy10.points, toy10.ranges, "from_unit")[:3].copy()
         xs[2, 1] = bad
         with pytest.raises(ValueError, match="non-finite coordinate in test point 2"):
             predict_batch(params, toy10, xs)
@@ -457,7 +457,7 @@ class TestPrediction:
         lower, _ = linalg.corr_cholesky(toy20.points, params.theta, 0.0)
         factor = linalg.CorrFactor.from_lower(lower, toy20.responses)
         t = gp._LOOP_MIN_WIDTH
-        xs = np.resize(toy20.original_points(), (t + 1, toy20.dim))
+        xs = np.resize(scale_points(toy20.points, toy20.ranges, "from_unit"), (t + 1, toy20.dim))
         xs_unit = scale_points(xs, toy20.ranges, "to_unit")
         v = factor.whiten(gp._cross_corr(toy20.points, xs_unit, params.theta).T)
         corr_term = (1.0 - factor.w1 @ v) ** 2 / factor.one_rinv_one

@@ -169,6 +169,30 @@ class TestChainDocuments:
         with pytest.raises(ValueError, match=rf"chain\.json: {name} has shape \({chain.size}, {data.dim - 1}\)"):
             io.load_chain(path)
 
+    @pytest.mark.parametrize("name", ["mu", "sigma2", "phi", "gamma"])
+    def test_draw_counts_must_match_scan(self, tmp_path, small_chain, name):
+        # A cut column must not load as a shorter chain beside full ones.
+        chain, data = small_chain
+        path = tmp_path / "chain.json"
+        io.save_chain(path, chain, data)
+        doc = io.load_json(path)
+        doc["draws"][name] = doc["draws"][name][:3]
+        io.save_json(path, doc)
+        with pytest.raises(ValueError, match=rf"chain\.json: draws\.{name} has 3 entries, draws\.scan {chain.size}"):
+            io.load_chain(path)
+
+    @pytest.mark.parametrize("value", [2, 7, -1, 0.5])
+    def test_gamma_must_be_zero_or_one(self, tmp_path, small_chain, value):
+        chain, data = small_chain
+        path = tmp_path / "chain.json"
+        io.save_chain(path, chain, data)
+        doc = io.load_json(path)
+        doc["draws"]["gamma"][4][1] = value
+        io.save_json(path, doc)
+        with pytest.raises(ValueError, match=rf"chain\.json: draws\.gamma entry {float(value)!r} is not 0 or 1"):
+            io.load_chain(path)
+
+
 
 class TestSelectionDocuments:
     def test_layout(self, tmp_path, small_chain):
@@ -196,4 +220,18 @@ class TestTraceValidation:
         path = tmp_path / "t.csv"
         path.write_text("scan,mu,sigma2,phi_1,gamma_2\n1,0.0,1.0,0.5,1\n")
         with pytest.raises(ValueError, match="trace"):
+            io.load_trace(path)
+
+    @pytest.mark.parametrize("cell", ["0.7", "2", "-1"])
+    def test_rejects_gamma_other_than_zero_or_one(self, tmp_path, small_chain, cell):
+        # A fractional gamma must not be truncated to 0.
+        chain, _ = small_chain
+        path = tmp_path / "trace.csv"
+        io.export_trace(chain, path)
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row[-1] = cell
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"trace\.csv: gamma entry {float(cell)!r} is not 0 or 1"):
             io.load_trace(path)

@@ -258,7 +258,7 @@ class TestCorrFactor:
                 assert sign == 1.0
                 assert f.log_det == pytest.approx(logdet, rel=1e-10)
                 assert f.one_rinv_one == pytest.approx(ones @ rinv @ ones, rel=1e-10)
-                assert f.w1 @ f.wy == pytest.approx(ones @ rinv @ y, rel=1e-10)
+                assert f.gls_mean * f.one_rinv_one == pytest.approx(ones @ rinv @ y, rel=1e-10)
                 assert f.gls_mean == pytest.approx((ones @ rinv @ y) / (ones @ rinv @ ones), rel=1e-10)
                 assert f.quad(mu) == pytest.approx((y - mu) @ rinv @ (y - mu), rel=1e-10)
                 # Entrywise, relative to the largest entry: at condition

@@ -1,12 +1,14 @@
 """Sampler layer: hyperparameters, conditional updates, seeds, full chains."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
 import ssgp.sampler as sampler
-from conftest import build_corr_matrix, make_dataset, phi_log_kernel, two_point_dataset, use_phi_target
+from conftest import build_corr_matrix, make_dataset, normal_logpdf, phi_log_kernel, two_point_dataset, use_phi_target
 from ssgp import linalg
 from ssgp.errors import NotPositiveDefiniteError, OptimizerFailedError, SamplerError
 from ssgp.gp import GpParams
@@ -152,9 +154,9 @@ class TestInclusionProbabilities:
                 p[0] = 1.0
             phi = rng.normal(scale=2.0, size=d)
             h = Hyperparams.for_dim(d, tau=tau, c=c, p=p)
-            log_a = sampler._normal_logpdf(phi, (c * tau) ** 2) + np.log(p)
+            log_a = normal_logpdf(phi, (c * tau) ** 2) + np.log(p)
             with np.errstate(divide="ignore"):
-                log_b = sampler._normal_logpdf(phi, tau**2) + np.log1p(-p)
+                log_b = normal_logpdf(phi, tau**2) + np.log1p(-p)
             expected = np.exp(log_a - np.logaddexp(log_a, log_b))
             assert np.array_equal(inclusion_probabilities(phi, h), expected)
             assert np.array_equal(inclusion_probabilities(phi, h), expected)
@@ -213,6 +215,24 @@ class TestPhiLogKernel:
             k0 = phi_log_kernel(phi, 1.2, 0.5, np.array([0]), data, hyper)
             expected = -np.log(c) + 0.5 * phi_val**2 * (1 / tau**2 - 1 / (c * tau) ** 2)
             assert k1 - k0 == pytest.approx(expected, abs=1e-12)
+
+    def test_prior_bitwise_equal_to_unhoisted_form(self):
+        # With log det R = 0 and a zero quadratic form the kernel is its
+        # prior alone, sum_k log N(phi_k; 0, (tau_k c_k^gamma_k)^2).  The
+        # table lookup must give the bits of the density evaluated in full,
+        # which seeded chains were drawn with.
+        stub = SimpleNamespace(log_det=0.0, quad=lambda mu: 0.0)
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            d = int(rng.integers(1, 11))
+            tau = rng.uniform(0.01, 2.0, d)
+            c = rng.uniform(2.5, 80.0, d)
+            gamma = rng.integers(0, 2, size=d)
+            phi = rng.normal(scale=2.0, size=d)
+            h = Hyperparams.for_dim(d, tau=tau, c=c, p=rng.uniform(0.01, 1.0, d))
+            expected = float(np.sum(normal_logpdf(phi, (tau * np.power(c, gamma)) ** 2)))
+            got = sampler._kernel_value(stub, phi, rng.normal(), rng.uniform(0.1, 3.0), gamma, h)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestConditionalUpdates:
