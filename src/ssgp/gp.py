@@ -120,9 +120,15 @@ class Dataset:
 
     @cached_property
     def sqdiffs(self) -> np.ndarray:
-        """Squared coordinate differences of the points, shape (n, n, d),
-        from which every R(theta) on this design is built."""
+        """Squared coordinate differences of the points, shape (n, n, d);
+        the likelihood gradient reads them whole."""
         return linalg.pairwise_sqdiffs(self.points)
+
+    @cached_property
+    def pair_table(self) -> linalg.PairTable:
+        """The strict lower triangle of sqdiffs, from which every R(theta)
+        that is factored on this design is built (linalg.PairTable)."""
+        return linalg.pair_table(self.sqdiffs)
 
     @cached_property
     def _unit_map(self):
@@ -144,7 +150,7 @@ class Dataset:
         memo = self.__dict__.get("_prediction_memo")
         if memo is not None and memo[0] == key:
             return memo[1:]
-        lower, _ = linalg.corr_cholesky(self.points, theta, nugget, sqdiffs=self.sqdiffs)
+        lower, _ = linalg.corr_cholesky(self.points, theta, nugget, pairs=self.pair_table)
         factor = linalg.CorrFactor.from_lower(lower, self.responses)
         rinv_resid = linalg.solve_with_chol(lower, self.responses - mu)
         memo = (key, factor, rinv_resid)
@@ -206,11 +212,15 @@ class FitOptions:
     nugget: float = linalg.DEFAULT_NUGGET
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0 <= self.nugget < np.inf:
+            raise ValueError("nugget must be finite and non-negative")
+
 
 def _profile(theta, data: Dataset, nugget):
     # One factorization of R(theta), escalating the nugget, and the profile
     # MLEs of mu and sigma2 read from it.
-    lower, _ = linalg.corr_cholesky(data.points, theta, nugget, sqdiffs=data.sqdiffs)
+    lower, _ = linalg.corr_cholesky(data.points, theta, nugget, pairs=data.pair_table)
     factor = linalg.CorrFactor.from_lower(lower, data.responses)
     mu = factor.gls_mean
     return factor, mu, max(factor.quad(mu) / data.n, SIGMA2_FLOOR)

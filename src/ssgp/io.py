@@ -156,6 +156,20 @@ def _indicators(path, name, values) -> np.ndarray:
     return g.astype(np.int64)
 
 
+def _scan_indices(path, name, values) -> np.ndarray:
+    # 1-based scan indices as int64: each entry a positive integer, in
+    # strictly increasing order.  A 3.7 or a -4 is refused, not truncated.
+    s = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(s) | (s != np.floor(s)) | (s < 1)
+    if bad.any():
+        raise ValueError(f"{path}: {name} entry {float(s[bad][0])!r} is not a positive integer")
+    backward = s[1:] <= s[:-1]
+    if backward.any():
+        i = int(np.argmax(backward)) + 1
+        raise ValueError(f"{path}: {name} is not strictly increasing: entry {i} is {int(s[i])} after {int(s[i - 1])}")
+    return s.astype(np.int64)
+
+
 def save_model(path, params: GpParams, data: Dataset, extra=None) -> None:
     """Fitted parameters plus the training data they condition on."""
     doc = {
@@ -216,7 +230,7 @@ def load_chain(path):
         sigma2=np.asarray(draws["sigma2"], dtype=float),
         phi=np.asarray(draws["phi"], dtype=float),
         gamma=_indicators(path, "draws.gamma", draws["gamma"]),
-        scans=np.asarray(draws["scan"], dtype=np.int64),
+        scans=_scan_indices(path, "draws.scan", draws["scan"]),
         accept_rate=float(doc["accept_rate"]),
         meta=doc["meta"],
     )
@@ -279,7 +293,7 @@ def load_trace(path) -> Chain:
         sigma2=table[:, 2],
         phi=table[:, 3 : 3 + d],
         gamma=_indicators(path, "gamma", table[:, 3 + d :]),
-        scans=table[:, 0].astype(np.int64),
+        scans=_scan_indices(path, "scan", table[:, 0]),
         accept_rate=float("nan"),
         meta={},
     )

@@ -173,7 +173,7 @@ class Chain:
 
 def _factor(phi, data) -> linalg.CorrFactor:
     # R(phi) at exactly SAMPLER_NUGGET; raises NotPositiveDefiniteError.
-    return linalg.corr_factor(data.sqdiffs, phi * phi, SAMPLER_NUGGET, data.responses)
+    return linalg.corr_factor(data.pair_table, phi * phi, SAMPLER_NUGGET, data.responses)
 
 
 def _kernel_value(factor, phi, mu, sigma2, gamma, hyper) -> float:

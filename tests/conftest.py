@@ -92,7 +92,8 @@ def chol_decompose(m) -> np.ndarray:
     mt = m.T
     if not ((m == mt).all() or (np.abs(m - mt) <= 1e-12 + 1e-10 * np.abs(mt)).all()):
         raise ValueError("matrix is not symmetric")
-    return _cholesky(m)
+    # A Fortran-order copy: _cholesky factors such a matrix in place.
+    return _cholesky(np.array(m, order="F"))
 
 
 def loo_means_by_folds(params, data: Dataset, nugget: float) -> np.ndarray:

@@ -102,6 +102,14 @@ class TestDataset:
         assert toy10.sqdiffs.tobytes() == linalg.pairwise_sqdiffs(toy10.points).tobytes()
         assert toy10.sqdiffs is toy10.sqdiffs
 
+    def test_pair_table_is_lower_triangle_of_sqdiffs(self, toy10):
+        pairs = toy10.pair_table
+        assert pairs is toy10.pair_table
+        expect = linalg.pair_table(linalg.pairwise_sqdiffs(toy10.points))
+        assert pairs.n == expect.n
+        assert pairs.rows.tobytes() == expect.rows.tobytes()
+        assert np.array_equal(pairs.index, expect.index)
+
     def test_arrays_read_only_and_caller_arrays_untouched(self):
         pts = np.array([[0.1, 0.2], [0.9, 0.8]])
         y = np.array([1.0, 2.0])
@@ -288,6 +296,11 @@ class TestMleFit:
         with pytest.raises(ValueError, match="at least 2"):
             mle_fit(data)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_nugget_rejected(self, toy10, bad):
+        with pytest.raises(ValueError, match="nugget must be finite and non-negative"):
+            mle_fit(toy10, FitOptions(nugget=bad))
+
     def test_beats_arbitrary_theta(self, toy10):
         # The fitted objective value is no worse than a fixed guess.
         params = mle_fit(toy10, FitOptions(seed=0))
@@ -420,6 +433,12 @@ class TestPrediction:
         params = mle_fit(toy10, FitOptions(seed=0))
         with pytest.raises(ValueError, match="columns"):
             predict_batch(params, toy10, [[0.5, 0.5]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_nugget_rejected(self, toy10, bad):
+        params = GpParams(mu=0.0, sigma2=1.0, phi=np.ones(toy10.dim))
+        with pytest.raises(ValueError, match="nugget must be finite and non-negative"):
+            predict_batch(params, toy10, [0.5, 0.5, 0.5], nugget=bad)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_point_rejected(self, toy10, bad):

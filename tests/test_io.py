@@ -1,5 +1,7 @@
 """Persistence: canonical JSON, CSV readers/writers, document round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,36 @@ class TestChainDocuments:
             io.load_chain(path)
 
 
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (3.7, "draws.scan entry 3.7 is not a positive integer"),
+            (-4, "draws.scan entry -4.0 is not a positive integer"),
+            (0, "draws.scan entry 0.0 is not a positive integer"),
+        ],
+    )
+    def test_scan_must_be_positive_integer(self, tmp_path, small_chain, value, message):
+        # A fractional scan must not be truncated, nor a negative one kept.
+        chain, data = small_chain
+        path = tmp_path / "chain.json"
+        io.save_chain(path, chain, data)
+        doc = io.load_json(path)
+        doc["draws"]["scan"][0] = value
+        io.save_json(path, doc)
+        with pytest.raises(ValueError, match=rf"chain\.json: {re.escape(message)}"):
+            io.load_chain(path)
+
+    def test_scan_must_increase(self, tmp_path, small_chain):
+        chain, data = small_chain
+        path = tmp_path / "chain.json"
+        io.save_chain(path, chain, data)
+        doc = io.load_json(path)
+        doc["draws"]["scan"][5] = doc["draws"]["scan"][4]
+        io.save_json(path, doc)
+        first = int(chain.scans[4])
+        with pytest.raises(ValueError, match=rf"chain\.json: draws\.scan is not strictly increasing: entry 5 is {first} after {first}"):
+            io.load_chain(path)
+
 
 class TestSelectionDocuments:
     def test_layout(self, tmp_path, small_chain):
@@ -234,4 +266,35 @@ class TestTraceValidation:
         lines[2] = ",".join(row)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"trace\.csv: gamma entry {float(cell)!r} is not 0 or 1"):
+            io.load_trace(path)
+
+    @pytest.mark.parametrize(
+        "cell,message",
+        [
+            ("3.7", "scan entry 3.7 is not a positive integer"),
+            ("-4", "scan entry -4.0 is not a positive integer"),
+        ],
+    )
+    def test_rejects_scan_other_than_positive_integer(self, tmp_path, small_chain, cell, message):
+        # A fractional scan must not be truncated to 3, nor a negative one kept.
+        chain, _ = small_chain
+        path = tmp_path / "trace.csv"
+        io.export_trace(chain, path)
+        lines = path.read_text().splitlines()
+        row = lines[1].split(",")
+        row[0] = cell
+        lines[1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"trace\.csv: {re.escape(message)}"):
+            io.load_trace(path)
+
+    def test_rejects_scans_out_of_order(self, tmp_path, small_chain):
+        chain, _ = small_chain
+        path = tmp_path / "trace.csv"
+        io.export_trace(chain, path)
+        lines = path.read_text().splitlines()
+        lines[2], lines[3] = lines[3], lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        # Rows 1 and 2 swapped: entry 2 is the scan of row 1.
+        with pytest.raises(ValueError, match=rf"trace\.csv: scan is not strictly increasing: entry 2 is {chain.scans[1]} after {chain.scans[2]}"):
             io.load_trace(path)

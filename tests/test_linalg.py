@@ -228,12 +228,65 @@ class TestCorrCholesky:
         assert seen[-1] == pytest.approx(linalg.MAX_NUGGET, rel=1e-6)
         assert len(seen) <= 8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_nugget_rejected(self, bad):
+        # A NaN nugget would fail every attempt, and min(max(nan * 10, ...))
+        # stays NaN, so the escalation loop would never end.
+        with pytest.raises(ValueError, match="nugget must be finite and non-negative"):
+            linalg.corr_cholesky(np.array([[0.2], [0.8]]), [1.0], nugget=bad)
+
     def test_accepts_precomputed_sqdiffs(self):
         pts = np.random.default_rng(1).uniform(size=(6, 2))
         sqd = linalg.pairwise_sqdiffs(pts)
         a, _ = linalg.corr_cholesky(pts, [2.0, 0.5])
-        b, _ = linalg.corr_cholesky(pts, [2.0, 0.5], sqdiffs=sqd)
+        b, _ = linalg.corr_cholesky(pts, [2.0, 0.5], pairs=linalg.pair_table(sqd))
         assert np.array_equal(a, b)
+
+
+class TestPairTable:
+    def test_layout(self):
+        pts = np.array([[0.0], [1.0], [3.0]])
+        pairs = linalg.pair_table(linalg.pairwise_sqdiffs(pts))
+        # Pairs (1, 0), (2, 0), (2, 1), column by column, then zero rows.
+        assert pairs.n == 3
+        assert pairs.rows.shape == (8, 1)
+        assert np.array_equal(pairs.rows[:, 0], [1.0, 9.0, 4.0, 0, 0, 0, 0, 0])
+        assert np.array_equal(pairs.index, [1, 2, 5])
+
+    def test_build_and_factor_bitwise_match_full_matrix(self):
+        # Random n from 2 to 120 until every residue of n(n-1)/2 mod 8 has
+        # been seen with both an odd and an even n; d from 1 to 10; theta
+        # with exact zeros and large entries; three nuggets.  The buffer's
+        # lower triangle must be the full matrix's bit for bit, its upper
+        # triangle zero, and its factor the full matrix's factor.
+        rng = np.random.default_rng(2024)
+        cells = set()
+        checked = 0
+        while len(cells) < 16 or checked < 40:
+            n = int(rng.integers(2, 121))
+            d = int(rng.integers(1, 11))
+            cells.add((n * (n - 1) // 2 % 8, n % 2))
+            sqd = linalg.pairwise_sqdiffs(rng.uniform(size=(n, d)))
+            pairs = linalg.pair_table(sqd)
+            for _ in range(3):
+                theta = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), d))
+                theta[rng.uniform(size=d) < 0.25] = 0.0
+                theta[rng.uniform(size=d) < 0.1] *= 1e4
+                for nugget in (0.0, 1e-8, 1e-5):
+                    full = linalg.corr_matrix_from_sqdiffs(sqd, theta, nugget)
+                    built = linalg._corr_lower(pairs, theta, nugget)
+                    low = np.tril_indices(n)
+                    assert built[low].tobytes() == full[low].tobytes()
+                    assert not np.triu(built, 1).any()
+                    try:
+                        expect = chol_decompose(full)
+                    except NotPositiveDefiniteError:
+                        with pytest.raises(NotPositiveDefiniteError):
+                            linalg.corr_factor(pairs, theta, nugget, np.zeros(n))
+                        continue
+                    lower = linalg.corr_factor(pairs, theta, nugget, np.zeros(n)).lower
+                    assert lower.tobytes(order="C") == expect.tobytes(order="C")
+                    checked += 1
 
 
 class TestCorrFactor:
@@ -245,13 +298,14 @@ class TestCorrFactor:
         # toy10; every quantity must agree to 1e-10 relative.
         data = make_dataset(name, n)
         sqd = linalg.pairwise_sqdiffs(data.points)
+        pairs = linalg.pair_table(sqd)
         y, ones = data.responses, np.ones(data.n)
         rng = np.random.default_rng(1)
         for _ in range(10):
             phi = np.exp(rng.uniform(np.log(0.1), np.log(2.0), data.dim))
             mu = rng.normal()
             for nugget in (linalg.DEFAULT_NUGGET, 1e-5):
-                f = linalg.corr_factor(sqd, phi**2, nugget, y)
+                f = linalg.corr_factor(pairs, phi**2, nugget, y)
                 r = linalg.corr_matrix_from_sqdiffs(sqd, phi**2, nugget)
                 rinv = np.linalg.inv(r)
                 sign, logdet = np.linalg.slogdet(r)
@@ -270,7 +324,7 @@ class TestCorrFactor:
         # The kept quadratic form must never be served for another mu.
         pts = np.random.default_rng(4).uniform(size=(6, 2))
         y = np.arange(6.0)
-        f = linalg.corr_factor(linalg.pairwise_sqdiffs(pts), [2.0, 0.5], 1e-8, y)
+        f = linalg.corr_factor(linalg.pair_table(linalg.pairwise_sqdiffs(pts)), [2.0, 0.5], 1e-8, y)
         first = f.quad(1.0)
         assert f.quad(2.5) != first
         assert f.quad(1.0) == first
@@ -280,7 +334,13 @@ class TestCorrFactor:
         # fixed-nugget factor raises.
         pts = np.array([[0.3, 0.3], [0.3, 0.3], [0.7, 0.1]])
         with pytest.raises(NotPositiveDefiniteError):
-            linalg.corr_factor(linalg.pairwise_sqdiffs(pts), [1.0, 1.0], 0.0, np.zeros(3))
+            linalg.corr_factor(linalg.pair_table(linalg.pairwise_sqdiffs(pts)), [1.0, 1.0], 0.0, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_nugget_rejected(self, bad):
+        pairs = linalg.pair_table(linalg.pairwise_sqdiffs(np.array([[0.2], [0.8]])))
+        with pytest.raises(ValueError, match="nugget must be finite and non-negative"):
+            linalg.corr_factor(pairs, [1.0], bad, np.zeros(2))
 
     def test_from_lower_rejects_non_finite(self):
         with pytest.raises(ValueError, match="NaN"):

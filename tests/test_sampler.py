@@ -11,7 +11,7 @@ import ssgp.sampler as sampler
 from conftest import build_corr_matrix, make_dataset, normal_logpdf, phi_log_kernel, two_point_dataset, use_phi_target
 from ssgp import linalg
 from ssgp.errors import NotPositiveDefiniteError, OptimizerFailedError, SamplerError
-from ssgp.gp import GpParams
+from ssgp.gp import Dataset, GpParams
 from ssgp.sampler import (
     SAMPLER_NUGGET,
     Chain,
@@ -379,6 +379,45 @@ class TestUpdatePhi:
             draws[i] = state.phi[0]
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.12
+
+
+class TestGewekeJointDistribution:
+    """Geweke (2004, JASA 99(467)), "Getting it right", for the real phi and
+    gamma kernels.  With mu and sigma2 fixed the prior on (phi, gamma) is
+    proper, and each of update_phi, update_gamma and a fresh draw
+    y ~ N(mu 1, sigma2 R(phi)) leaves the joint p(phi, gamma) p(y | phi)
+    invariant.  So the successive-conditional chain, read after the gamma
+    step, must reproduce the marginal-conditional simulator's moments,
+    which are exact here: the prior's moments of phi_k, phi_k^2 and
+    gamma_k, and E[(y - mu)'R^-1(y - mu)] = n sigma2.  The last catches a
+    phi step that ignores y, which leaves the (phi, gamma) marginal alone.
+    """
+
+    def test_successive_conditional_matches_prior(self):
+        n, d, steps, batches = 6, 2, 20000, 50
+        mu, sigma2 = 1.0, 2.0
+        data = Dataset(np.random.default_rng(0).uniform(size=(n, d)), np.zeros(n), np.tile([0.0, 1.0], (d, 1)))
+        hyper = Hyperparams.for_dim(d, tau=0.3, c=5.0, p=0.5, prop_sd=0.5)
+        rng = np.random.default_rng(1)
+        state = SamplerState(mu, sigma2, np.array([0.4, 0.1]), np.array([1, 0]), rng)
+        lower = sampler._factor(state.phi, data).lower
+        stats = np.empty((steps, 3 * d + 1))
+        for t in range(steps):
+            # update_phi reads the design's pair table and the responses.
+            y = mu + np.sqrt(sigma2) * (lower @ rng.normal(size=n))
+            current = SimpleNamespace(pair_table=data.pair_table, responses=y)
+            step = update_phi(state, current, hyper, linalg.CorrFactor.from_lower(lower, y))
+            state.phi = step.phi
+            state.gamma = update_gamma(state, hyper)
+            lower = step.factor.lower
+            stats[t] = [*state.phi, *state.phi**2, *state.gamma, step.factor.quad(mu) / (n * sigma2)]
+        tau2, c2, p = hyper.tau**2, hyper.c**2, hyper.p
+        expect = np.concatenate([np.zeros(d), (1 - p) * tau2 + p * c2 * tau2, p, [1.0]])
+        # Standard errors by batch means, 50 batches of 400 steps.
+        batch_means = stats.reshape(batches, -1, stats.shape[1]).mean(axis=1)
+        z = (stats.mean(axis=0) - expect) / (batch_means.std(axis=0, ddof=1) / np.sqrt(batches))
+        # z in the order phi_k, phi_k^2, gamma_k, quadratic form.
+        assert np.all(np.abs(z) < 4.0), f"z = {np.round(z, 1)}"
 
 
 class TestRunChain:
