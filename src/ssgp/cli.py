@@ -27,7 +27,7 @@ from .errors import (
 from .gp import Dataset, FitOptions, mle_fit, predict_batch
 from .report import select_variables
 from .sampler import default_hyperparams, posterior_params, run_chain
-from .testbed import BenchmarkSpec, rmspe, mar, run_benchmark
+from .testbed import _CHAIN_FIELDS, BenchmarkSpec, rmspe, mar, run_benchmark
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -196,6 +196,11 @@ def _spec_from_file(path) -> BenchmarkSpec:
     doc = {k: v for k, v in doc.items() if k in known}
     if "function" not in doc:
         raise ValueError("benchmark spec needs a 'function' field")
+    for f in dataclass_fields(BenchmarkSpec):
+        value = doc.get(f.name, 0)
+        # A JSON bool is an int subclass; a null chain field keeps the default.
+        if f.type is int and type(value) is not int and not (value is None and f.name in _CHAIN_FIELDS):
+            raise ValueError(f"benchmark spec field {f.name!r} must be an integer, got {value!r}")
     return BenchmarkSpec(**doc)
 
 

@@ -6,9 +6,9 @@ r(x, x') = exp(-sum_k theta_k (x_k - x'_k)^2) on inputs scaled to the unit
 cube.  Given the correlation parameters theta, the mean and variance have
 closed-form maximizers (profile MLEs); theta itself is found by bounded
 L-BFGS-B on the log scale, with the analytic gradient of the profile
-likelihood computed from the same Cholesky factor as its value; the
-profile mean is that factor's GLS mean.  Prediction keeps the last model's
-factor and R^-1 (y - mu) on the Dataset.
+likelihood computed from the same Cholesky factor as its value and from the
+Dataset's pair table; the profile mean is that factor's GLS mean.
+Prediction keeps the last model's factor and R^-1 (y - mu) on the Dataset.
 """
 
 import hashlib
@@ -41,7 +41,7 @@ class Dataset:
     """Training data scaled to the unit hypercube.
 
     Immutable: the arrays are read-only copies of the ones passed in, so
-    the cached sqdiffs and the last prediction factor cannot go stale.
+    the cached pair table and the last prediction factor cannot go stale.
 
     Attributes
     ----------
@@ -119,16 +119,10 @@ class Dataset:
         return self.points.shape[1]
 
     @cached_property
-    def sqdiffs(self) -> np.ndarray:
-        """Squared coordinate differences of the points, shape (n, n, d);
-        the likelihood gradient reads them whole."""
-        return linalg.pairwise_sqdiffs(self.points)
-
-    @cached_property
     def pair_table(self) -> linalg.PairTable:
-        """The strict lower triangle of sqdiffs, from which every R(theta)
-        that is factored on this design is built (linalg.PairTable)."""
-        return linalg.pair_table(self.sqdiffs)
+        """The squared differences of the pairs of points (linalg.PairTable):
+        every R(theta) factored on this design and the gradient read them."""
+        return linalg.pair_table(self.points)
 
     @cached_property
     def _unit_map(self):
@@ -151,7 +145,7 @@ class Dataset:
         if memo is not None and memo[0] == key:
             return memo[1:]
         lower, _ = linalg.corr_cholesky(self.points, theta, nugget, pairs=self.pair_table)
-        factor = linalg.CorrFactor.from_lower(lower, self.responses)
+        factor = linalg.CorrFactor(lower, self.responses)
         rinv_resid = linalg.solve_with_chol(lower, self.responses - mu)
         memo = (key, factor, rinv_resid)
         object.__setattr__(self, "_prediction_memo", memo)
@@ -221,7 +215,7 @@ def _profile(theta, data: Dataset, nugget):
     # One factorization of R(theta), escalating the nugget, and the profile
     # MLEs of mu and sigma2 read from it.
     lower, _ = linalg.corr_cholesky(data.points, theta, nugget, pairs=data.pair_table)
-    factor = linalg.CorrFactor.from_lower(lower, data.responses)
+    factor = linalg.CorrFactor(lower, data.responses)
     mu = factor.gls_mean
     return factor, mu, max(factor.quad(mu) / data.n, SIGMA2_FLOOR)
 
@@ -231,14 +225,16 @@ def _profile_gradient(factor, mu, s2, theta, data: Dataset) -> np.ndarray:
     # a = R^-1 (y - mu), R0 = R(theta) without the nugget and D_k the squared
     # coordinate-k differences (R&W 2006, 5.4.1).  mu drops out because it
     # maximizes the likelihood at every theta, the nugget because D_k has a
-    # zero diagonal.
-    sqdiffs = data.sqdiffs
-    n, _, d = sqdiffs.shape
+    # zero diagonal.  W and D_k are symmetric, so this is -sum_{i>j} over
+    # the pair table's rows; pair (i, j) sits at j n + i of the flat w.
+    pairs, n_pairs = data.pair_table, len(data.pair_table.index)
     w = factor.inverse()
     alpha = w @ (factor.y - mu)
     w -= np.outer(alpha, alpha / s2)
-    w *= linalg.corr_matrix_from_sqdiffs(sqdiffs, theta, 0.0)
-    return -0.5 * (w.reshape(n * n) @ sqdiffs.reshape(n * n, d))
+    weight = np.exp(pairs.rows @ -theta)
+    weight[:n_pairs] *= w.reshape(-1)[pairs.index]
+    weight[n_pairs:] = 0.0
+    return -(weight @ pairs.rows)
 
 
 def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGET, grad=False):
@@ -361,9 +357,10 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     correlations are summed coordinate by coordinate at any width; the
     width from which _cross_corr loops over coordinates instead of building
     an (m, n, d) tensor is only a cost choice.  The MSE goes through a
-    multi-right-hand-side solve, so it agrees across batches only to
-    rounding, and `clamped` can differ between batches for an MSE at
-    round-off level.
+    multi-right-hand-side solve and a GEMV, so it agrees across batches
+    only to rounding, and `clamped` can differ between batches for an MSE
+    at round-off level.  (With OpenBLAS, batches of two or more points
+    agree bitwise: their GEMV runs over whole blocks of test points.)
 
     The factor of R(theta), with its nugget escalation and 1'R^-1 1, and
     the solve R^-1 (y - mu) are kept on `data` for the last (theta,
@@ -395,6 +392,12 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     means = params.mu + (rt * rinv_resid).sum(axis=1)
     # With V = L^-1 r: r'R^-1 r = |V|^2 and 1'R^-1 r = (L^-1 1)'V.
     v = factor.whiten(rt.T)
+    m, block = len(rt), linalg._GEMV_BLOCK
+    # A lone point is solved by another kernel anyway; it keeps its GEMV.
+    if m > 1 and m % block:
+        padded = np.zeros((data.n, m - m % block + block), order="F")
+        padded[:, :m] = v
+        v = padded
     corr_term = (1.0 - factor.w1 @ v) ** 2 / factor.one_rinv_one
     mses = params.sigma2 * (1.0 - np.einsum("ij,ij->j", v, v) + corr_term)
-    return [Prediction(m, max(s, 0.0), s < 0) for m, s in zip(means.tolist(), mses.tolist())]
+    return [Prediction(mean, max(s, 0.0), s < 0) for mean, s in zip(means.tolist(), mses[:m].tolist())]

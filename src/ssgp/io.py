@@ -42,11 +42,13 @@ def _read_rows(path):
 
 def _parse_cell(cell, row_idx, col_name, path):
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
-        raise ValueError(
-            f"{path}: non-numeric value {cell!r} in row {row_idx}, column {col_name}"
-        ) from None
+        value = None
+    if value is None or not np.isfinite(value):
+        kind = "non-numeric" if value is None else "non-finite"
+        raise ValueError(f"{path}: {kind} value {cell!r} in row {row_idx}, column {col_name}")
+    return value
 
 
 def _parse_table(path, header, rows):

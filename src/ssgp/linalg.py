@@ -6,7 +6,7 @@ log-determinant comes from its diagonal and solves are forward/backward
 substitutions.  The one explicit inverse is the likelihood gradient's,
 which reads every entry of R^-1.  CorrFactor holds one factor together
 with what the likelihood, the sampler and the predictor reuse: log det R,
-1'R^-1 1 and the GLS mean, each computed once when the factor is built.
+1'R^-1 1 and the GLS mean, each computed the first time it is read.
 
 How R is built.  Every matrix that is factored here (each Gibbs proposal
 through corr_factor, each nugget attempt of corr_cholesky) is built from
@@ -15,23 +15,22 @@ differences of the n(n-1)/2 pairs i > j; one GEMV with -theta and one exp
 over its rows give the off-diagonal correlations, which are scattered into
 a zeroed Fortran-order n x n buffer with 1 + nugget on the diagonal.
 _cholesky factors that buffer in place, reading only its lower triangle,
-so R's upper triangle is never formed.  corr_matrix_from_sqdiffs forms the
-full matrix from the (n, n, d) squared differences; the likelihood
-gradient reads it, and its lower triangle is bitwise the PairTable's.
+so R's upper triangle is never formed.
 
-Where arguments are checked.  theta and the nugget are checked where they
-enter: corr_matrix_from_sqdiffs, corr_factor and corr_cholesky (theta
-finite and non-negative with one entry per input; the nugget finite and
-non-negative).  CorrFactor.from_lower checks a factor from outside linalg
-and its responses; solve_with_chol checks its operands.  A factor that
-linalg has just made is not scanned again: with theta and the nugget
-finite, every entry of R is finite and every row of L has norm
+Where arguments are checked.  pair_table checks design points;
+corr_factor and corr_cholesky check theta (finite and non-negative, one
+entry per input) and the nugget (finite and non-negative).
+CorrFactor.from_lower checks a factor from outside linalg and its
+responses; solve_with_chol checks its operands.  CorrFactor(lower, y)
+wraps a factor linalg has just made without a second scan: with theta and
+the nugget finite, every entry of R is finite and every row of L has norm
 sqrt(R_ii) <= sqrt(1 + nugget), so _cholesky's one diagonal test,
 PIVOT_TOL < L_ii^2 < inf (with potrf's breakdown flag), rejects every
 non-finite, broken-down or nearly singular factor.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -47,26 +46,12 @@ MAX_NUGGET = 1e-4
 PIVOT_TOL = 1e-12
 
 
-def pairwise_sqdiffs(points) -> np.ndarray:
-    """Per-dimension squared differences, shape (n, n, d).
-
-    Precompute once per design; the correlation matrix for any theta is then
-    a single contraction away (see corr_matrix_from_sqdiffs).
-    """
-    x = np.asarray(points, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
-        raise ValueError(f"points must be a non-empty (n, d) array, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite design point")
-    diff = x[:, None, :] - x[None, :, :]
-    return diff * diff
-
-
-# Rows of a PairTable come in blocks of this many: the zero rows that pad
-# the last block keep every real row out of OpenBLAS's GEMV tail kernel,
-# whose last bits differ from its main kernel's.  So each off-diagonal
-# entry of R is bitwise the one the full (n*n, d) product gives.
-_PAIR_BLOCK = 8
+# OpenBLAS's GEMV tail kernel gives other last bits than its main kernel,
+# so two operands come padded with zeros to whole blocks of this many: the
+# rows of a PairTable, which makes each off-diagonal entry of R bitwise the
+# one the full (n*n, d) product gives, and the test points of gp's MSE
+# GEMV, which keeps a point's MSE independent of the batch width.
+_GEMV_BLOCK = 8
 
 
 class PairTable(NamedTuple):
@@ -74,7 +59,7 @@ class PairTable(NamedTuple):
 
     rows[p] holds the d squared coordinate differences of pair p = (i, j),
     i > j, column by column (j outer, i inner), followed by zero rows up to
-    a multiple of _PAIR_BLOCK; index[p] = j n + i is that pair's position
+    a multiple of _GEMV_BLOCK; index[p] = j n + i is that pair's position
     in a Fortran-order n x n buffer.
     """
 
@@ -83,12 +68,18 @@ class PairTable(NamedTuple):
     n: int
 
 
-def pair_table(sqdiffs) -> PairTable:
-    """PairTable of (n, n, d) squared differences from pairwise_sqdiffs."""
-    n, _, d = sqdiffs.shape
+def pair_table(points) -> PairTable:
+    """PairTable of an (n, d) design; the points must be finite."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
+        raise ValueError(f"points must be a non-empty (n, d) array, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite design point")
+    n, d = x.shape
     j, i = np.triu_indices(n, 1)
-    rows = np.zeros((-(-len(i) // _PAIR_BLOCK) * _PAIR_BLOCK, d))
-    rows[: len(i)] = sqdiffs[i, j]
+    rows = np.zeros((-(-len(i) // _GEMV_BLOCK) * _GEMV_BLOCK, d))
+    diff = x[i] - x[j]
+    np.multiply(diff, diff, out=rows[: len(i)])
     return PairTable(rows, j * n + i, n)
 
 
@@ -103,17 +94,6 @@ def _checked_theta(theta, nugget, d) -> np.ndarray:
     if not 0 <= nugget < np.inf:
         raise ValueError("nugget must be finite and non-negative")
     return theta
-
-
-def corr_matrix_from_sqdiffs(sqdiffs, theta, nugget: float = DEFAULT_NUGGET) -> np.ndarray:
-    n, _, d = sqdiffs.shape
-    theta = _checked_theta(theta, nugget, d)
-    # sqdiffs @ -theta is -(sqdiffs @ theta) bitwise: rounding is symmetric
-    # in sign.  Negating the d-vector saves a pass over the n x n result.
-    r = sqdiffs.reshape(n * n, d) @ -theta
-    np.exp(r, out=r)
-    r[:: n + 1] += nugget
-    return r.reshape(n, n)
 
 
 def _corr_lower(pairs: PairTable, theta, nugget) -> np.ndarray:
@@ -165,21 +145,17 @@ def solve_with_chol(lower, b) -> np.ndarray:
 class CorrFactor:
     """One Cholesky factorization R = L L' and what its readers reuse.
 
-    Built once per theta at one nugget, with everything that depends only
-    on R and y: the lower factor, log det R, w1 = L^-1 1, 1'R^-1 1 and the
-    GLS mean (1'R^-1 1)^-1 1'R^-1 y, the last two dot products of the
-    columns of one two-column triangular solve [L^-1 1, L^-1 y].  A
-    quadratic form (y - mu)'R^-1(y - mu) is |L^-1 (y - mu)|^2 from one
-    triangular solve of the residual; the last one is kept, so the Gibbs
-    scan's sigma2 and phi steps share it.
+    CorrFactor(lower, y) wraps a factor that _cholesky has made and passed;
+    from_lower is the checked entry for any other.  log det R, w1 = L^-1 1,
+    1'R^-1 1 and the GLS mean (1'R^-1 1)^-1 1'R^-1 y are computed the first
+    time each is read, the last three from one two-column triangular solve
+    [L^-1 1, L^-1 y].  A quadratic form (y - mu)'R^-1(y - mu) is
+    |L^-1 (y - mu)|^2 from one triangular solve of the residual; the last
+    one is kept, so the Gibbs scan's sigma2 and phi steps share it.
     """
 
     lower: np.ndarray
     y: np.ndarray
-    log_det: float
-    w1: np.ndarray
-    one_rinv_one: float
-    gls_mean: float
     # [mu, quad] of the last quad(mu) call.
     _last_quad: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
 
@@ -193,20 +169,28 @@ class CorrFactor:
         _check_finite(lower, y)
         if (lower.diagonal() <= 0).any():
             raise ValueError("invalid Cholesky factor: non-positive diagonal")
-        return cls._build(lower, y)
+        return cls(lower, y)
 
-    @classmethod
-    def _build(cls, lower, y) -> "CorrFactor":
-        # from_lower without its checks, for a factor _cholesky has just
-        # made and passed.
-        rhs = np.empty((len(y), 2), order="F")
-        rhs[:, 0] = 1.0
-        rhs[:, 1] = y
-        w = dtrtrs(lower, rhs, lower=1)[0]
-        w1 = w[:, 0]
-        one_rinv_one = float(w1 @ w1)
-        gls_mean = float(w1 @ w[:, 1]) / one_rinv_one
-        return cls(lower, y, float(2.0 * np.log(lower.diagonal()).sum()), w1, one_rinv_one, gls_mean)
+    @cached_property
+    def log_det(self) -> float:
+        return float(2.0 * np.log(self.lower.diagonal()).sum())
+
+    @cached_property
+    def _ones_y(self) -> np.ndarray:
+        # The transpose is the Fortran-order (n, 2) right-hand side [1, y].
+        return dtrtrs(self.lower, np.array([np.ones(len(self.y)), self.y]).T, lower=1)[0]
+
+    @cached_property
+    def w1(self) -> np.ndarray:
+        return self._ones_y[:, 0]
+
+    @cached_property
+    def one_rinv_one(self) -> float:
+        return float(self.w1 @ self.w1)
+
+    @cached_property
+    def gls_mean(self) -> float:
+        return float(self.w1 @ self._ones_y[:, 1]) / self.one_rinv_one
 
     def quad(self, mu) -> float:
         """(y - mu)'R^-1(y - mu); non-negative by construction."""
@@ -237,7 +221,7 @@ def corr_factor(pairs: PairTable, theta, nugget: float, y) -> CorrFactor:
     must not switch to another.
     """
     theta = _checked_theta(theta, nugget, pairs.rows.shape[1])
-    return CorrFactor._build(_cholesky(_corr_lower(pairs, theta, nugget)), y)
+    return CorrFactor(_cholesky(_corr_lower(pairs, theta, nugget)), y)
 
 
 def corr_cholesky(points, theta, nugget: float = DEFAULT_NUGGET, pairs: PairTable | None = None):
@@ -250,7 +234,7 @@ def corr_cholesky(points, theta, nugget: float = DEFAULT_NUGGET, pairs: PairTabl
     raises IllConditionedError when even the maximum nugget fails.
     """
     if pairs is None:
-        pairs = pair_table(pairwise_sqdiffs(points))
+        pairs = pair_table(points)
     theta = _checked_theta(theta, nugget, pairs.rows.shape[1])
     attempt = nugget
     while True:

@@ -283,6 +283,8 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
     if hyper.dim != d:
         raise ValueError(f"hyperparameters are for dimension {hyper.dim}, data has {d}")
 
+    if init is not None and init.phi.shape != (d,):
+        raise ValueError(f"init has {init.phi.size} phi entries, data has dimension {d}")
     try:
         if init is not None:
             params = init

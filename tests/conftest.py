@@ -1,8 +1,9 @@
 """Shared helpers: small deterministic datasets built from the test functions,
-the scalar kernel, the full correlation matrix, a checked Cholesky, the
-normal log-density, the phi log-kernel, a per-fold leave-one-out and a
-reference maximin search as oracles, and a synthetic target for the phi
-step."""
+the scalar kernel, the full (n, n, d) squared differences, the full
+correlation matrix and the likelihood gradient from them, a checked
+Cholesky, the normal log-density, the phi log-kernel, a per-fold
+leave-one-out and a reference maximin search as oracles, and a synthetic
+target for the phi step."""
 
 import warnings
 
@@ -13,7 +14,7 @@ from scipy.spatial.distance import pdist
 import ssgp.sampler as sampler
 from ssgp.designs import Design, _as_rng, maximin_lhd, random_lhd, scale_points
 from ssgp.gp import Dataset, predict_batch
-from ssgp.linalg import DEFAULT_NUGGET, _cholesky, corr_matrix_from_sqdiffs, pairwise_sqdiffs
+from ssgp.linalg import DEFAULT_NUGGET, _checked_theta, _cholesky
 from ssgp.testbed import eval_batch, get_function
 
 
@@ -55,6 +56,36 @@ def gaussian_corr(xi, xj, theta) -> float:
     if np.any(theta < 0):
         raise ValueError("theta entries must be non-negative")
     return float(np.exp(-np.sum(theta * (xi - xj) ** 2)))
+
+
+def pairwise_sqdiffs(points) -> np.ndarray:
+    """Per-dimension squared differences of all pairs, shape (n, n, d)."""
+    x = np.asarray(points, dtype=float)
+    diff = x[:, None, :] - x[None, :, :]
+    return diff * diff
+
+
+def corr_matrix_from_sqdiffs(sqdiffs, theta, nugget: float = DEFAULT_NUGGET) -> np.ndarray:
+    """The full n x n R(theta) + nugget I from pairwise_sqdiffs, by one
+    (n*n, d) product; theta and the nugget pass linalg's entry check."""
+    n, _, d = sqdiffs.shape
+    theta = _checked_theta(theta, nugget, d)
+    r = sqdiffs.reshape(n * n, d) @ -theta
+    np.exp(r, out=r)
+    r[:: n + 1] += nugget
+    return r.reshape(n, n)
+
+
+def profile_gradient_full(factor, mu, s2, theta, data: Dataset) -> np.ndarray:
+    """The profile likelihood's gradient in theta over the full matrices:
+    -1/2 sum_ij [(R^-1 - a a'/s2) o R0 o D_k]_ij with a = R^-1 (y - mu)."""
+    sqdiffs = pairwise_sqdiffs(data.points)
+    n, _, d = sqdiffs.shape
+    w = factor.inverse()
+    alpha = w @ (factor.y - mu)
+    w -= np.outer(alpha, alpha / s2)
+    w *= corr_matrix_from_sqdiffs(sqdiffs, theta, 0.0)
+    return -0.5 * (w.reshape(n * n) @ sqdiffs.reshape(n * n, d))
 
 
 def build_corr_matrix(points, theta, nugget: float = DEFAULT_NUGGET) -> np.ndarray:

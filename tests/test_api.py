@@ -1,11 +1,15 @@
-"""The public API: the names ssgp exports and the README quickstart."""
+"""The public API: the names ssgp exports, the README quickstart, and the
+functions the benchmark harness calls and traces."""
 
+import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ssgp
+from ssgp import gp, linalg
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +29,31 @@ def test_readme_library_quickstart_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2
+
+
+class TestBenchmarkSeams:
+    """What bench/ calls and traces in src/, pinned so that a cleanup
+    cannot silently blind the tracer: it finds corr_cholesky's requested
+    nugget by parameter name and reads its (factor, nugget_used) result."""
+
+    def test_corr_cholesky_signature(self):
+        params = inspect.signature(linalg.corr_cholesky).parameters
+        assert list(params)[:3] == ["points", "theta", "nugget"]
+        assert params["nugget"].default == linalg.DEFAULT_NUGGET
+        assert "pairs" in params
+
+    def test_corr_cholesky_returns_factor_and_nugget(self):
+        pts = np.random.default_rng(2).uniform(size=(7, 3))
+        lower, used = linalg.corr_cholesky(pts, [1.0, 2.0, 0.5], 1e-8)
+        assert type(lower) is np.ndarray and lower.shape == (7, 7)
+        assert type(used) is float and used == 1e-8
+        again, used_again = linalg.corr_cholesky(pts, [1.0, 2.0, 0.5], 1e-8, pairs=linalg.pair_table(pts))
+        assert again.tobytes() == lower.tobytes() and used_again == used
+
+    def test_traced_functions_exist(self):
+        assert callable(linalg.solve_with_chol)
+        params = inspect.signature(gp.neg_log_profile_likelihood).parameters
+        assert list(params)[:2] == ["theta", "data"] and "nugget" in params
+        data = gp.Dataset.from_arrays([[0.1], [0.5], [0.9]], [1.0, 0.0, 2.0])
+        value = gp.neg_log_profile_likelihood(np.array([2.0]), data, nugget=1e-8)
+        assert np.isfinite(value)

@@ -113,6 +113,29 @@ class TestFitCommand:
         assert cli.main(["fit", "--data", toy_csv, "--ranges", "0:1"]) == 2
         assert cli.main(["fit", "--data", toy_csv, "--ranges", "0:1,0:1,bad"]) == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_data_cell_names_location(self, tmp_path, capsys, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x1,x2,y\n0.2,0.3,1.0\n0.5,0.6,{cell}\n0.8,0.1,2.0\n")
+        assert cli.main(["fit", "--data", str(path), "--out", str(tmp_path / "m.json")]) == 2
+        assert f"{path}: non-finite value '{cell}' in row 3, column y" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_design_cell_names_location(self, tmp_path, capsys, cell):
+        design, response = tmp_path / "design.csv", tmp_path / "response.csv"
+        design.write_text(f"x1,x2\n0.2,0.3\n{cell},0.6\n0.8,0.1\n")
+        response.write_text("y\n1.0\n2.0\n3.0\n")
+        assert cli.main(["fit", "--design", str(design), "--response", str(response)]) == 2
+        assert f"{design}: non-finite value '{cell}' in row 3, column x1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_response_cell_names_location(self, tmp_path, capsys, cell):
+        design, response = tmp_path / "design.csv", tmp_path / "response.csv"
+        design.write_text("x1,x2\n0.2,0.3\n0.5,0.6\n0.8,0.1\n")
+        response.write_text(f"y\n1.0\n2.0\n{cell}\n")
+        assert cli.main(["fit", "--design", str(design), "--response", str(response)]) == 2
+        assert f"{response}: non-finite value '{cell}' in row 4, column y" in capsys.readouterr().err
+
     def test_fit_failure_exit_3(self, toy_csv, monkeypatch):
         def broken(data, opts=None):
             raise OptimizerFailedError("all starts failed")
@@ -292,6 +315,23 @@ class TestBenchmarkCommand:
         code = cli.main(["benchmark", "--spec", self._spec(tmp_path, bogus=1), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("reps", "5"), ("reps", 2.5), ("n", "30"), ("n", None), ("iters", 60.0),
+         ("burnin", True), ("thin", "1"), ("n_test", [5]), ("seed", False)],
+    )
+    def test_integer_field_of_wrong_type_exit_2(self, tmp_path, capsys, field, value):
+        out = tmp_path / "r.json"
+        code = cli.main(["benchmark", "--spec", self._spec(tmp_path, **{field: value}), "--out", str(out)])
+        assert code == 2
+        assert f"benchmark spec field '{field}' must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_chain_field_keeps_default(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert cli.main(["benchmark", "--spec", self._spec(tmp_path, reps=1, thin=None), "--out", str(out)]) == 0
+        assert io.load_json(out)["spec"]["thin"] is None
 
     def test_missing_function_exit_2(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -8,8 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import build_corr_matrix, chol_decompose, make_dataset, two_point_dataset
-from ssgp import gp, linalg
+from conftest import (
+    build_corr_matrix,
+    chol_decompose,
+    make_dataset,
+    pairwise_sqdiffs,
+    profile_gradient_full,
+    two_point_dataset,
+)
+from ssgp import gp, linalg, testbed
 from ssgp.designs import scale_points
 from ssgp.gp import (
     LOG_THETA_HI,
@@ -98,17 +105,15 @@ class TestDataset:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
 
-    def test_sqdiffs_is_pairwise_sqdiffs(self, toy10):
-        assert toy10.sqdiffs.tobytes() == linalg.pairwise_sqdiffs(toy10.points).tobytes()
-        assert toy10.sqdiffs is toy10.sqdiffs
-
     def test_pair_table_is_lower_triangle_of_sqdiffs(self, toy10):
         pairs = toy10.pair_table
         assert pairs is toy10.pair_table
-        expect = linalg.pair_table(linalg.pairwise_sqdiffs(toy10.points))
-        assert pairs.n == expect.n
-        assert pairs.rows.tobytes() == expect.rows.tobytes()
-        assert np.array_equal(pairs.index, expect.index)
+        sqd = pairwise_sqdiffs(toy10.points)
+        j, i = np.triu_indices(toy10.n, 1)
+        assert pairs.n == toy10.n
+        assert pairs.rows[: len(i)].tobytes() == sqd[i, j].tobytes()
+        assert not pairs.rows[len(i) :].any()
+        assert np.array_equal(pairs.index, j * toy10.n + i)
 
     def test_arrays_read_only_and_caller_arrays_untouched(self):
         pts = np.array([[0.1, 0.2], [0.9, 0.8]])
@@ -135,23 +140,23 @@ class TestDataset:
         dup = clone(data)
         assert not any(a.flags.writeable for a in (dup.points, dup.responses, dup.ranges))
         assert dup.fingerprint() == data.fingerprint()
-        assert np.array_equal(dup.sqdiffs, linalg.pairwise_sqdiffs(dup.points))
+        assert dup.pair_table.rows.tobytes() == linalg.pair_table(dup.points).rows.tobytes()
         # The copy factors R afresh: it carries no prediction factor.
         factorizations = _count_calls(monkeypatch, linalg, "corr_cholesky")
         assert _bits(predict_batch(params, dup, xs)) == _bits(predict_batch(params, data, xs))
         assert len(factorizations) == 1
 
-    def test_predict_batch_reuses_sqdiffs(self, monkeypatch):
+    def test_predict_batch_reuses_pair_table(self, monkeypatch):
         data = make_dataset("toy", 10)
         params = GpParams(mu=0.0, sigma2=1.0, phi=np.ones(data.dim))
-        sqdiffs = _count_calls(monkeypatch, linalg, "pairwise_sqdiffs")
+        tables = _count_calls(monkeypatch, linalg, "pair_table")
         factorizations = _count_calls(monkeypatch, linalg, "corr_cholesky")
         solves = _count_calls(monkeypatch, linalg, "solve_with_chol")
         xs = scale_points(data.points, data.ranges, "from_unit")[:3]
         first = _bits(predict_batch(params, data, xs))
         for x in [xs, xs[0], xs[1:], xs]:
             predict_batch(params, data, x)
-        assert (len(sqdiffs), len(factorizations), len(solves)) == (1, 1, 1)
+        assert (len(tables), len(factorizations), len(solves)) == (1, 1, 1)
         # A repeated call returns the first call's output bit for bit.
         assert _bits(predict_batch(params, data, xs)) == first
 
@@ -374,6 +379,45 @@ class TestLikelihoodGradient:
             ])
             assert np.max(np.abs(g * theta - fd)) <= 1e-6 * np.max(np.abs(fd))
 
+    @pytest.mark.parametrize("name", ["toy10", "borehole50", "linear54"])
+    @pytest.mark.parametrize("nugget", [1e-8, 1e-5])
+    def test_pair_table_matches_full_matrices(self, name, nugget, request):
+        # The gradient over the pairs i > j against the same formula over
+        # the full (n, n, d) squared differences and R0, from one factor.
+        data = request.getfixturevalue(name)
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            theta = np.exp(rng.uniform(np.log(0.1), np.log(2.0), data.dim)) ** 2
+            factor, mu, s2 = gp._profile(theta, data, nugget)
+            got = gp._profile_gradient(factor, mu, s2, theta, data)
+            expect = profile_gradient_full(factor, mu, s2, theta, data)
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def test_no_checked_factor_on_fit_or_prediction_paths(toy10, monkeypatch):
+    # Every factor of a fit, a prediction and the closed-form leave-one-out
+    # comes from linalg, which wraps it unchecked; with from_lower made to
+    # raise, seeded runs give bitwise the unpatched outputs.
+    def run():
+        data = Dataset(toy10.points, toy10.responses, toy10.ranges)
+        params = mle_fit(data, FitOptions(seed=2))
+        xs = np.random.default_rng(6).uniform(size=(40, data.dim))
+        preds = _bits(predict_batch(params, data, xs))
+        return params, preds, testbed._loo_means(params, data)
+
+    expect = run()
+
+    def refuse(cls, lower, y):
+        raise AssertionError("from_lower called")
+
+    monkeypatch.setattr(linalg.CorrFactor, "from_lower", classmethod(refuse))
+    got = run()
+    assert (got[0].mu, got[0].sigma2, got[0].phi.tobytes()) == (
+        expect[0].mu, expect[0].sigma2, expect[0].phi.tobytes()
+    )
+    assert got[1] == expect[1]
+    assert got[2].tobytes() == expect[2].tobytes()
+
 
 class TestPrediction:
     def test_symmetric_midpoint(self):
@@ -474,7 +518,7 @@ class TestPrediction:
         # one in predict_batch.
         params = mle_fit(toy20, FitOptions(seed=0))
         lower, _ = linalg.corr_cholesky(toy20.points, params.theta, 0.0)
-        factor = linalg.CorrFactor.from_lower(lower, toy20.responses)
+        factor = linalg.CorrFactor(lower, toy20.responses)
         t = gp._LOOP_MIN_WIDTH
         xs = np.resize(scale_points(toy20.points, toy20.ranges, "from_unit"), (t + 1, toy20.dim))
         xs_unit = scale_points(xs, toy20.ranges, "to_unit")
@@ -491,6 +535,16 @@ class TestPrediction:
         # Flags and mse bits agree below and above the loop width.
         narrow = predict_batch(params, toy20, xs[: t - 1], nugget=0.0)
         assert _bits(narrow) == _bits(wide[: t - 1])
+
+    def test_mse_bits_do_not_depend_on_batch_width(self, linear54):
+        # From two points up, each point's prediction is bitwise the same at
+        # every width and on either side of the loop width.
+        rng = np.random.default_rng(17)
+        params = GpParams(mu=0.3, sigma2=2.0, phi=rng.uniform(0.3, 1.5, linear54.dim))
+        xs = rng.uniform(size=(2 * gp._LOOP_MIN_WIDTH, linear54.dim))
+        widest = _bits(predict_batch(params, linear54, xs))
+        for m in range(2, len(xs)):
+            assert _bits(predict_batch(params, linear54, xs[:m])) == widest[:m], m
 
     def test_wide_batch_peak_memory(self, linear54):
         # The exponent is built in two (m, n) buffers; the einsum's (m, n, d)

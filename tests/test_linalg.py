@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import build_corr_matrix, chol_decompose, gaussian_corr, make_dataset
+from conftest import (
+    build_corr_matrix,
+    chol_decompose,
+    corr_matrix_from_sqdiffs,
+    gaussian_corr,
+    make_dataset,
+    pairwise_sqdiffs,
+)
 from ssgp import linalg
 from ssgp.errors import IllConditionedError, NotPositiveDefiniteError
 
@@ -50,11 +57,12 @@ class TestGaussianCorr:
 
 class TestCorrMatrix:
     def test_pairwise_sqdiffs(self):
+        # The one pair's squared differences, then seven zero rows.
         pts = np.array([[0.0, 1.0], [1.0, 3.0]])
-        sq = linalg.pairwise_sqdiffs(pts)
-        assert sq.shape == (2, 2, 2)
-        assert sq[0, 1, 0] == 1.0 and sq[0, 1, 1] == 4.0
-        assert np.all(sq[0, 0] == 0.0)
+        rows = linalg.pair_table(pts).rows
+        assert rows.shape == (8, 2)
+        assert rows[0, 0] == 1.0 and rows[0, 1] == 4.0
+        assert np.all(rows[1:] == 0.0)
 
     def test_diagonal_carries_nugget(self):
         pts = np.array([[0.1], [0.5], [0.9]])
@@ -86,9 +94,13 @@ class TestCorrMatrix:
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
     def test_theta_values_checked(self, bad):
         # A non-finite theta would put NaN into R; internal factorizations
-        # run no symmetry or finite scan, so it must stop here.
+        # run no symmetry or finite scan, so both entry points that build R
+        # must stop it.
+        pts = np.array([[0.1, 0.2], [0.5, 0.6]])
         with pytest.raises(ValueError, match="finite and non-negative"):
-            build_corr_matrix(np.array([[0.1, 0.2], [0.5, 0.6]]), [1.0, bad], nugget=0.0)
+            linalg.corr_factor(linalg.pair_table(pts), [1.0, bad], 1e-8, np.zeros(2))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            linalg.corr_cholesky(pts, [1.0, bad], nugget=0.0)
 
     def test_duplicate_points_zero_nugget_warns(self):
         pts = np.array([[0.3, 0.3], [0.3, 0.3], [0.7, 0.1]])
@@ -237,21 +249,34 @@ class TestCorrCholesky:
 
     def test_accepts_precomputed_sqdiffs(self):
         pts = np.random.default_rng(1).uniform(size=(6, 2))
-        sqd = linalg.pairwise_sqdiffs(pts)
         a, _ = linalg.corr_cholesky(pts, [2.0, 0.5])
-        b, _ = linalg.corr_cholesky(pts, [2.0, 0.5], pairs=linalg.pair_table(sqd))
+        b, _ = linalg.corr_cholesky(pts, [2.0, 0.5], pairs=linalg.pair_table(pts))
         assert np.array_equal(a, b)
 
 
 class TestPairTable:
     def test_layout(self):
         pts = np.array([[0.0], [1.0], [3.0]])
-        pairs = linalg.pair_table(linalg.pairwise_sqdiffs(pts))
+        pairs = linalg.pair_table(pts)
         # Pairs (1, 0), (2, 0), (2, 1), column by column, then zero rows.
         assert pairs.n == 3
         assert pairs.rows.shape == (8, 1)
         assert np.array_equal(pairs.rows[:, 0], [1.0, 9.0, 4.0, 0, 0, 0, 0, 0])
         assert np.array_equal(pairs.index, [1, 2, 5])
+
+    @pytest.mark.parametrize(
+        "points,match",
+        [
+            (np.array([0.1, 0.5]), "non-empty"),
+            (np.zeros((0, 2)), "non-empty"),
+            (np.zeros((3, 0)), "non-empty"),
+            (np.array([[0.1], [np.nan]]), "non-finite"),
+            (np.array([[0.1], [np.inf]]), "non-finite"),
+        ],
+    )
+    def test_points_checked(self, points, match):
+        with pytest.raises(ValueError, match=match):
+            linalg.pair_table(points)
 
     def test_build_and_factor_bitwise_match_full_matrix(self):
         # Random n from 2 to 120 until every residue of n(n-1)/2 mod 8 has
@@ -266,14 +291,17 @@ class TestPairTable:
             n = int(rng.integers(2, 121))
             d = int(rng.integers(1, 11))
             cells.add((n * (n - 1) // 2 % 8, n % 2))
-            sqd = linalg.pairwise_sqdiffs(rng.uniform(size=(n, d)))
-            pairs = linalg.pair_table(sqd)
+            pts = rng.uniform(size=(n, d))
+            sqd = pairwise_sqdiffs(pts)
+            pairs = linalg.pair_table(pts)
+            j, i = np.triu_indices(n, 1)
+            assert pairs.rows[: len(i)].tobytes() == sqd[i, j].tobytes()
             for _ in range(3):
                 theta = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), d))
                 theta[rng.uniform(size=d) < 0.25] = 0.0
                 theta[rng.uniform(size=d) < 0.1] *= 1e4
                 for nugget in (0.0, 1e-8, 1e-5):
-                    full = linalg.corr_matrix_from_sqdiffs(sqd, theta, nugget)
+                    full = corr_matrix_from_sqdiffs(sqd, theta, nugget)
                     built = linalg._corr_lower(pairs, theta, nugget)
                     low = np.tril_indices(n)
                     assert built[low].tobytes() == full[low].tobytes()
@@ -297,8 +325,8 @@ class TestCorrFactor:
         # Log-uniform phi in [0.1, 2] reaches condition numbers near 1e6 on
         # toy10; every quantity must agree to 1e-10 relative.
         data = make_dataset(name, n)
-        sqd = linalg.pairwise_sqdiffs(data.points)
-        pairs = linalg.pair_table(sqd)
+        sqd = pairwise_sqdiffs(data.points)
+        pairs = data.pair_table
         y, ones = data.responses, np.ones(data.n)
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -306,7 +334,7 @@ class TestCorrFactor:
             mu = rng.normal()
             for nugget in (linalg.DEFAULT_NUGGET, 1e-5):
                 f = linalg.corr_factor(pairs, phi**2, nugget, y)
-                r = linalg.corr_matrix_from_sqdiffs(sqd, phi**2, nugget)
+                r = corr_matrix_from_sqdiffs(sqd, phi**2, nugget)
                 rinv = np.linalg.inv(r)
                 sign, logdet = np.linalg.slogdet(r)
                 assert sign == 1.0
@@ -320,11 +348,39 @@ class TestCorrFactor:
                 assert np.max(np.abs(f.inverse() - rinv)) <= 1e-8 * np.max(np.abs(rinv))
                 assert np.array_equal(f.lower, chol_decompose(r))
 
+    @pytest.mark.parametrize("name,n", [("toy", 10), ("linear", 54)])
+    def test_constructor_matches_from_lower(self, name, n):
+        # CorrFactor(lower, y), linalg's own constructor, gives bitwise the
+        # values of the checked from_lower, read in either order.
+        data = make_dataset(name, n)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            theta = np.exp(rng.uniform(np.log(0.1), np.log(2.0), data.dim)) ** 2
+            lower, _ = linalg.corr_cholesky(data.points, theta)
+            made = linalg.CorrFactor(lower, data.responses)
+            checked = linalg.CorrFactor.from_lower(lower, data.responses)
+            mu = float(rng.normal())
+            got = [made.quad(mu), made.gls_mean, made.one_rinv_one, made.log_det]
+            expect = [checked.log_det, checked.one_rinv_one, checked.gls_mean, checked.quad(mu)][::-1]
+            assert np.array(got).tobytes() == np.array(expect).tobytes()
+            assert made.w1.tobytes() == checked.w1.tobytes()
+
+    def test_solve_formed_only_when_read(self):
+        # log det and the quadratic form, all a rejected Gibbs proposal
+        # reads, leave the two-column solve unformed.
+        pts = np.random.default_rng(4).uniform(size=(6, 2))
+        f = linalg.corr_factor(linalg.pair_table(pts), [2.0, 0.5], 1e-8, np.arange(6.0))
+        f.log_det
+        f.quad(1.0)
+        assert "_ones_y" not in vars(f)
+        f.gls_mean
+        assert "_ones_y" in vars(f)
+
     def test_quad_is_a_fresh_solve_per_mu(self):
         # The kept quadratic form must never be served for another mu.
         pts = np.random.default_rng(4).uniform(size=(6, 2))
         y = np.arange(6.0)
-        f = linalg.corr_factor(linalg.pair_table(linalg.pairwise_sqdiffs(pts)), [2.0, 0.5], 1e-8, y)
+        f = linalg.corr_factor(linalg.pair_table(pts), [2.0, 0.5], 1e-8, y)
         first = f.quad(1.0)
         assert f.quad(2.5) != first
         assert f.quad(1.0) == first
@@ -334,11 +390,11 @@ class TestCorrFactor:
         # fixed-nugget factor raises.
         pts = np.array([[0.3, 0.3], [0.3, 0.3], [0.7, 0.1]])
         with pytest.raises(NotPositiveDefiniteError):
-            linalg.corr_factor(linalg.pair_table(linalg.pairwise_sqdiffs(pts)), [1.0, 1.0], 0.0, np.zeros(3))
+            linalg.corr_factor(linalg.pair_table(pts), [1.0, 1.0], 0.0, np.zeros(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_nugget_rejected(self, bad):
-        pairs = linalg.pair_table(linalg.pairwise_sqdiffs(np.array([[0.2], [0.8]])))
+        pairs = linalg.pair_table(np.array([[0.2], [0.8]]))
         with pytest.raises(ValueError, match="nugget must be finite and non-negative"):
             linalg.corr_factor(pairs, [1.0], bad, np.zeros(2))
 

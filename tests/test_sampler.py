@@ -381,6 +381,28 @@ class TestUpdatePhi:
         assert abs(draws.var() - 1.0) < 0.12
 
 
+def test_rejected_proposal_skips_the_gls_solve(toy10, monkeypatch):
+    # The phi step reads only log det and the quadratic form of a proposal;
+    # the two-column solve behind the GLS mean is formed only for a factor
+    # that becomes the state and is read by the next mu step.
+    made = []
+    real = sampler._factor
+
+    def recording(phi, data):
+        made.append(real(phi, data))
+        return made[-1]
+
+    monkeypatch.setattr(sampler, "_factor", recording)
+    hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.5, iters=60, burnin=10, seed=4)
+    init = GpParams(mu=float(toy10.responses.mean()), sigma2=1.0, phi=np.full(3, 0.5))
+    chain = run_chain(toy10, hyper, init=init)
+    formed = sum("_ones_y" in vars(f) for f in made[1:])
+    accepted = round(chain.accept_rate * hyper.iters)
+    assert 0 < accepted < len(made) - 1
+    # An accepted proposal at the last scan is never read by a mu step.
+    assert accepted - 1 <= formed <= accepted
+
+
 class TestGewekeJointDistribution:
     """Geweke (2004, JASA 99(467)), "Getting it right", for the real phi and
     gamma kernels.  With mu and sigma2 fixed the prior on (phi, gamma) is
@@ -481,6 +503,14 @@ class TestRunChain:
         hyper = Hyperparams.for_dim(2, tau=0.3)
         with pytest.raises(ValueError, match="dimension"):
             run_chain(toy10, hyper)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_init_width_mismatch(self, toy10, width):
+        # Named at the boundary, not as a numpy broadcasting error.
+        hyper = Hyperparams.for_dim(3, tau=0.3, iters=10, burnin=2)
+        init = GpParams(mu=0.0, sigma2=1.0, phi=np.full(width, 0.5))
+        with pytest.raises(ValueError, match=f"init has {width} phi entries, data has dimension 3"):
+            run_chain(toy10, hyper, init=init)
 
     def test_midchain_failure_carries_scan_index(self, toy10, monkeypatch):
         real = sampler.update_sigma2
