@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
+KINDS = ("maximin-lhd", "random-lhd")
+
 
 @dataclass(frozen=True)
 class Design:

@@ -1,9 +1,10 @@
 """CSV and JSON persistence.
 
 All JSON is written canonically (sorted keys, fixed indentation, no
-timestamps) and all CSV floats use repr, so identical inputs and seeds
-produce byte-identical files.  Readers validate shape and numeric content
-and name the offending row or column in error messages.
+timestamps) and all CSV floats use repr, so identical inputs and seeds give
+byte-identical files at a fixed BLAS thread count (README, "Numerical
+policy").  Readers validate shape and numeric content and name the
+offending row or column in error messages.
 """
 
 import json

@@ -15,6 +15,8 @@ import numpy as np
 
 from .sampler import Chain
 
+RULES = ("modal", "median")
+
 
 @dataclass(frozen=True)
 class SelectionReport:
@@ -42,7 +44,7 @@ def select_variables(chain: Chain, rule: str = "modal") -> SelectionReport:
     and flagged.  "median" instead selects marginal inclusion > 1/2, the
     fraction of stored draws with gamma_k = 1.
     """
-    if rule not in ("modal", "median"):
+    if rule not in RULES:
         raise ValueError(f"unknown selection rule {rule!r}")
     if chain.size == 0:
         raise ValueError("empty chain")

@@ -35,6 +35,10 @@ from .gp import Dataset, FitOptions, GpParams, mle_fit
 # keeps the target well defined; prediction paths keep the sharp default.
 SAMPLER_NUGGET = 1e-5
 
+# The Hyperparams fields a caller may set for a chain: per-input vectors, then run lengths.
+_VECTOR_FIELDS = ("tau", "c", "p", "prop_sd")
+CHAIN_FIELDS = _VECTOR_FIELDS + ("iters", "burnin", "thin")
+
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -57,13 +61,15 @@ class Hyperparams:
 
     def __post_init__(self):
         vecs = {}
-        d = 1
-        for name in ("tau", "c", "p", "prop_sd"):
-            v = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+        for name in _VECTOR_FIELDS:
+            try:
+                v = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a number or a list of numbers") from None
             if v.ndim != 1:
                 raise ValueError(f"{name} must be a scalar or 1-D vector")
             vecs[name] = v
-            d = max(d, v.size)
+        d = next((v.size for v in vecs.values() if v.size > 1), 1)
         for name, v in vecs.items():
             if v.size == 1:
                 v = np.full(d, v[0])
@@ -86,6 +92,8 @@ class Hyperparams:
             raise ValueError(f"burnin must lie in [0, iters), got {self.burnin} with iters {self.iters}")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def dim(self) -> int:
@@ -115,9 +123,10 @@ class Hyperparams:
         d-vectors; iters, burnin, thin, seed); omitted ones keep their
         defaults.
         """
-        if np.ndim(tau) == 0:
-            tau = np.full(d, tau)
-        return cls(np.asarray(tau, dtype=float), **settings)
+        hyper = cls(np.full(d, tau) if np.ndim(tau) == 0 else tau, **settings)
+        if hyper.dim != d:
+            raise ValueError(f"tau has length {hyper.dim}, expected {d}")
+        return hyper
 
 
 def default_hyperparams(data: Dataset, seed: int = 0, **overrides) -> Hyperparams:
@@ -125,10 +134,9 @@ def default_hyperparams(data: Dataset, seed: int = 0, **overrides) -> Hyperparam
 
     tau_k = 1/(3 dx_k) with dx_k the observed range of scaled coordinate k
     (1/3 when the data span the unit cube), unless `tau` is given.  Every
-    other setting (c, p, prop_sd, iters, burnin, thin) keeps its Hyperparams
-    default (25, 1/2, 0.03, 6000, 2000, 1) unless given; an override of
-    None keeps the default too.  Raises ValueError when a coordinate has
-    zero observed range.
+    other setting in CHAIN_FIELDS keeps its Hyperparams field default unless
+    given; an override of None keeps the default too.  Raises ValueError
+    when a coordinate has zero observed range.
     """
     deltas = np.ptp(data.points, axis=0)
     if np.any(deltas <= 0):
@@ -347,15 +355,8 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
             stacklevel=2,
         )
     meta = {
-        "hyperparams": {
-            "tau": _float_list(hyper.tau),
-            "c": _float_list(hyper.c),
-            "p": _float_list(hyper.p),
-            "prop_sd": _float_list(hyper.prop_sd),
-            "iters": hyper.iters,
-            "burnin": hyper.burnin,
-            "thin": hyper.thin,
-        },
+        "hyperparams": {k: _float_list(getattr(hyper, k)) if k in _VECTOR_FIELDS else getattr(hyper, k)
+                        for k in CHAIN_FIELDS},
         "seed": hyper.seed,
         "sampler_nugget": SAMPLER_NUGGET,
         "dataset_fingerprint": data.fingerprint(),

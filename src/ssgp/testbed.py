@@ -8,18 +8,19 @@ leave-one-out cross-validation (or an external test file when supplied),
 in closed form from the one factor that predict_batch memoizes.
 """
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .designs import maximin_lhd, random_lhd, scale_points
+from .designs import KINDS, maximin_lhd, random_lhd, scale_points
 from .errors import BenchmarkError, IllConditionedError, OptimizerFailedError, SamplerError
 from .gp import Dataset, FitOptions, mle_fit, predict_batch
 from .io import read_data_csv
 from .linalg import DEFAULT_NUGGET
-from .report import select_variables
-from .sampler import default_hyperparams, derive_seed, posterior_params, run_chain
+from .report import RULES, select_variables
+from .sampler import CHAIN_FIELDS, Hyperparams, default_hyperparams, derive_seed, posterior_params, run_chain
 
 UNIT = (0.0, 1.0)
 
@@ -133,6 +134,7 @@ PISTON_RUNS = np.array(
         [57.0, 15.6, 23.4, 3.0, 1.0, 0.66, 59.64],
     ]
 )
+PISTON_DIM = PISTON_RUNS.shape[1] - 1
 
 
 def piston_dataset() -> Dataset:
@@ -199,16 +201,17 @@ class BenchmarkSpec:
 
     Hyperparameter fields left at None fall back to the data-driven defaults.
     function "piston" switches to the fixed dataset with leave-one-out
-    prediction scoring; design and n are ignored there.
+    prediction scoring; design and n are ignored there.  Every rule is
+    checked here, before any replicate runs; a ValueError names the field.
     """
 
     function: str
     design: str = "maximin-lhd"
     n: int = 30
     reps: int = 5
-    iters: int = 6000
-    burnin: int = 2000
-    thin: int = 1
+    iters: int = Hyperparams.iters
+    burnin: int = Hyperparams.burnin
+    thin: int = Hyperparams.thin
     tau: float | None = None
     c: float | None = None
     p: float | None = None
@@ -219,15 +222,34 @@ class BenchmarkSpec:
     test_file: str | None = None
     notes: str = ""
 
+    def __post_init__(self):
+        def check(ok, name, want):
+            if not ok:
+                raise ValueError(f"benchmark spec field {name!r} must be {want}, got {getattr(self, name)!r}")
 
-# The BenchmarkSpec fields that set the chain; None keeps the default.
-_CHAIN_FIELDS = ("tau", "c", "p", "prop_sd", "iters", "burnin", "thin")
-
-_DESIGN_KINDS = ("maximin-lhd", "random-lhd")
+        # A JSON bool is an int subclass; a null chain setting keeps the default.
+        for name, value in ((f.name, getattr(self, f.name)) for f in fields(self) if f.type is int):
+            check(type(value) is int or (value is None and name in CHAIN_FIELDS), name, "an integer")
+        names = sorted([*FUNCTIONS, "piston"])
+        check(self.function in names, "function", f"one of {', '.join(names)}")
+        synthetic = self.function != "piston"
+        check(not synthetic or self.design in KINDS, "design", f"one of {', '.join(KINDS)}")
+        check(self.reps >= 1, "reps", ">= 1")
+        check(self.seed >= 0, "seed", ">= 0")
+        check(self.rule in RULES, "rule", f"one of {', '.join(RULES)}")
+        check(not synthetic or self.n >= 2, "n", ">= 2")
+        check(not synthetic or self.n_test >= 1, "n_test", ">= 1")
+        ok = self.test_file is None or (not synthetic and isinstance(self.test_file, str))
+        check(ok, "test_file", "null, or a CSV path for function 'piston'")
+        # Hyperparams' own checks; its warnings are left to each chain.
+        settings = {k: getattr(self, k) for k in CHAIN_FIELDS if getattr(self, k) is not None}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            Hyperparams.for_dim(FUNCTIONS[self.function].dim if synthetic else PISTON_DIM, **settings)
 
 
 def _fit_and_sample(spec: BenchmarkSpec, data: Dataset, rep_seed: int):
-    hyper = default_hyperparams(data, rep_seed, **{k: getattr(spec, k) for k in _CHAIN_FIELDS})
+    hyper = default_hyperparams(data, rep_seed, **{k: getattr(spec, k) for k in CHAIN_FIELDS})
     # The plain-MLE comparator keeps the sharp prediction nugget; the chain
     # fits its own init so it starts at the mode of the jittered target.
     params_mle = mle_fit(data, FitOptions(seed=derive_seed(rep_seed, "mle")))
@@ -268,7 +290,7 @@ def _errors(truth, pred_ssgp, pred_mle, suffix="") -> dict:
     }
 
 
-def _one_replicate(spec: BenchmarkSpec, rep: int) -> dict:
+def _one_replicate(spec: BenchmarkSpec, rep: int, test_set) -> dict:
     rep_seed = derive_seed(spec.seed, "rep", rep)
     if spec.function == "piston":
         f, data = None, piston_dataset()
@@ -297,8 +319,8 @@ def _one_replicate(spec: BenchmarkSpec, rep: int) -> dict:
         # No known active set: score leave-one-out prediction, and an
         # external test set when one is given.
         row.update(_errors(data.responses, _loo_means(params_post, data), _loo_means(params_mle, data)))
-        if spec.test_file is not None:
-            x_test, y_test = read_data_csv(spec.test_file)
+        if test_set is not None:
+            x_test, y_test = test_set
             pred_ssgp, pred_mle = _means(params_post, data, x_test), _means(params_mle, data, x_test)
             row.update(_errors(y_test, pred_ssgp, pred_mle, "_external"))
     else:
@@ -310,14 +332,14 @@ def _one_replicate(spec: BenchmarkSpec, rep: int) -> dict:
     return row
 
 
-def _run_replicate(spec: BenchmarkSpec, rep: int) -> dict:
+def _run_replicate(spec: BenchmarkSpec, rep: int, test_set) -> dict:
     """The replicate's row, or {rep, error} if it failed.
 
     Failures are caught here, in the worker, so a process pool only ever
     sends back plain dicts.
     """
     try:
-        return _one_replicate(spec, rep)
+        return _one_replicate(spec, rep, test_set)
     except (SamplerError, IllConditionedError, OptimizerFailedError, ValueError) as exc:
         return {"rep": rep, "error": str(exc)}
 
@@ -333,9 +355,8 @@ def _aggregate(rows: list) -> dict:
             agg[f"mean_{key}"] = float(np.mean(vals))
     vals = [r["rmspe_ssgp"] < r["rmspe_mle"] for r in rows]
     agg["ssgp_beats_mle"] = int(np.sum(vals))
-    if rows and "marginal_inclusion" in rows[0]:
-        marg = np.array([r["marginal_inclusion"] for r in rows])
-        agg["mean_marginal_inclusion"] = [float(v) for v in marg.mean(axis=0)]
+    marg = np.array([r["marginal_inclusion"] for r in rows])
+    agg["mean_marginal_inclusion"] = [float(v) for v in marg.mean(axis=0)]
     return agg
 
 
@@ -343,23 +364,21 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1) -> dict:
     """Run all replicates of a benchmark and aggregate.
 
     Each replicate draws a fresh design and chain from seeds derived off
-    spec.seed, so the whole report is reproducible.  Failed replicates are
-    recorded and excluded; more than 10% failures raises BenchmarkError
-    carrying the partial report.
+    spec.seed, so the whole report is reproducible.  test_file is read once,
+    before any replicate (OSError or ValueError if it cannot be).  Failed
+    replicates are recorded and excluded; more than 10% failures raises
+    BenchmarkError carrying the partial report.
     """
-    if spec.function != "piston":
-        get_function(spec.function)
-        if spec.design not in _DESIGN_KINDS:
-            raise ValueError(f"unknown design kind {spec.design!r}")
-    if spec.reps < 1:
-        raise ValueError("reps must be >= 1")
+    test_set = None if spec.test_file is None else read_data_csv(spec.test_file)
+    if test_set is not None and test_set[0].shape[1] != PISTON_DIM:
+        raise ValueError(f"{spec.test_file}: test_file needs {PISTON_DIM} input columns, has {test_set[0].shape[1]}")
     reps = range(spec.reps)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replicate, [spec] * spec.reps, reps))
+            results = list(pool.map(_run_replicate, [spec] * spec.reps, reps, [test_set] * spec.reps))
     else:
         # In process, so a tracer installed by the caller sees the replicate.
-        results = [_run_replicate(spec, rep) for rep in reps]
+        results = [_run_replicate(spec, rep, test_set) for rep in reps]
     rows = [r for r in results if "error" not in r]
     failures = [r for r in results if "error" in r]
 

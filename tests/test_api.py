@@ -3,13 +3,15 @@ functions the benchmark harness calls and traces."""
 
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ssgp
-from ssgp import gp, linalg
+from conftest import make_dataset
+from ssgp import designs, gp, linalg, sampler, testbed
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -49,6 +51,43 @@ class TestBenchmarkSeams:
         assert type(used) is float and used == 1e-8
         again, used_again = linalg.corr_cholesky(pts, [1.0, 2.0, 0.5], 1e-8, pairs=linalg.pair_table(pts))
         assert again.tobytes() == lower.tobytes() and used_again == used
+
+    @pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
+    def test_every_design_attribute_sees_each_replicate(self, monkeypatch):
+        # bench/tracer.py wraps maximin_lhd at every ssgp.* attribute that
+        # holds it; a replicate must reach the design through one of them.
+        real = designs.maximin_lhd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "ssgp" or name.startswith("ssgp."):
+                for key, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, key, counting)
+        spec = testbed.BenchmarkSpec(function="toy", n=10, reps=2, iters=60, burnin=20, seed=0)
+        assert spec.design == "maximin-lhd"
+        testbed.run_benchmark(spec)
+        assert len(calls) == 2
+
+    @pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
+    def test_chain_meta_keys_bench_reads(self):
+        data = make_dataset("toy", 10)
+        chain = sampler.run_chain(data, sampler.Hyperparams.for_dim(3, iters=30, burnin=10, seed=1))
+        # bench/layers.py reads hyperparams.iters and mh_proposal_failures;
+        # bench/workloads.py checks dataset_fingerprint.
+        assert chain.meta["dataset_fingerprint"] == data.fingerprint()
+        assert type(chain.meta["mh_proposal_failures"]) is int
+        hyper = chain.meta["hyperparams"]
+        assert set(hyper) == {"tau", "c", "p", "prop_sd", "iters", "burnin", "thin"}
+        for key in ("tau", "c", "p", "prop_sd"):
+            assert type(hyper[key]) is list and len(hyper[key]) == 3
+            assert all(type(v) is float for v in hyper[key])
+        assert (hyper["iters"], hyper["burnin"], hyper["thin"]) == (30, 10, 1)
+        assert all(type(hyper[key]) is int for key in ("iters", "burnin", "thin"))
 
     def test_traced_functions_exist(self):
         assert callable(linalg.solve_with_chol)

@@ -338,6 +338,39 @@ class TestBenchmarkCommand:
         io.save_json(path, {"n": 10})
         assert cli.main(["benchmark", "--spec", str(path), "--out", str(tmp_path / "r.json")]) == 2
 
+    @staticmethod
+    def _forbid_replicates(monkeypatch):
+        def started(*args):
+            raise AssertionError("a replicate started")
+
+        monkeypatch.setattr(testbed, "_one_replicate", started)
+
+    @pytest.mark.parametrize(
+        "overrides,named",
+        [({"rule": "mode"}, "'rule' must be one of modal, median"), ({"n_test": 0}, "'n_test' must be >= 1"),
+         ({"n": 1}, "'n' must be >= 2"), ({"seed": -1}, "'seed' must be >= 0"), ({"c": 0.5}, "c entries must exceed 1"),
+         ({"tau": "abc"}, "tau must be a number"), ({"tau": [0.3, 0.3]}, "tau has length 2, expected 3"),
+         ({"iters": 40, "burnin": 50}, "burnin must lie in [0, iters)"), ({"test_file": "t.csv"}, "'test_file'")],
+    )
+    def test_bad_spec_exit_2_before_any_replicate(self, tmp_path, capsys, monkeypatch, overrides, named):
+        self._forbid_replicates(monkeypatch)
+        out = tmp_path / "r.json"
+        assert cli.main(["benchmark", "--spec", self._spec(tmp_path, **overrides), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_bad_piston_test_file_exit_2_before_any_replicate(self, tmp_path, capsys, monkeypatch, columns):
+        self._forbid_replicates(monkeypatch)
+        test_file = tmp_path / "test.csv"
+        if columns is not None:
+            write_data_csv(test_file, np.full((4, columns - 1), 0.5), np.zeros(4))
+        out = tmp_path / "r.json"
+        spec = self._spec(tmp_path, function="piston", test_file=str(test_file))
+        assert cli.main(["benchmark", "--spec", spec, "--out", str(out)]) == 2
+        assert str(test_file) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quota_failure_exit_5_with_partial_report(self, tmp_path, monkeypatch):
         def broken(data, hyper=None, init=None):
             raise SamplerError(1, "forced failure")

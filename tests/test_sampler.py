@@ -68,6 +68,10 @@ class TestHyperparams:
             (dict(tau=0.3, iters=0), "iters"),
             (dict(tau=0.3, iters=100, burnin=100), "burnin"),
             (dict(tau=0.3, thin=0), "thin"),
+            (dict(tau=0.3, seed=-1), "seed must be >= 0"),
+            (dict(tau="abc"), "tau must be a number"),
+            (dict(tau=[0.3] * 3), "tau has length 3, expected 2"),
+            (dict(tau=0.3, c=[25.0] * 3), "c has length 3, expected 2"),
         ],
     )
     def test_validation(self, kwargs, phrase):

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -281,12 +282,37 @@ class TestRunBenchmark:
             run_benchmark(tiny_spec())
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="unknown test function"):
-            run_benchmark(tiny_spec(function="nope"))
-        with pytest.raises(ValueError, match="design"):
-            run_benchmark(tiny_spec(design="grid"))
-        with pytest.raises(ValueError, match="reps"):
-            run_benchmark(tiny_spec(reps=0))
+        # The spec checks itself when built, before run_benchmark sees it.
+        with pytest.raises(ValueError, match="'function' must be one of borehole, linear, piston"):
+            tiny_spec(function="nope")
+        with pytest.raises(ValueError, match="'design'"):
+            tiny_spec(design="grid")
+        with pytest.raises(ValueError, match="'reps' must be >= 1"):
+            tiny_spec(reps=0)
+
+    def test_spec_check_leaves_warnings_to_the_chain(self):
+        # The spec runs Hyperparams' checks at load without its c <= 2
+        # warning; each chain still warns, as before.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = tiny_spec(c=1.5, reps=1)
+        with pytest.warns(RuntimeWarning, match="barely separates"):
+            run_benchmark(spec)
+
+    def test_piston_external_test_file(self, tmp_path):
+        # The 12 embedded runs as the external set: the MLE comparator
+        # interpolates its own design at nugget 1e-8, so its external
+        # errors are round-off (2e-8 to 4e-8 dB at master seeds 0-5),
+        # against a leave-one-out RMSPE of 1.2-1.6 dB.
+        path = tmp_path / "piston.csv"
+        header = ",".join([f"x{k}" for k in range(1, 7)] + ["y"])
+        np.savetxt(path, testbed.PISTON_RUNS, delimiter=",", header=header, comments="")
+        spec = BenchmarkSpec(function="piston", reps=2, iters=60, burnin=20, seed=0, test_file=str(path))
+        serial = run_benchmark(spec)
+        assert canonical_json(run_benchmark(spec, workers=2)) == canonical_json(serial)
+        for row in serial["replicates"]:
+            assert row["rmspe_mle_external"] < 1e-6 and row["mar_mle_external"] < 1e-6
+            assert row["rmspe_ssgp_external"] < 1e-6 and row["rmspe_mle"] > 0.5
 
     def test_random_design_option(self):
         report = run_benchmark(tiny_spec(design="random-lhd", reps=1))
