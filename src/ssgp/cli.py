@@ -102,10 +102,11 @@ def _load_dataset(args) -> Dataset:
 def _cmd_fit(args) -> int:
     try:
         data = _load_dataset(args)
+        opts = FitOptions(seed=args.seed)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_INPUT, exc)
     try:
-        params = mle_fit(data, FitOptions(seed=args.seed))
+        params = mle_fit(data, opts)
     except (OptimizerFailedError, IllConditionedError, ValueError) as exc:
         return _fail(EXIT_FIT, exc)
     io.save_model(args.out, params, data, extra={"seed": args.seed})
@@ -186,6 +187,8 @@ def _cmd_predict(args) -> int:
 
 def _spec_from_file(path) -> BenchmarkSpec:
     doc = io.load_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a benchmark spec must be a JSON object")
     known = {f.name for f in dataclass_fields(BenchmarkSpec)}
     unknown = sorted(set(doc) - known - {"schema_version"})
     if unknown:

@@ -31,6 +31,8 @@ class Design:
 def _as_rng(seed):
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
 
 

@@ -209,6 +209,8 @@ class FitOptions:
     def __post_init__(self):
         if not 0 <= self.nugget < np.inf:
             raise ValueError("nugget must be finite and non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _profile(theta, data: Dataset, nugget):

@@ -8,8 +8,8 @@ which reads every entry of R^-1.  CorrFactor holds one factor together
 with what the likelihood, the sampler and the predictor reuse: log det R,
 1'R^-1 1 and the GLS mean, each computed the first time it is read.
 
-How R is built.  Every matrix that is factored here (each Gibbs proposal
-through corr_factor, each nugget attempt of corr_cholesky) is built from
+How R is built.  Every matrix that is factored here (each Gibbs proposal,
+each nugget attempt of corr_cholesky) is built from
 its strict lower triangle only.  A PairTable holds the squared coordinate
 differences of the n(n-1)/2 pairs i > j; one GEMV with -theta and one exp
 over its rows give the off-diagonal correlations, which are scattered into
@@ -19,14 +19,19 @@ so R's upper triangle is never formed.
 
 Where arguments are checked.  pair_table checks design points;
 corr_factor and corr_cholesky check theta (finite and non-negative, one
-entry per input) and the nugget (finite and non-negative).
+entry per input) and the nugget (finite and non-negative).  corr_factor
+is those checks and _corr_factor, which the Gibbs scan calls directly at
+its constant nugget: theta = phi^2 has one non-negative entry per input,
+and phi is finite where a chain enters (GpParams, the init and
+Hyperparams are checked), so each proposal is finite too.
 CorrFactor.from_lower checks a factor from outside linalg and its
 responses; solve_with_chol checks its operands.  CorrFactor(lower, y)
 wraps a factor linalg has just made without a second scan: with theta and
 the nugget finite, every entry of R is finite and every row of L has norm
 sqrt(R_ii) <= sqrt(1 + nugget), so _cholesky's one diagonal test,
 PIVOT_TOL < L_ii^2 < inf (with potrf's breakdown flag), rejects every
-non-finite, broken-down or nearly singular factor.
+non-finite, broken-down or nearly singular factor.  A proposal whose
+theta is still not finite fails that test or has a -inf or NaN prior.
 """
 
 from dataclasses import dataclass, field
@@ -211,6 +216,11 @@ class CorrFactor:
         return v.T @ v
 
 
+def _corr_factor(pairs: PairTable, theta, nugget, y) -> CorrFactor:
+    # corr_factor after its checks: one factor of R(theta) + nugget I.
+    return CorrFactor(_cholesky(_corr_lower(pairs, theta, nugget)), y)
+
+
 def corr_factor(pairs: PairTable, theta, nugget: float, y) -> CorrFactor:
     """CorrFactor of R(theta) + nugget I at exactly `nugget`.
 
@@ -221,7 +231,7 @@ def corr_factor(pairs: PairTable, theta, nugget: float, y) -> CorrFactor:
     must not switch to another.
     """
     theta = _checked_theta(theta, nugget, pairs.rows.shape[1])
-    return CorrFactor(_cholesky(_corr_lower(pairs, theta, nugget)), y)
+    return _corr_factor(pairs, theta, nugget, y)
 
 
 def corr_cholesky(points, theta, nugget: float = DEFAULT_NUGGET, pairs: PairTable | None = None):

@@ -10,7 +10,8 @@ phi is updated by a single-block random-walk Metropolis step and gamma by
 componentwise Bernoulli draws.  Both steps read the mixture prior from one
 table that Hyperparams computes once; log det R, 1'R^-1 1, the GLS mean
 and the quadratic form are read off the linalg.CorrFactor of the current
-phi.
+phi.  The scan carries that factor and phi's prior rows, each made once per
+proposal, so the current state's kernel and the gamma step only read them.
 """
 
 import hashlib
@@ -44,7 +45,8 @@ CHAIN_FIELDS = _VECTOR_FIELDS + ("iters", "burnin", "thin")
 class Hyperparams:
     """Prior and run settings for one chain.
 
-    tau, c, p and prop_sd are per-dimension vectors; scalars broadcast.
+    tau, c, p and prop_sd are per-dimension vectors of finite numbers;
+    scalars broadcast.
     tau_k is the spike scale, c_k the slab multiplier (c_k >> 1 expected),
     p_k the prior inclusion probability P(gamma_k = 1), and prop_sd the
     per-coordinate standard deviation of the random-walk proposal.
@@ -68,6 +70,8 @@ class Hyperparams:
                 raise ValueError(f"{name} must be a number or a list of numbers") from None
             if v.ndim != 1:
                 raise ValueError(f"{name} must be a scalar or 1-D vector")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} entries must be finite")
             vecs[name] = v
         d = next((v.size for v in vecs.values() if v.size > 1), 1)
         for name, v in vecs.items():
@@ -181,17 +185,18 @@ class Chain:
 
 def _factor(phi, data) -> linalg.CorrFactor:
     # R(phi) at exactly SAMPLER_NUGGET; raises NotPositiveDefiniteError.
-    return linalg.corr_factor(data.pair_table, phi * phi, SAMPLER_NUGGET, data.responses)
+    # Unchecked: phi is finite, so theta = phi^2 passes (see linalg).
+    return linalg._corr_factor(data.pair_table, phi * phi, SAMPLER_NUGGET, data.responses)
 
 
-def _kernel_value(factor, phi, mu, sigma2, gamma, hyper) -> float:
+def _kernel_value(factor, prior, mu, sigma2, gamma) -> float:
     # Log full-conditional kernel of phi, up to an additive constant:
     # -1/2 log det R(phi) - (y-mu)'R^-1(y-mu)/(2 sigma2)
     # + sum_k log N(phi_k; 0, (tau_k c_k^{gamma_k})^2), with R(phi) from
-    # `factor` and each prior term the gamma_k row of the Hyperparams table.
-    spike, slab = hyper._prior_logpdf(phi)
-    prior = float(np.where(gamma, slab, spike).sum())
-    return -0.5 * factor.log_det - factor.quad(mu) / (2.0 * sigma2) + prior
+    # `factor` and each prior term the gamma_k row of `prior` (update_phi).
+    spike, slab = prior
+    log_prior = float(np.where(gamma, slab, spike).sum())
+    return -0.5 * factor.log_det - factor.quad(mu) / (2.0 * sigma2) + log_prior
 
 
 def update_mu(state: SamplerState, factor: linalg.CorrFactor) -> float:
@@ -217,21 +222,22 @@ def update_sigma2(state: SamplerState, factor: linalg.CorrFactor) -> float:
     return float(1.0 / state.rng.gamma(len(factor.y) / 2.0, 2.0 / quad))
 
 
-PhiUpdate = namedtuple("PhiUpdate", ["phi", "accepted", "factor", "proposal_failed"])
+PhiUpdate = namedtuple("PhiUpdate", ["phi", "accepted", "factor", "prior", "proposal_failed"])
 
 
-def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor: linalg.CorrFactor) -> PhiUpdate:
+def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor: linalg.CorrFactor, prior) -> PhiUpdate:
     """One block random-walk Metropolis step on phi.
 
     Proposes phi~ ~ N(phi, diag(prop_sd^2)) and accepts with probability
-    min(1, g(phi~)/g(phi)).  The proposal is the scan's one factorization;
-    the current state's log det and quadratic form are read from `factor`.
-    A proposal whose correlation matrix does not factor at exactly
-    SAMPLER_NUGGET is rejected and flagged instead of aborting the chain.
+    min(1, g(phi~)/g(phi)).  The proposal is the scan's one factorization
+    and prior evaluation; `factor` and `prior` (hyper._prior_logpdf(phi))
+    are the current state's, and the result carries both for its phi.  A
+    proposal that does not factor at exactly SAMPLER_NUGGET is rejected
+    and flagged instead of aborting the chain.
     """
     rng = state.rng
     phi = state.phi
-    logp_cur = _kernel_value(factor, phi, state.mu, state.sigma2, state.gamma, hyper)
+    logp_cur = _kernel_value(factor, prior, state.mu, state.sigma2, state.gamma)
     # Proposal first, acceptance uniform second: the stream stays aligned
     # whether or not the proposal factors.
     prop = phi + rng.normal(size=phi.shape) * hyper.prop_sd
@@ -239,25 +245,31 @@ def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor: l
     try:
         prop_factor = _factor(prop, data)
     except NotPositiveDefiniteError:
-        return PhiUpdate(phi, False, factor, True)
-    logp_prop = _kernel_value(prop_factor, prop, state.mu, state.sigma2, state.gamma, hyper)
+        return PhiUpdate(phi, False, factor, prior, True)
+    prop_prior = hyper._prior_logpdf(prop)
+    logp_prop = _kernel_value(prop_factor, prop_prior, state.mu, state.sigma2, state.gamma)
     if log_u < logp_prop - logp_cur:
-        return PhiUpdate(prop, True, prop_factor, False)
-    return PhiUpdate(phi, False, factor, False)
+        return PhiUpdate(prop, True, prop_factor, prop_prior, False)
+    return PhiUpdate(phi, False, factor, prior, False)
+
+
+def _inclusion(prior, hyper: Hyperparams) -> np.ndarray:
+    # P(gamma_k = 1 | phi_k) from phi's prior rows.
+    _, _, log_weight = hyper._prior_table
+    log_b, log_a = prior + log_weight
+    return np.exp(log_a - np.logaddexp(log_a, log_b))
 
 
 def inclusion_probabilities(phi, hyper: Hyperparams) -> np.ndarray:
     """P(gamma_k = 1 | phi_k) = a / (a + b) with a the slab density times p_k
     and b the spike density times 1 - p_k, evaluated through log densities.
     """
-    _, _, log_weight = hyper._prior_table
-    log_b, log_a = hyper._prior_logpdf(np.asarray(phi, dtype=float)) + log_weight
-    return np.exp(log_a - np.logaddexp(log_a, log_b))
+    return _inclusion(hyper._prior_logpdf(np.asarray(phi, dtype=float)), hyper)
 
 
-def update_gamma(state: SamplerState, hyper: Hyperparams) -> np.ndarray:
-    """Componentwise Bernoulli draws of gamma given phi."""
-    probs = inclusion_probabilities(state.phi, hyper)
+def update_gamma(state: SamplerState, hyper: Hyperparams, prior) -> np.ndarray:
+    """Componentwise Bernoulli draws of gamma given phi's prior rows `prior`."""
+    probs = _inclusion(prior, hyper)
     return (state.rng.uniform(size=len(probs)) < probs).astype(np.int64)
 
 
@@ -319,6 +331,7 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
         factor = _factor(state.phi, data)
     except NotPositiveDefiniteError as exc:
         raise SamplerError(0, f"initial correlation matrix at nugget {SAMPLER_NUGGET:g}: {exc}") from exc
+    prior = hyper._prior_logpdf(state.phi)
 
     kept = range(hyper.burnin + 1, hyper.iters + 1, hyper.thin)
     mu_draws = np.empty(len(kept))
@@ -332,12 +345,11 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
         try:
             state.mu = update_mu(state, factor)
             state.sigma2 = update_sigma2(state, factor)
-            step = update_phi(state, data, hyper, factor)
-            state.phi = step.phi
-            factor = step.factor
+            step = update_phi(state, data, hyper, factor, prior)
+            state.phi, factor, prior = step.phi, step.factor, step.prior
             accepted += step.accepted
             failures += step.proposal_failed
-            state.gamma = update_gamma(state, hyper)
+            state.gamma = update_gamma(state, hyper, prior)
         except ValueError as exc:
             raise SamplerError(scan, str(exc)) from exc
         if scan in kept:

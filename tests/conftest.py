@@ -1,18 +1,21 @@
 """Shared helpers: small deterministic datasets built from the test functions,
 the scalar kernel, the full (n, n, d) squared differences, the full
 correlation matrix and the likelihood gradient from them, a checked
-Cholesky, the normal log-density, the phi log-kernel, a per-fold
-leave-one-out and a reference maximin search as oracles, and a synthetic
-target for the phi step."""
+Cholesky, the normal log-density, the phi log-kernel, a reference Gibbs
+scan, a per-fold leave-one-out and a reference maximin search as oracles,
+and a synthetic target for the phi step."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
 import ssgp.sampler as sampler
+from ssgp import linalg
 from ssgp.designs import Design, _as_rng, maximin_lhd, random_lhd, scale_points
+from ssgp.errors import NotPositiveDefiniteError
 from ssgp.gp import Dataset, predict_batch
 from ssgp.linalg import DEFAULT_NUGGET, _checked_theta, _cholesky
 from ssgp.testbed import eval_batch, get_function
@@ -149,9 +152,16 @@ def normal_logpdf(x, var):
 def use_phi_target(monkeypatch, log_kernel):
     """Make sampler.update_phi target exp(log_kernel(phi)) instead of the
     posterior: no correlation matrix is factored, and the real proposal and
-    accept/reject step run against the synthetic kernel."""
-    monkeypatch.setattr(sampler, "_factor", lambda phi, data: None)
-    monkeypatch.setattr(sampler, "_kernel_value", lambda factor, phi, *rest: log_kernel(phi))
+    accept/reject step run against the synthetic kernel.  The stand-in
+    factor of a phi is phi itself and the prior rows are not read, so a
+    step is update_phi(state, None, hyper, state.phi, None)."""
+    monkeypatch.setattr(sampler, "_factor", lambda phi, data: phi)
+    monkeypatch.setattr(sampler, "_kernel_value", lambda factor, *rest: log_kernel(factor))
+
+
+def _checked_factor(phi, data: Dataset):
+    # R(phi) at exactly SAMPLER_NUGGET through linalg's checked entry point.
+    return linalg.corr_factor(data.pair_table, phi * phi, sampler.SAMPLER_NUGGET, data.responses)
 
 
 def phi_log_kernel(phi, mu, sigma2, gamma, data: Dataset, hyper) -> float:
@@ -160,11 +170,54 @@ def phi_log_kernel(phi, mu, sigma2, gamma, data: Dataset, hyper) -> float:
     log g(phi) = -1/2 log det R(phi) - (y-mu)'R^-1(y-mu)/(2 sigma2)
                  - 1/2 sum_k phi_k^2 / (tau_k c_k^{gamma_k})^2  (+ const).
     Even in phi: flipping all signs leaves the value unchanged.  R(phi)
-    carries exactly SAMPLER_NUGGET; NotPositiveDefiniteError is raised
-    when it does not factor there.
+    carries exactly SAMPLER_NUGGET and comes from the checked
+    linalg.corr_factor; NotPositiveDefiniteError is raised when it does
+    not factor there.
     """
     phi = np.asarray(phi, dtype=float)
-    return sampler._kernel_value(sampler._factor(phi, data), phi, mu, sigma2, gamma, hyper)
+    return sampler._kernel_value(_checked_factor(phi, data), hyper._prior_logpdf(phi), mu, sigma2, gamma)
+
+
+def reference_run_chain(data: Dataset, hyper, init):
+    """run_chain's scan the long way, from `init`: the public mu and sigma2
+    updates, every factor from the checked linalg.corr_factor, phi's
+    mixture prior evaluated fresh by normal_logpdf at each kernel value,
+    and gamma drawn from the public inclusion_probabilities.  Returns the
+    kept draws, the acceptance rate and the count of proposals that did not
+    factor, which the lean scan must reproduce bit for bit."""
+    rng = np.random.default_rng(hyper.seed)
+    phi = np.minimum(np.abs(init.phi), hyper.c * hyper.tau)
+    state = sampler.SamplerState(init.mu, init.sigma2, phi, np.ones(data.dim, dtype=np.int64), rng)
+
+    def log_kernel(factor, phi):
+        prior = float(np.sum(normal_logpdf(phi, (hyper.tau * np.power(hyper.c, state.gamma)) ** 2)))
+        return -0.5 * factor.log_det - factor.quad(state.mu) / (2.0 * state.sigma2) + prior
+
+    factor = _checked_factor(phi, data)
+    kept = range(hyper.burnin + 1, hyper.iters + 1, hyper.thin)
+    draws = {"mu": [], "sigma2": [], "phi": [], "gamma": []}
+    accepted = failures = 0
+    for scan in range(1, hyper.iters + 1):
+        state.mu = sampler.update_mu(state, factor)
+        state.sigma2 = sampler.update_sigma2(state, factor)
+        logp_cur = log_kernel(factor, state.phi)
+        prop = state.phi + rng.normal(size=state.phi.shape) * hyper.prop_sd
+        log_u = float(np.log(rng.uniform()))
+        try:
+            prop_factor = _checked_factor(prop, data)
+        except NotPositiveDefiniteError:
+            failures += 1
+        else:
+            if log_u < log_kernel(prop_factor, prop) - logp_cur:
+                state.phi, factor = prop, prop_factor
+                accepted += 1
+        probs = sampler.inclusion_probabilities(state.phi, hyper)
+        state.gamma = (rng.uniform(size=len(probs)) < probs).astype(np.int64)
+        if scan in kept:
+            for key, values in draws.items():
+                values.append(getattr(state, key))
+    return SimpleNamespace(**{k: np.array(v) for k, v in draws.items()},
+                           accept_rate=accepted / hyper.iters, failures=failures)
 
 
 def _reference_min_dist_and_crit(pts):

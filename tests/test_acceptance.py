@@ -238,7 +238,7 @@ class TestCriterion6Properties:
         use_phi_target(monkeypatch, kernel)
         draws = np.empty(100000)
         for i in range(draws.size):
-            state.phi = update_phi(state, None, hyper, None).phi
+            state.phi = update_phi(state, None, hyper, state.phi, None).phi
             draws[i] = state.phi[0]
         mean, var = float(draws.mean()), float(draws.var())
         ok = abs(mean) < 0.02 and abs(var - 1.0) < 0.05

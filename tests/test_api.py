@@ -74,6 +74,31 @@ class TestBenchmarkSeams:
         assert len(calls) == 2
 
     @pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
+    def test_every_scan_step_attribute_sees_each_scan(self, monkeypatch):
+        # bench/tracer.py times each Gibbs step at every ssgp.* attribute
+        # that holds it; a scan that inlined a step would blank its
+        # sampler.update_*.self_s.
+        steps = ("update_mu", "update_sigma2", "update_phi", "update_gamma")
+        calls = dict.fromkeys(steps, 0)
+
+        def counting(step, real):
+            def wrapper(*args, **kwargs):
+                calls[step] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for step in steps:
+            real = getattr(sampler, step)
+            for name, mod in list(sys.modules.items()):
+                if name == "ssgp" or name.startswith("ssgp."):
+                    for key, value in list(vars(mod).items()):
+                        if value is real:
+                            monkeypatch.setattr(mod, key, counting(step, real))
+        hyper = sampler.Hyperparams.for_dim(3, iters=40, burnin=10, seed=2)
+        sampler.run_chain(make_dataset("toy", 10), hyper)
+        assert calls == dict.fromkeys(steps, hyper.iters)
+
+    @pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
     def test_chain_meta_keys_bench_reads(self):
         data = make_dataset("toy", 10)
         chain = sampler.run_chain(data, sampler.Hyperparams.for_dim(3, iters=30, burnin=10, seed=1))

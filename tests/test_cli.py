@@ -56,6 +56,12 @@ class TestDesignCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_negative_seed_exit_2_names_seed(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.main(["design", "--n", "6", "--d", "2", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_argparse_failures_exit_2(self):
         assert cli.main(["design", "--d", "2"]) == 2  # missing --n
         assert cli.main(["design", "--n", "4", "--d", "2", "--nope"]) == 2
@@ -136,6 +142,13 @@ class TestFitCommand:
         assert cli.main(["fit", "--design", str(design), "--response", str(response)]) == 2
         assert f"{response}: non-finite value '{cell}' in row 4, column y" in capsys.readouterr().err
 
+    def test_negative_seed_exit_2_names_seed(self, toy_csv, tmp_path, capsys):
+        # An input error, not a failed fit (exit 3).
+        out = tmp_path / "m.json"
+        assert cli.main(["fit", "--data", toy_csv, "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_failure_exit_3(self, toy_csv, monkeypatch):
         def broken(data, opts=None):
             raise OptimizerFailedError("all starts failed")
@@ -180,6 +193,22 @@ class TestSelectCommand:
         _, chain_a, _, _ = self._run(toy_csv, tmp_path, "a", seed="2")
         _, chain_b, _, _ = self._run(toy_csv, tmp_path, "c", seed="3")
         assert chain_a.read_bytes() != chain_b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--prop-sd", "nan"), ("--prop-sd", "inf"), ("--tau", "inf"), ("--tau", "nan"),
+         ("--c", "inf"), ("--p", "nan"), ("--p", "-inf")],
+    )
+    def test_non_finite_setting_exit_2_names_field(self, toy_csv, tmp_path, capsys, flag, value):
+        # Each once ran a degenerate chain (exit 0) or failed mid-chain
+        # (exit 4); the scan no longer checks theta, so Hyperparams must.
+        chain, report, trace = (tmp_path / name for name in ("chain.json", "report.json", "trace.csv"))
+        code = cli.main(["select", "--data", toy_csv, "--iters", "30", "--burnin", "10", f"{flag}={value}",
+                         "--chain", str(chain), "--report", str(report), "--trace", str(trace)])
+        assert code == 2
+        field = flag[2:].replace("-", "_")
+        assert f"{field} entries must be finite" in capsys.readouterr().err
+        assert not (chain.exists() or report.exists() or trace.exists())
 
     def test_sampler_failure_exit_4(self, toy_csv, monkeypatch):
         def broken(data, hyper=None, init=None):
@@ -350,7 +379,10 @@ class TestBenchmarkCommand:
         [({"rule": "mode"}, "'rule' must be one of modal, median"), ({"n_test": 0}, "'n_test' must be >= 1"),
          ({"n": 1}, "'n' must be >= 2"), ({"seed": -1}, "'seed' must be >= 0"), ({"c": 0.5}, "c entries must exceed 1"),
          ({"tau": "abc"}, "tau must be a number"), ({"tau": [0.3, 0.3]}, "tau has length 2, expected 3"),
-         ({"iters": 40, "burnin": 50}, "burnin must lie in [0, iters)"), ({"test_file": "t.csv"}, "'test_file'")],
+         ({"iters": 40, "burnin": 50}, "burnin must lie in [0, iters)"), ({"test_file": "t.csv"}, "'test_file'"),
+         # Written as the JSON extensions NaN and Infinity.
+         ({"prop_sd": float("nan")}, "prop_sd entries must be finite"), ({"c": float("inf")}, "c entries must be finite"),
+         ({"p": [0.5, float("nan"), 0.5]}, "p entries must be finite")],
     )
     def test_bad_spec_exit_2_before_any_replicate(self, tmp_path, capsys, monkeypatch, overrides, named):
         self._forbid_replicates(monkeypatch)
@@ -358,6 +390,13 @@ class TestBenchmarkCommand:
         assert cli.main(["benchmark", "--spec", self._spec(tmp_path, **overrides), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['"abc"', "[1]", "3", "null"])
+    def test_spec_not_an_object_exit_2_names_file(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text + "\n")
+        assert cli.main(["benchmark", "--spec", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        assert f"{path}: a benchmark spec must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("columns", [None, 3])
     def test_bad_piston_test_file_exit_2_before_any_replicate(self, tmp_path, capsys, monkeypatch, columns):

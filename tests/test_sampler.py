@@ -8,10 +8,18 @@ from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
 import ssgp.sampler as sampler
-from conftest import build_corr_matrix, make_dataset, normal_logpdf, phi_log_kernel, two_point_dataset, use_phi_target
+from conftest import (
+    build_corr_matrix,
+    make_dataset,
+    normal_logpdf,
+    phi_log_kernel,
+    reference_run_chain,
+    two_point_dataset,
+    use_phi_target,
+)
 from ssgp import linalg
 from ssgp.errors import NotPositiveDefiniteError, OptimizerFailedError, SamplerError
-from ssgp.gp import Dataset, GpParams
+from ssgp.gp import Dataset, FitOptions, GpParams, mle_fit
 from ssgp.sampler import (
     SAMPLER_NUGGET,
     Chain,
@@ -72,6 +80,15 @@ class TestHyperparams:
             (dict(tau="abc"), "tau must be a number"),
             (dict(tau=[0.3] * 3), "tau has length 3, expected 2"),
             (dict(tau=0.3, c=[25.0] * 3), "c has length 3, expected 2"),
+            # Nothing inside the scan checks these: each gave a degenerate
+            # chain, one that never moves or never includes an input.
+            (dict(tau=np.nan), "^tau entries must be finite$"),
+            (dict(tau=[0.3, np.inf]), "^tau entries must be finite$"),
+            (dict(tau=0.3, c=np.inf), "^c entries must be finite$"),
+            (dict(tau=0.3, p=[0.5, np.nan]), "^p entries must be finite$"),
+            (dict(tau=0.3, p=-np.inf), "^p entries must be finite$"),
+            (dict(tau=0.3, prop_sd=np.nan), "^prop_sd entries must be finite$"),
+            (dict(tau=0.3, prop_sd=[0.03, np.inf]), "^prop_sd entries must be finite$"),
         ],
     )
     def test_validation(self, kwargs, phrase):
@@ -175,7 +192,7 @@ class TestInclusionProbabilities:
         phi = np.array([0.0, 0.9])
         probs = inclusion_probabilities(phi, h)
         state = SamplerState(mu=0.0, sigma2=1.0, phi=phi, gamma=np.ones(2, dtype=np.int64), rng=np.random.default_rng(4))
-        draws = np.array([update_gamma(state, h) for _ in range(20000)])
+        draws = np.array([update_gamma(state, h, h._prior_logpdf(phi)) for _ in range(20000)])
         assert draws.dtype == np.int64
         assert set(np.unique(draws)) <= {0, 1}
         freq = draws.mean(axis=0)
@@ -235,7 +252,7 @@ class TestPhiLogKernel:
             phi = rng.normal(scale=2.0, size=d)
             h = Hyperparams.for_dim(d, tau=tau, c=c, p=rng.uniform(0.01, 1.0, d))
             expected = float(np.sum(normal_logpdf(phi, (tau * np.power(c, gamma)) ** 2)))
-            got = sampler._kernel_value(stub, phi, rng.normal(), rng.uniform(0.1, 3.0), gamma, h)
+            got = sampler._kernel_value(stub, h._prior_logpdf(phi), rng.normal(), rng.uniform(0.1, 3.0), gamma)
             assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
@@ -311,7 +328,7 @@ class TestUpdatePhi:
         state = self._state([0.5, 0.5])
         use_phi_target(monkeypatch, lambda v: 0.0)
         for _ in range(50):
-            step = update_phi(state, None, hyper, None)
+            step = update_phi(state, None, hyper, state.phi, None)
             assert step.accepted
             state.phi = step.phi
 
@@ -322,13 +339,15 @@ class TestUpdatePhi:
         kernel = lambda v: 0.0 if np.array_equal(v, start) else -np.inf
         use_phi_target(monkeypatch, kernel)
         for _ in range(20):
-            step = update_phi(state, None, hyper, None)
+            step = update_phi(state, None, hyper, state.phi, None)
             assert not step.accepted
             assert np.array_equal(step.phi, start)
 
     def test_failed_proposal_factorization_rejected(self, toy10, monkeypatch):
+        # The scan factors through linalg's unchecked routine, so the
+        # failure is injected there.
         calls = {"n": 0}
-        real = linalg.corr_factor
+        real = linalg._corr_factor
 
         def second_call_fails(*args, **kwargs):
             calls["n"] += 1
@@ -336,11 +355,11 @@ class TestUpdatePhi:
                 raise NotPositiveDefiniteError("forced")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "corr_factor", second_call_fails)
+        monkeypatch.setattr(linalg, "_corr_factor", second_call_fails)
         hyper = Hyperparams.for_dim(3, tau=0.3)
         state = self._state([0.9, 1.1, 0.2])
         factor = sampler._factor(state.phi, toy10)
-        step = update_phi(state, toy10, hyper, factor)
+        step = update_phi(state, toy10, hyper, factor, hyper._prior_logpdf(state.phi))
         assert step.proposal_failed
         assert not step.accepted
         assert np.array_equal(step.phi, state.phi)
@@ -359,7 +378,7 @@ class TestUpdatePhi:
                 gamma = rng.integers(0, 2, size=d.dim)
                 factor = sampler._factor(phi, d)
                 factor.quad(mu)
-                scan = sampler._kernel_value(factor, phi, mu, sigma2, gamma, hyper)
+                scan = sampler._kernel_value(factor, hyper._prior_logpdf(phi), mu, sigma2, gamma)
                 public = phi_log_kernel(phi, mu, sigma2, gamma, d, hyper)
                 assert scan == public
                 r = build_corr_matrix(d.points, phi**2, nugget=SAMPLER_NUGGET)
@@ -378,7 +397,7 @@ class TestUpdatePhi:
         use_phi_target(monkeypatch, kernel)
         draws = np.empty(20000)
         for i in range(20000):
-            step = update_phi(state, None, hyper, None)
+            step = update_phi(state, None, hyper, state.phi, None)
             state.phi = step.phi
             draws[i] = state.phi[0]
         assert abs(draws.mean()) < 0.05
@@ -407,6 +426,81 @@ def test_rejected_proposal_skips_the_gls_solve(toy10, monkeypatch):
     assert accepted - 1 <= formed <= accepted
 
 
+class TestLeanScanParity:
+    """run_chain's scan carries each phi's factor and prior rows and
+    factors without linalg's entry checks; conftest's reference_run_chain
+    checks every factor and evaluates the prior at each use.  The two must
+    give the same bits, at a prop_sd that mixes and at the shipped 0.03."""
+
+    CASES = {"toy10": (("toy", 10), 0.3), "linear54": (("linear", 54), 0.003)}
+
+    @pytest.fixture(scope="class", params=sorted(CASES))
+    def problem(self, request):
+        (name, n), mixing = self.CASES[request.param]
+        data = make_dataset(name, n)
+        init = mle_fit(data, FitOptions(nugget=SAMPLER_NUGGET, seed=0))
+        return data, init, mixing
+
+    @staticmethod
+    def _assert_same(chain, ref):
+        for key in ("mu", "sigma2", "phi", "gamma"):
+            assert getattr(chain, key).tobytes() == getattr(ref, key).tobytes(), key
+        assert chain.accept_rate == ref.accept_rate
+        assert chain.meta["mh_proposal_failures"] == ref.failures
+
+    @pytest.mark.parametrize("shipped", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_reference(self, problem, shipped, seed):
+        data, init, mixing = problem
+        # An override of None keeps the shipped prop_sd.
+        hyper = default_hyperparams(data, seed, prop_sd=None if shipped else mixing, iters=300, burnin=100)
+        chain = run_chain(data, hyper, init=init)
+        ref = reference_run_chain(data, hyper, init)
+        self._assert_same(chain, ref)
+        assert 0 < chain.accept_rate
+
+    def test_bitwise_equal_with_failed_proposals(self, problem, monkeypatch):
+        # Every fifth factorization fails, in both scans alike: each makes
+        # one at the start and one per proposal.
+        data, init, mixing = problem
+        real = linalg._cholesky
+        calls = [0]
+
+        def every_fifth_fails(m):
+            calls[0] += 1
+            if calls[0] % 5 == 0:
+                raise NotPositiveDefiniteError("forced")
+            return real(m)
+
+        monkeypatch.setattr(linalg, "_cholesky", every_fifth_fails)
+        hyper = default_hyperparams(data, 3, prop_sd=mixing, iters=200, burnin=50)
+        chain = run_chain(data, hyper, init=init)
+        calls[0] = 0
+        ref = reference_run_chain(data, hyper, init)
+        self._assert_same(chain, ref)
+        assert chain.meta["mh_proposal_failures"] == 40
+
+    def test_no_entry_check_and_one_prior_per_proposal(self, toy10, monkeypatch):
+        counts = {"checks": 0, "priors": 0}
+        real_check, real_prior = linalg._checked_theta, Hyperparams._prior_logpdf
+
+        def counted_check(*args):
+            counts["checks"] += 1
+            return real_check(*args)
+
+        def counted_prior(self, phi):
+            counts["priors"] += 1
+            return real_prior(self, phi)
+
+        monkeypatch.setattr(linalg, "_checked_theta", counted_check)
+        monkeypatch.setattr(Hyperparams, "_prior_logpdf", counted_prior)
+        hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.3, iters=200, burnin=50, seed=5)
+        init = GpParams(mu=float(toy10.responses.mean()), sigma2=1.0, phi=np.full(3, 0.5))
+        run_chain(toy10, hyper, init=init)
+        assert counts["checks"] == 0
+        assert 0 < counts["priors"] <= hyper.iters + 1
+
+
 class TestGewekeJointDistribution:
     """Geweke (2004, JASA 99(467)), "Getting it right", for the real phi and
     gamma kernels.  With mu and sigma2 fixed the prior on (phi, gamma) is
@@ -427,14 +521,15 @@ class TestGewekeJointDistribution:
         rng = np.random.default_rng(1)
         state = SamplerState(mu, sigma2, np.array([0.4, 0.1]), np.array([1, 0]), rng)
         lower = sampler._factor(state.phi, data).lower
+        prior = hyper._prior_logpdf(state.phi)
         stats = np.empty((steps, 3 * d + 1))
         for t in range(steps):
             # update_phi reads the design's pair table and the responses.
             y = mu + np.sqrt(sigma2) * (lower @ rng.normal(size=n))
             current = SimpleNamespace(pair_table=data.pair_table, responses=y)
-            step = update_phi(state, current, hyper, linalg.CorrFactor.from_lower(lower, y))
-            state.phi = step.phi
-            state.gamma = update_gamma(state, hyper)
+            step = update_phi(state, current, hyper, linalg.CorrFactor.from_lower(lower, y), prior)
+            state.phi, prior = step.phi, step.prior
+            state.gamma = update_gamma(state, hyper, prior)
             lower = step.factor.lower
             stats[t] = [*state.phi, *state.phi**2, *state.gamma, step.factor.quad(mu) / (n * sigma2)]
         tau2, c2, p = hyper.tau**2, hyper.c**2, hyper.p
