@@ -9,29 +9,25 @@ with what the likelihood, the sampler and the predictor reuse: log det R,
 1'R^-1 1 and the GLS mean, each computed the first time it is read.
 
 How R is built.  Every matrix that is factored here (each Gibbs proposal,
-each nugget attempt of corr_cholesky) is built from
-its strict lower triangle only.  A PairTable holds the squared coordinate
-differences of the n(n-1)/2 pairs i > j; one GEMV with -theta and one exp
-over its rows give the off-diagonal correlations, which are scattered into
-a zeroed Fortran-order n x n buffer with 1 + nugget on the diagonal.
-_cholesky factors that buffer in place, reading only its lower triangle,
-so R's upper triangle is never formed.
+each nugget attempt of corr_cholesky) is built from its strict lower
+triangle only.  A PairTable holds the squared coordinate differences of
+the n(n-1)/2 pairs i > j; one GEMV with -theta and one exp over its rows
+give the off-diagonal correlations, which are scattered into a zeroed
+Fortran-order n x n buffer with 1 + nugget on the diagonal.  _cholesky
+factors that buffer in place, reading only its lower triangle, so R's
+upper triangle is never formed.
 
-Where arguments are checked.  pair_table checks design points;
-corr_factor and corr_cholesky check theta (finite and non-negative, one
-entry per input) and the nugget (finite and non-negative).  corr_factor
-is those checks and _corr_factor, which the Gibbs scan calls directly at
-its constant nugget: theta = phi^2 has one non-negative entry per input,
-and phi is finite where a chain enters (GpParams, the init and
-Hyperparams are checked), so each proposal is finite too.
-CorrFactor.from_lower checks a factor from outside linalg and its
-responses; solve_with_chol checks its operands.  CorrFactor(lower, y)
-wraps a factor linalg has just made without a second scan: with theta and
-the nugget finite, every entry of R is finite and every row of L has norm
-sqrt(R_ii) <= sqrt(1 + nugget), so _cholesky's one diagonal test,
-PIVOT_TOL < L_ii^2 < inf (with potrf's breakdown flag), rejects every
-non-finite, broken-down or nearly singular factor.  A proposal whose
-theta is still not finite fails that test or has a -inf or NaN prior.
+Where arguments are checked.  pair_table checks design points,
+corr_cholesky theta and the nugget, and solve_with_chol its operands.
+CorrFactor(lower, y) wraps a factor that _cholesky has just made and
+passed, without a second scan: with theta and the nugget finite, every
+entry of R is finite and every row of L has norm sqrt(R_ii) <=
+sqrt(1 + nugget), so _cholesky's one diagonal test, PIVOT_TOL < L_ii^2 <
+inf (with potrf's breakdown flag), rejects every non-finite, broken-down
+or nearly singular factor.  The Gibbs scan calls _corr_factor unchecked
+at its constant nugget: phi is finite where a chain enters (GpParams, the
+init and Hyperparams are checked), and a proposal whose theta = phi^2 is
+still not finite fails that test or has a -inf or NaN prior.
 """
 
 from dataclasses import dataclass, field
@@ -88,22 +84,9 @@ def pair_table(points) -> PairTable:
     return PairTable(rows, j * n + i, n)
 
 
-def _checked_theta(theta, nugget, d) -> np.ndarray:
-    # theta as a float array, once it and the nugget have passed the entry
-    # checks; a NaN makes min() NaN and fails the comparison.
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (d,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({d},)")
-    if not 0 <= theta.min() <= theta.max() < np.inf:
-        raise ValueError("theta entries must be finite and non-negative")
-    if not 0 <= nugget < np.inf:
-        raise ValueError("nugget must be finite and non-negative")
-    return theta
-
-
 def _corr_lower(pairs: PairTable, theta, nugget) -> np.ndarray:
     # R(theta) + nugget I in a new Fortran-order buffer, lower triangle and
-    # diagonal only (the upper triangle is zero), from checked theta and nugget.
+    # diagonal only (the upper triangle is zero); nothing is checked here.
     n, index = pairs.n, pairs.index
     r = pairs.rows @ -theta
     np.exp(r, out=r)
@@ -131,18 +114,14 @@ def _cholesky(m) -> np.ndarray:
     return lower
 
 
-def _check_finite(*arrays):
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("array must not contain infs or NaNs")
-
-
 def solve_with_chol(lower, b) -> np.ndarray:
     """Solve M v = b for M = lower @ lower.T."""
     lower = np.asarray(lower, dtype=float)
     b = np.asarray(b, dtype=float)
     if b.shape[0] != lower.shape[0]:
         raise ValueError(f"dimension mismatch: factor is {lower.shape[0]}, b has {b.shape[0]} rows")
-    _check_finite(lower, b)
+    if not (np.isfinite(lower).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
     return dpotrs(lower, b, lower=1)[0]
 
 
@@ -150,31 +129,19 @@ def solve_with_chol(lower, b) -> np.ndarray:
 class CorrFactor:
     """One Cholesky factorization R = L L' and what its readers reuse.
 
-    CorrFactor(lower, y) wraps a factor that _cholesky has made and passed;
-    from_lower is the checked entry for any other.  log det R, w1 = L^-1 1,
-    1'R^-1 1 and the GLS mean (1'R^-1 1)^-1 1'R^-1 y are computed the first
-    time each is read, the last three from one two-column triangular solve
-    [L^-1 1, L^-1 y].  A quadratic form (y - mu)'R^-1(y - mu) is
-    |L^-1 (y - mu)|^2 from one triangular solve of the residual; the last
-    one is kept, so the Gibbs scan's sigma2 and phi steps share it.
+    CorrFactor(lower, y) wraps a factor that _cholesky has made and passed.
+    log det R, w1 = L^-1 1, 1'R^-1 1 and the GLS mean (1'R^-1 1)^-1 1'R^-1 y
+    are computed the first time each is read, the last three from one
+    two-column triangular solve [L^-1 1, L^-1 y].  A quadratic form
+    (y - mu)'R^-1(y - mu) is |L^-1 (y - mu)|^2 from one triangular solve of
+    the residual; the last one is kept, so the Gibbs scan's sigma2 and phi
+    steps share it.
     """
 
     lower: np.ndarray
     y: np.ndarray
     # [mu, quad] of the last quad(mu) call.
     _last_quad: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
-
-    @classmethod
-    def from_lower(cls, lower, y) -> "CorrFactor":
-        """Factor object for R = lower lower' and responses y, both checked."""
-        lower = np.asarray(lower, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if y.shape != (lower.shape[0],):
-            raise ValueError(f"dimension mismatch: factor is {lower.shape[0]}, y has shape {y.shape}")
-        _check_finite(lower, y)
-        if (lower.diagonal() <= 0).any():
-            raise ValueError("invalid Cholesky factor: non-positive diagonal")
-        return cls(lower, y)
 
     @cached_property
     def log_det(self) -> float:
@@ -217,35 +184,33 @@ class CorrFactor:
 
 
 def _corr_factor(pairs: PairTable, theta, nugget, y) -> CorrFactor:
-    # corr_factor after its checks: one factor of R(theta) + nugget I.
+    # Unchecked factor of R(theta) + nugget I at exactly `nugget`, raising
+    # NotPositiveDefiniteError instead of escalating (the sampler's target).
     return CorrFactor(_cholesky(_corr_lower(pairs, theta, nugget)), y)
-
-
-def corr_factor(pairs: PairTable, theta, nugget: float, y) -> CorrFactor:
-    """CorrFactor of R(theta) + nugget I at exactly `nugget`.
-
-    R is built from `pairs`, the design's PairTable.  theta and the nugget
-    are checked; y is used as given, so pass checked responses (a
-    Dataset's).  Raises NotPositiveDefiniteError instead of escalating the
-    nugget: a caller whose target is defined at one nugget (the sampler)
-    must not switch to another.
-    """
-    theta = _checked_theta(theta, nugget, pairs.rows.shape[1])
-    return _corr_factor(pairs, theta, nugget, y)
 
 
 def corr_cholesky(points, theta, nugget: float = DEFAULT_NUGGET, pairs: PairTable | None = None):
     """Correlation matrix Cholesky with automatic nugget escalation.
 
     Tries `nugget` first and multiplies by 10 after each positive-definiteness
-    failure, up to MAX_NUGGET.  Each attempt is the fixed-nugget
-    factorization that corr_factor uses, built from `pairs` (the PairTable
-    of `points`, made here when omitted).  Returns (lower, nugget_used);
-    raises IllConditionedError when even the maximum nugget fails.
+    failure, up to MAX_NUGGET.  Each attempt factors R built from `pairs`
+    (the PairTable of `points`, made here when omitted).  theta needs one
+    finite, non-negative entry per input and the nugget must be finite and
+    non-negative.  Returns (lower, nugget_used); raises IllConditionedError
+    when even the maximum nugget fails.
     """
     if pairs is None:
         pairs = pair_table(points)
-    theta = _checked_theta(theta, nugget, pairs.rows.shape[1])
+    d = pairs.rows.shape[1]
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (d,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({d},)")
+    # A NaN makes min() NaN and fails the comparison.
+    if not 0 <= theta.min() <= theta.max() < np.inf:
+        raise ValueError("theta entries must be finite and non-negative")
+    # A NaN nugget would fail every attempt and never stop the escalation.
+    if not 0 <= nugget < np.inf:
+        raise ValueError("nugget must be finite and non-negative")
     attempt = nugget
     while True:
         try:

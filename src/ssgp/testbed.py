@@ -153,8 +153,10 @@ def rmspe(truth, pred) -> float:
     """Root mean squared prediction error."""
     truth = np.asarray(truth, dtype=float).ravel()
     pred = np.asarray(pred, dtype=float).ravel()
-    if len(truth) != len(pred) or len(truth) < 1:
+    if len(truth) != len(pred):
         raise ValueError(f"length mismatch: {len(truth)} vs {len(pred)}")
+    if len(truth) < 1:
+        raise ValueError("need at least one value")
     return float(np.sqrt(np.mean((truth - pred) ** 2)))
 
 
@@ -162,8 +164,10 @@ def mar(truth, pred) -> float:
     """Median of absolute residuals (even length: mean of the middle two)."""
     truth = np.asarray(truth, dtype=float).ravel()
     pred = np.asarray(pred, dtype=float).ravel()
-    if len(truth) != len(pred) or len(truth) < 1:
+    if len(truth) != len(pred):
         raise ValueError(f"length mismatch: {len(truth)} vs {len(pred)}")
+    if len(truth) < 1:
+        raise ValueError("need at least one value")
     return float(np.median(np.abs(truth - pred)))
 
 
@@ -367,8 +371,10 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1) -> dict:
     spec.seed, so the whole report is reproducible.  test_file is read once,
     before any replicate (OSError or ValueError if it cannot be).  Failed
     replicates are recorded and excluded; more than 10% failures raises
-    BenchmarkError carrying the partial report.
+    BenchmarkError carrying the partial report.  workers must be at least 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     test_set = None if spec.test_file is None else read_data_csv(spec.test_file)
     if test_set is not None and test_set[0].shape[1] != PISTON_DIM:
         raise ValueError(f"{spec.test_file}: test_file needs {PISTON_DIM} input columns, has {test_set[0].shape[1]}")

@@ -1,9 +1,10 @@
 """Shared helpers: small deterministic datasets built from the test functions,
 the scalar kernel, the full (n, n, d) squared differences, the full
 correlation matrix and the likelihood gradient from them, a checked
-Cholesky, the normal log-density, the phi log-kernel, a reference Gibbs
-scan, a per-fold leave-one-out and a reference maximin search as oracles,
-and a synthetic target for the phi step."""
+Cholesky, a checked factor at a fixed nugget, the normal log-density, the
+phi log-kernel, a reference Gibbs scan, a per-fold leave-one-out and a
+reference maximin search as oracles, and a synthetic target for the phi
+step."""
 
 import warnings
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ from ssgp import linalg
 from ssgp.designs import Design, _as_rng, maximin_lhd, random_lhd, scale_points
 from ssgp.errors import NotPositiveDefiniteError
 from ssgp.gp import Dataset, predict_batch
-from ssgp.linalg import DEFAULT_NUGGET, _checked_theta, _cholesky
+from ssgp.linalg import DEFAULT_NUGGET, _cholesky
 from ssgp.testbed import eval_batch, get_function
 
 
@@ -68,11 +69,32 @@ def pairwise_sqdiffs(points) -> np.ndarray:
     return diff * diff
 
 
+def checked_theta(theta, nugget, d) -> np.ndarray:
+    """theta as a float array, after corr_cholesky's checks: d finite,
+    non-negative entries and a finite, non-negative nugget."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (d,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({d},)")
+    if not (np.isfinite(theta).all() and (theta >= 0).all()):
+        raise ValueError("theta entries must be finite and non-negative")
+    if not 0 <= nugget < np.inf:
+        raise ValueError("nugget must be finite and non-negative")
+    return theta
+
+
+def fixed_nugget_factor(pairs, theta, nugget, y) -> linalg.CorrFactor:
+    """CorrFactor of R(theta) + nugget I at exactly `nugget`, as the sampler
+    factors it (linalg._corr_factor), with theta and the nugget checked
+    first.  NotPositiveDefiniteError instead of escalating the nugget."""
+    theta = checked_theta(theta, nugget, pairs.rows.shape[1])
+    return linalg._corr_factor(pairs, theta, nugget, np.asarray(y, dtype=float))
+
+
 def corr_matrix_from_sqdiffs(sqdiffs, theta, nugget: float = DEFAULT_NUGGET) -> np.ndarray:
     """The full n x n R(theta) + nugget I from pairwise_sqdiffs, by one
-    (n*n, d) product; theta and the nugget pass linalg's entry check."""
+    (n*n, d) product; theta and the nugget pass checked_theta."""
     n, _, d = sqdiffs.shape
-    theta = _checked_theta(theta, nugget, d)
+    theta = checked_theta(theta, nugget, d)
     r = sqdiffs.reshape(n * n, d) @ -theta
     np.exp(r, out=r)
     r[:: n + 1] += nugget
@@ -160,8 +182,8 @@ def use_phi_target(monkeypatch, log_kernel):
 
 
 def _checked_factor(phi, data: Dataset):
-    # R(phi) at exactly SAMPLER_NUGGET through linalg's checked entry point.
-    return linalg.corr_factor(data.pair_table, phi * phi, sampler.SAMPLER_NUGGET, data.responses)
+    # R(phi) at exactly SAMPLER_NUGGET, theta = phi^2 checked first.
+    return fixed_nugget_factor(data.pair_table, phi * phi, sampler.SAMPLER_NUGGET, data.responses)
 
 
 def phi_log_kernel(phi, mu, sigma2, gamma, data: Dataset, hyper) -> float:
@@ -171,7 +193,7 @@ def phi_log_kernel(phi, mu, sigma2, gamma, data: Dataset, hyper) -> float:
                  - 1/2 sum_k phi_k^2 / (tau_k c_k^{gamma_k})^2  (+ const).
     Even in phi: flipping all signs leaves the value unchanged.  R(phi)
     carries exactly SAMPLER_NUGGET and comes from the checked
-    linalg.corr_factor; NotPositiveDefiniteError is raised when it does
+    fixed_nugget_factor; NotPositiveDefiniteError is raised when it does
     not factor there.
     """
     phi = np.asarray(phi, dtype=float)
@@ -180,7 +202,7 @@ def phi_log_kernel(phi, mu, sigma2, gamma, data: Dataset, hyper) -> float:
 
 def reference_run_chain(data: Dataset, hyper, init):
     """run_chain's scan the long way, from `init`: the public mu and sigma2
-    updates, every factor from the checked linalg.corr_factor, phi's
+    updates, every factor from the checked fixed_nugget_factor, phi's
     mixture prior evaluated fresh by normal_logpdf at each kernel value,
     and gamma drawn from the public inclusion_probabilities.  Returns the
     kept draws, the acceptance rate and the count of proposals that did not

@@ -203,7 +203,7 @@ class TestCriterion6Properties:
             mu=mu_fixed, sigma2=sigma2_fixed, phi=phi,
             gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(0),
         )
-        factor = linalg.CorrFactor.from_lower(chol, y)
+        factor = linalg.CorrFactor(chol, y)
         mus = np.empty(n_draws)
         s2s = np.empty(n_draws)
         for i in range(n_draws):
@@ -287,7 +287,7 @@ class TestCriterion6Properties:
                 worst = max(
                     worst,
                     float(np.max(np.abs(linalg.solve_with_chol(chol, rhs) - inv @ rhs))),
-                    abs(linalg.CorrFactor.from_lower(chol, rhs).log_det - np.linalg.slogdet(mat)[1]),
+                    abs(linalg.CorrFactor(chol, rhs).log_det - np.linalg.slogdet(mat)[1]),
                 )
         ok = worst < 1e-8
         msg = _line(

@@ -13,7 +13,9 @@ import ssgp
 from conftest import make_dataset
 from ssgp import designs, gp, linalg, sampler, testbed
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+BENCH = ROOT / "bench"
 
 
 def test_every_exported_name_resolves():
@@ -113,6 +115,16 @@ class TestBenchmarkSeams:
             assert all(type(v) is float for v in hyper[key])
         assert (hyper["iters"], hyper["burnin"], hyper["thin"]) == (30, 10, 1)
         assert all(type(hyper[key]) is int for key in ("iters", "burnin", "thin"))
+
+    def test_tracer_finds_every_target(self, monkeypatch):
+        # Imported as bench/test_bench.py imports it, with bench/ on the path.
+        monkeypatch.syspath_prepend(str(BENCH))
+        from tracer import Tracer
+
+        tracer = Tracer()
+        with tracer.installed():
+            pass
+        assert tracer.missing == []
 
     def test_traced_functions_exist(self):
         assert callable(linalg.solve_with_chol)

@@ -410,6 +410,16 @@ class TestBenchmarkCommand:
         assert str(test_file) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2_before_any_replicate(self, tmp_path, capsys, monkeypatch, workers):
+        # The missing test file would fail too, but only after the check.
+        self._forbid_replicates(monkeypatch)
+        out = tmp_path / "r.json"
+        spec = self._spec(tmp_path, function="piston", test_file=str(tmp_path / "missing.csv"))
+        assert cli.main(["benchmark", "--spec", spec, "--out", str(out), "--workers", workers]) == 2
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quota_failure_exit_5_with_partial_report(self, tmp_path, monkeypatch):
         def broken(data, hyper=None, init=None):
             raise SamplerError(1, "forced failure")

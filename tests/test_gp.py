@@ -16,7 +16,7 @@ from conftest import (
     profile_gradient_full,
     two_point_dataset,
 )
-from ssgp import gp, linalg, testbed
+from ssgp import gp, linalg
 from ssgp.designs import scale_points
 from ssgp.gp import (
     LOG_THETA_HI,
@@ -234,7 +234,7 @@ class TestProfileEstimates:
         # variance the mean squared residual: 2 and 2/3 for y = (1,2,3).
         chol = np.eye(3)
         y = np.array([1.0, 2.0, 3.0])
-        factor = linalg.CorrFactor.from_lower(chol, y)
+        factor = linalg.CorrFactor(chol, y)
         mu = factor.gls_mean
         assert mu == pytest.approx(2.0, abs=1e-15)
         assert factor.quad(mu) / 3 == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -249,7 +249,7 @@ class TestProfileEstimates:
         rinv = np.linalg.inv(r)
         ones = np.ones(6)
         mu_direct = (ones @ rinv @ y) / (ones @ rinv @ ones)
-        factor = linalg.CorrFactor.from_lower(chol, y)
+        factor = linalg.CorrFactor(chol, y)
         mu = factor.gls_mean
         assert mu == pytest.approx(mu_direct, abs=1e-10)
         s2_direct = (y - mu_direct) @ rinv @ (y - mu_direct) / 6
@@ -392,31 +392,6 @@ class TestLikelihoodGradient:
             got = gp._profile_gradient(factor, mu, s2, theta, data)
             expect = profile_gradient_full(factor, mu, s2, theta, data)
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
-
-
-def test_no_checked_factor_on_fit_or_prediction_paths(toy10, monkeypatch):
-    # Every factor of a fit, a prediction and the closed-form leave-one-out
-    # comes from linalg, which wraps it unchecked; with from_lower made to
-    # raise, seeded runs give bitwise the unpatched outputs.
-    def run():
-        data = Dataset(toy10.points, toy10.responses, toy10.ranges)
-        params = mle_fit(data, FitOptions(seed=2))
-        xs = np.random.default_rng(6).uniform(size=(40, data.dim))
-        preds = _bits(predict_batch(params, data, xs))
-        return params, preds, testbed._loo_means(params, data)
-
-    expect = run()
-
-    def refuse(cls, lower, y):
-        raise AssertionError("from_lower called")
-
-    monkeypatch.setattr(linalg.CorrFactor, "from_lower", classmethod(refuse))
-    got = run()
-    assert (got[0].mu, got[0].sigma2, got[0].phi.tobytes()) == (
-        expect[0].mu, expect[0].sigma2, expect[0].phi.tobytes()
-    )
-    assert got[1] == expect[1]
-    assert got[2].tobytes() == expect[2].tobytes()
 
 
 class TestPrediction:

@@ -7,6 +7,7 @@ from conftest import (
     build_corr_matrix,
     chol_decompose,
     corr_matrix_from_sqdiffs,
+    fixed_nugget_factor,
     gaussian_corr,
     make_dataset,
     pairwise_sqdiffs,
@@ -94,11 +95,8 @@ class TestCorrMatrix:
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
     def test_theta_values_checked(self, bad):
         # A non-finite theta would put NaN into R; internal factorizations
-        # run no symmetry or finite scan, so both entry points that build R
-        # must stop it.
+        # run no symmetry or finite scan, so the checked entry must stop it.
         pts = np.array([[0.1, 0.2], [0.5, 0.6]])
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            linalg.corr_factor(linalg.pair_table(pts), [1.0, bad], 1e-8, np.zeros(2))
         with pytest.raises(ValueError, match="finite and non-negative"):
             linalg.corr_cholesky(pts, [1.0, bad], nugget=0.0)
 
@@ -128,11 +126,11 @@ class TestCholesky:
     def test_log_det_hand_values(self):
         lower = chol_decompose(np.array([[1.0, 0.5], [0.5, 1.0]]))
         # det = 0.75, frozen log.
-        assert linalg.CorrFactor.from_lower(lower, np.zeros(2)).log_det == pytest.approx(
+        assert linalg.CorrFactor(lower, np.zeros(2)).log_det == pytest.approx(
             -0.2876820724517809, abs=1e-14
         )
         lower = chol_decompose(np.diag([4.0, 9.0]))
-        assert linalg.CorrFactor.from_lower(lower, np.zeros(2)).log_det == pytest.approx(
+        assert linalg.CorrFactor(lower, np.zeros(2)).log_det == pytest.approx(
             3.58351893845611, abs=1e-13
         )
 
@@ -165,14 +163,16 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError, match="pivot"):
             linalg._cholesky(np.diag([1.0, 1e-13]))
 
-    def test_log_det_rejects_bad_factor(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            linalg.CorrFactor.from_lower(np.array([[1.0, 0.0], [0.5, -0.1]]), [1.0, 2.0])
-
     def test_solve_shape_checked(self):
         lower = np.eye(3)
         with pytest.raises(ValueError, match="mismatch"):
             linalg.solve_with_chol(lower, np.ones(4))
+
+    def test_solve_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="NaN"):
+            linalg.solve_with_chol(np.array([[1.0, 0.0], [np.nan, 1.0]]), [1.0, 2.0])
+        with pytest.raises(ValueError, match="NaN"):
+            linalg.solve_with_chol(np.eye(2), [1.0, np.inf])
 
 
 def _random_spd(rng, n):
@@ -195,7 +195,7 @@ class TestAgainstExplicitInverse:
             assert np.max(np.abs(x - np.linalg.inv(m) @ b)) < 1e-8
             sign, logdet = np.linalg.slogdet(m)
             assert sign == 1.0
-            assert abs(linalg.CorrFactor.from_lower(lower, b).log_det - logdet) < 1e-8
+            assert abs(linalg.CorrFactor(lower, b).log_det - logdet) < 1e-8
 
     def test_matrix_rhs(self):
         rng = np.random.default_rng(7)
@@ -310,9 +310,9 @@ class TestPairTable:
                         expect = chol_decompose(full)
                     except NotPositiveDefiniteError:
                         with pytest.raises(NotPositiveDefiniteError):
-                            linalg.corr_factor(pairs, theta, nugget, np.zeros(n))
+                            fixed_nugget_factor(pairs, theta, nugget, np.zeros(n))
                         continue
-                    lower = linalg.corr_factor(pairs, theta, nugget, np.zeros(n)).lower
+                    lower = fixed_nugget_factor(pairs, theta, nugget, np.zeros(n)).lower
                     assert lower.tobytes(order="C") == expect.tobytes(order="C")
                     checked += 1
 
@@ -333,7 +333,7 @@ class TestCorrFactor:
             phi = np.exp(rng.uniform(np.log(0.1), np.log(2.0), data.dim))
             mu = rng.normal()
             for nugget in (linalg.DEFAULT_NUGGET, 1e-5):
-                f = linalg.corr_factor(pairs, phi**2, nugget, y)
+                f = fixed_nugget_factor(pairs, phi**2, nugget, y)
                 r = corr_matrix_from_sqdiffs(sqd, phi**2, nugget)
                 rinv = np.linalg.inv(r)
                 sign, logdet = np.linalg.slogdet(r)
@@ -348,28 +348,11 @@ class TestCorrFactor:
                 assert np.max(np.abs(f.inverse() - rinv)) <= 1e-8 * np.max(np.abs(rinv))
                 assert np.array_equal(f.lower, chol_decompose(r))
 
-    @pytest.mark.parametrize("name,n", [("toy", 10), ("linear", 54)])
-    def test_constructor_matches_from_lower(self, name, n):
-        # CorrFactor(lower, y), linalg's own constructor, gives bitwise the
-        # values of the checked from_lower, read in either order.
-        data = make_dataset(name, n)
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            theta = np.exp(rng.uniform(np.log(0.1), np.log(2.0), data.dim)) ** 2
-            lower, _ = linalg.corr_cholesky(data.points, theta)
-            made = linalg.CorrFactor(lower, data.responses)
-            checked = linalg.CorrFactor.from_lower(lower, data.responses)
-            mu = float(rng.normal())
-            got = [made.quad(mu), made.gls_mean, made.one_rinv_one, made.log_det]
-            expect = [checked.log_det, checked.one_rinv_one, checked.gls_mean, checked.quad(mu)][::-1]
-            assert np.array(got).tobytes() == np.array(expect).tobytes()
-            assert made.w1.tobytes() == checked.w1.tobytes()
-
     def test_solve_formed_only_when_read(self):
         # log det and the quadratic form, all a rejected Gibbs proposal
         # reads, leave the two-column solve unformed.
         pts = np.random.default_rng(4).uniform(size=(6, 2))
-        f = linalg.corr_factor(linalg.pair_table(pts), [2.0, 0.5], 1e-8, np.arange(6.0))
+        f = fixed_nugget_factor(linalg.pair_table(pts), [2.0, 0.5], 1e-8, np.arange(6.0))
         f.log_det
         f.quad(1.0)
         assert "_ones_y" not in vars(f)
@@ -380,30 +363,14 @@ class TestCorrFactor:
         # The kept quadratic form must never be served for another mu.
         pts = np.random.default_rng(4).uniform(size=(6, 2))
         y = np.arange(6.0)
-        f = linalg.corr_factor(linalg.pair_table(pts), [2.0, 0.5], 1e-8, y)
+        f = fixed_nugget_factor(linalg.pair_table(pts), [2.0, 0.5], 1e-8, y)
         first = f.quad(1.0)
         assert f.quad(2.5) != first
         assert f.quad(1.0) == first
 
     def test_fixed_nugget_does_not_escalate(self):
         # Duplicate rows at zero nugget: corr_cholesky escalates, the
-        # fixed-nugget factor raises.
+        # sampler's fixed-nugget factor raises.
         pts = np.array([[0.3, 0.3], [0.3, 0.3], [0.7, 0.1]])
         with pytest.raises(NotPositiveDefiniteError):
-            linalg.corr_factor(linalg.pair_table(pts), [1.0, 1.0], 0.0, np.zeros(3))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_nugget_rejected(self, bad):
-        pairs = linalg.pair_table(np.array([[0.2], [0.8]]))
-        with pytest.raises(ValueError, match="nugget must be finite and non-negative"):
-            linalg.corr_factor(pairs, [1.0], bad, np.zeros(2))
-
-    def test_from_lower_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="NaN"):
-            linalg.CorrFactor.from_lower(np.array([[1.0, 0.0], [np.nan, 1.0]]), [1.0, 2.0])
-        with pytest.raises(ValueError, match="NaN"):
-            linalg.CorrFactor.from_lower(np.eye(2), [1.0, np.inf])
-
-    def test_from_lower_shape_checked(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            linalg.CorrFactor.from_lower(np.eye(3), [1.0, 2.0])
+            linalg._corr_factor(linalg.pair_table(pts), np.array([1.0, 1.0]), 0.0, np.zeros(3))

@@ -270,7 +270,7 @@ class TestConditionalUpdates:
         sigma2 = 2.7
         sd_true = np.sqrt(sigma2 / denom)
         state = SamplerState(mu=0.0, sigma2=sigma2, phi=phi, gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(21))
-        factor = linalg.CorrFactor.from_lower(chol, toy10.responses)
+        factor = linalg.CorrFactor(chol, toy10.responses)
         draws = np.array([update_mu(state, factor) for _ in range(5000)])
         assert abs(draws.mean() - mean_true) < 5 * sd_true / np.sqrt(5000)
         assert abs(draws.var() - sd_true**2) < 5 * sd_true**2 * np.sqrt(2 / 4999)
@@ -286,7 +286,7 @@ class TestConditionalUpdates:
         mean_true = b / (a - 1)
         var_true = b**2 / ((a - 1) ** 2 * (a - 2))
         state = SamplerState(mu=mu, sigma2=1.0, phi=phi, gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(22))
-        factor = linalg.CorrFactor.from_lower(chol, toy10.responses)
+        factor = linalg.CorrFactor(chol, toy10.responses)
         draws = np.array([update_sigma2(state, factor) for _ in range(5000)])
         assert abs(draws.mean() - mean_true) < 5 * np.sqrt(var_true / 5000)
         assert abs(draws.var() - var_true) / var_true < 0.2
@@ -297,7 +297,7 @@ class TestConditionalUpdates:
         data = Dataset.from_arrays([[0.2], [0.8]], [2.0, 2.0])
         state = SamplerState(mu=2.0, sigma2=1.0, phi=np.array([1.0]), gamma=np.ones(1, dtype=np.int64), rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="quadratic form"):
-            update_sigma2(state, linalg.CorrFactor.from_lower(np.eye(2), data.responses))
+            update_sigma2(state, linalg.CorrFactor(np.eye(2), data.responses))
 
     def test_joint_gibbs_reaches_marginal(self, toy10):
         # Alternating the two closed-form updates with phi frozen targets the
@@ -305,13 +305,13 @@ class TestConditionalUpdates:
         phi = np.array([0.9, 1.1, 0.2])
         chol, _ = linalg.corr_cholesky(toy10.points, phi**2, nugget=SAMPLER_NUGGET)
         y = toy10.responses
-        mu_gls = linalg.CorrFactor.from_lower(chol, y).gls_mean
+        mu_gls = linalg.CorrFactor(chol, y).gls_mean
         v = solve_triangular(chol, y - mu_gls, lower=True)
         quad_gls = float(v @ v)
         target = quad_gls / (toy10.n - 3)
         state = SamplerState(mu=mu_gls, sigma2=1.0, phi=phi, gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(33))
         total = 0.0
-        factor = linalg.CorrFactor.from_lower(chol, y)
+        factor = linalg.CorrFactor(chol, y)
         for _ in range(20000):
             state.mu = update_mu(state, factor)
             state.sigma2 = update_sigma2(state, factor)
@@ -482,17 +482,18 @@ class TestLeanScanParity:
 
     def test_no_entry_check_and_one_prior_per_proposal(self, toy10, monkeypatch):
         counts = {"checks": 0, "priors": 0}
-        real_check, real_prior = linalg._checked_theta, Hyperparams._prior_logpdf
+        # corr_cholesky is where linalg checks theta and the nugget.
+        real_check, real_prior = linalg.corr_cholesky, Hyperparams._prior_logpdf
 
-        def counted_check(*args):
+        def counted_check(*args, **kwargs):
             counts["checks"] += 1
-            return real_check(*args)
+            return real_check(*args, **kwargs)
 
         def counted_prior(self, phi):
             counts["priors"] += 1
             return real_prior(self, phi)
 
-        monkeypatch.setattr(linalg, "_checked_theta", counted_check)
+        monkeypatch.setattr(linalg, "corr_cholesky", counted_check)
         monkeypatch.setattr(Hyperparams, "_prior_logpdf", counted_prior)
         hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.3, iters=200, burnin=50, seed=5)
         init = GpParams(mu=float(toy10.responses.mean()), sigma2=1.0, phi=np.full(3, 0.5))
@@ -527,7 +528,7 @@ class TestGewekeJointDistribution:
             # update_phi reads the design's pair table and the responses.
             y = mu + np.sqrt(sigma2) * (lower @ rng.normal(size=n))
             current = SimpleNamespace(pair_table=data.pair_table, responses=y)
-            step = update_phi(state, current, hyper, linalg.CorrFactor.from_lower(lower, y), prior)
+            step = update_phi(state, current, hyper, linalg.CorrFactor(lower, y), prior)
             state.phi, prior = step.phi, step.prior
             state.gamma = update_gamma(state, hyper, prior)
             lower = step.factor.lower

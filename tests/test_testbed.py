@@ -183,6 +183,13 @@ class TestMetrics:
         with pytest.raises(ValueError, match="length"):
             fn([1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize("fn", [rmspe, mar])
+    def test_empty_input_and_mismatch_named_apart(self, fn):
+        with pytest.raises(ValueError, match="^need at least one value$"):
+            fn([], [])
+        with pytest.raises(ValueError, match="^length mismatch: 0 vs 1$"):
+            fn([], [1.0])
+
 
 class TestScreeningScore:
     def test_counts(self):
