@@ -5,8 +5,7 @@ and variable selection), predict (kriging predictions from a saved model or
 chain), benchmark (replicated experiments from a spec file) and design
 (Latin hypercube generation).
 
-Exit codes: 0 success, 2 invalid input or flags, 3 fit failure, 4 sampler
-failure, 5 benchmark failure quota exceeded.
+Exit codes: EXIT_OK, 2 for bad flags, or the EXIT_CODES entry of the failure.
 """
 
 import argparse
@@ -30,26 +29,26 @@ from .sampler import CHAIN_FIELDS, default_hyperparams, posterior_params, run_ch
 from .testbed import BenchmarkSpec, rmspe, mar, run_benchmark
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_FIT = 3
-EXIT_SAMPLER = 4
-EXIT_BENCHMARK = 5
-
-
-def _fail(code, message):
-    print(f"error: {message}", file=sys.stderr)
-    return code
+# The exit code of each failure a command raises; main prints the message.
+# Any other exception is a bug and keeps its traceback.
+EXIT_CODES = {
+    OSError: 2, ValueError: 2,
+    OptimizerFailedError: 3, IllConditionedError: 3,
+    SamplerError: 4,
+    BenchmarkError: 5,
+}
 
 
 def _add_data_flags(sub):
     sub.add_argument("--data", help="combined CSV (x1,...,xd,y)")
     sub.add_argument("--design", help="design CSV (x1,...,xd)")
     sub.add_argument("--response", help="response CSV (single column y)")
-    sub.add_argument(
+    domain = sub.add_mutually_exclusive_group()
+    domain.add_argument(
         "--ranges",
         help="per-dimension domain as lo:hi,lo:hi,... (default: unit cube)",
     )
-    sub.add_argument(
+    domain.add_argument(
         "--observed-ranges",
         action="store_true",
         help="take the domain from the per-column min/max of the data",
@@ -81,8 +80,6 @@ def _load_dataset(args) -> Dataset:
     else:
         raise ValueError("pass --data, or --design together with --response")
 
-    if args.ranges and args.observed_ranges:
-        raise ValueError("pass either --ranges or --observed-ranges, not both")
     if args.ranges:
         ranges = _parse_ranges(args.ranges, x.shape[1])
     elif args.observed_ranges:
@@ -100,15 +97,8 @@ def _load_dataset(args) -> Dataset:
 
 
 def _cmd_fit(args) -> int:
-    try:
-        data = _load_dataset(args)
-        opts = FitOptions(seed=args.seed)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_INPUT, exc)
-    try:
-        params = mle_fit(data, opts)
-    except (OptimizerFailedError, IllConditionedError, ValueError) as exc:
-        return _fail(EXIT_FIT, exc)
+    data = _load_dataset(args)
+    params = mle_fit(data, FitOptions(seed=args.seed))
     io.save_model(args.out, params, data, extra={"seed": args.seed})
     print(f"fitted {data.n} runs in {data.dim} dimensions")
     print(f"mu {params.mu:.6g}  sigma2 {params.sigma2:.6g}")
@@ -135,16 +125,10 @@ def _print_selection(report, var_names):
 
 
 def _cmd_select(args) -> int:
-    try:
-        data = _load_dataset(args)
-        # Flags left out are None and keep the sampler defaults.
-        hyper = default_hyperparams(data, args.seed, **{k: getattr(args, k) for k in CHAIN_FIELDS})
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_INPUT, exc)
-    try:
-        chain = run_chain(data, hyper)
-    except SamplerError as exc:
-        return _fail(EXIT_SAMPLER, exc)
+    data = _load_dataset(args)
+    # Flags left out are None and keep the sampler defaults.
+    hyper = default_hyperparams(data, args.seed, **{k: getattr(args, k) for k in CHAIN_FIELDS})
+    chain = run_chain(data, hyper)
     report = select_variables(chain, args.rule)
     io.save_chain(args.chain, chain, data)
     io.save_selection(
@@ -159,22 +143,17 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    if bool(args.model) == bool(args.chain):
-        return _fail(EXIT_INPUT, "pass exactly one of --model or --chain")
-    try:
-        if args.model:
-            params, data = io.load_model(args.model)
-        else:
-            chain, data = io.load_chain(args.chain)
-            params = posterior_params(chain)
-        header = io.peek_header(args.test)
-        if header and header[-1] == "y":
-            x_test, truth = io.read_data_csv(args.test)
-        else:
-            x_test, truth = io.read_design_csv(args.test), None
-        preds = predict_batch(params, data, x_test)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(EXIT_INPUT, exc)
+    if args.model is not None:
+        params, data = io.load_model(args.model)
+    else:
+        chain, data = io.load_chain(args.chain)
+        params = posterior_params(chain)
+    header = io.peek_header(args.test)
+    if header and header[-1] == "y":
+        x_test, truth = io.read_data_csv(args.test)
+    else:
+        x_test, truth = io.read_design_csv(args.test), None
+    preds = predict_batch(params, data, x_test)
     means = [p.mean for p in preds]
     mses = [p.mse for p in preds]
     io.write_predictions_csv(args.out, means, mses)
@@ -189,6 +168,8 @@ def _spec_from_file(path) -> BenchmarkSpec:
     doc = io.load_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a benchmark spec must be a JSON object")
+    if "function" not in doc:
+        raise ValueError(f"{path}: benchmark spec field 'function' is missing")
     known = {f.name for f in dataclass_fields(BenchmarkSpec)}
     unknown = sorted(set(doc) - known - {"schema_version"})
     if unknown:
@@ -197,19 +178,14 @@ def _spec_from_file(path) -> BenchmarkSpec:
 
 
 def _cmd_benchmark(args) -> int:
-    try:
-        spec = _spec_from_file(args.spec)
-    except (OSError, ValueError, TypeError) as exc:
-        return _fail(EXIT_INPUT, exc)
+    spec = _spec_from_file(args.spec)
     started = time.perf_counter()
     try:
         report = run_benchmark(spec, workers=args.workers)
     except BenchmarkError as exc:
         if exc.report is not None:
             io.save_json(args.out, exc.report)
-        return _fail(EXIT_BENCHMARK, exc)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_INPUT, exc)
+        raise
     io.save_json(args.out, report)
     _render_benchmark(report)
     print(f"elapsed {time.perf_counter() - started:.1f}s")
@@ -252,13 +228,10 @@ def _render_benchmark(report) -> None:
 
 
 def _cmd_design(args) -> int:
-    try:
-        if args.kind == "maximin-lhd":
-            design = maximin_lhd(args.n, args.d, args.seed, args.sweeps)
-        else:
-            design = random_lhd(args.n, args.d, args.seed)
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, exc)
+    if args.kind == "maximin-lhd":
+        design = maximin_lhd(args.n, args.d, args.seed, args.sweeps)
+    else:
+        design = random_lhd(args.n, args.d, args.seed)
     io.write_design_csv(args.out, design.points)
     print(f"wrote {args.n}x{args.d} {args.kind} design to {args.out}")
     return EXIT_OK
@@ -294,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.set_defaults(func=_cmd_select)
 
     p_pred = subs.add_parser("predict", help="predict at test points")
-    p_pred.add_argument("--model", help="model.json from fit")
-    p_pred.add_argument("--chain", help="chain.json from select")
+    source = p_pred.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help="model.json from fit")
+    source.add_argument("--chain", help="chain.json from select")
     p_pred.add_argument("--test", required=True, help="test CSV (x1..xd[,y])")
     p_pred.add_argument("--out", default="predictions.csv")
     p_pred.set_defaults(func=_cmd_predict)
@@ -324,7 +298,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -135,34 +135,53 @@ def _dataset_block(data: Dataset) -> dict:
     }
 
 
-def _dataset_from_block(block) -> Dataset:
-    return Dataset(
-        np.asarray(block["points"], dtype=float),
-        np.asarray(block["responses"], dtype=float),
-        np.asarray(block["ranges"], dtype=float),
-    )
+def _field(path, doc, name, ndim=None):
+    # The value at the dotted `name` of a loaded JSON document, or with `ndim`
+    # its numbers as a float array of that many dimensions (null, true and
+    # ragged lists are refused).  A ValueError names the file and the field.
+    value, parts = doc, name.split(".")
+    for i, key in enumerate(parts):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: {'.'.join(parts[:i]) or 'the document'} is not a JSON object")
+        if key not in value:
+            raise ValueError(f"{path}: field {'.'.join(parts[:i + 1])} is missing")
+        value = value[key]
+    if ndim is None:
+        return value
+    try:
+        arr = np.asarray(value)
+        ok = arr.dtype.kind in "iuf" and arr.ndim == ndim
+    except ValueError:  # a ragged list
+        ok = False
+    if not ok:
+        want = ("a number", "a list of numbers", "a list of lists of numbers")[ndim]
+        raise ValueError(f"{path}: field {name} must be {want}")
+    return arr.astype(float)
 
 
-def _expect_width(path, name, arr, ndim, data: Dataset):
+def _dataset(path, doc) -> Dataset:
+    return Dataset(*(_field(path, doc, f"dataset.{name}", ndim)
+                     for name, ndim in (("points", 2), ("responses", 1), ("ranges", 2))))
+
+
+def _expect_width(path, name, arr, data: Dataset):
     # A parameter block must match the dimension of the dataset it ships with.
-    if arr.ndim != ndim or arr.shape[-1] != data.dim:
+    if arr.shape[-1] != data.dim:
         raise ValueError(f"{path}: {name} has shape {arr.shape}, expected width {data.dim} to match its dataset")
 
 
-def _indicators(path, name, values) -> np.ndarray:
-    # gamma draws as int64; an entry other than exactly 0 or 1 is refused,
-    # not truncated.
-    g = np.asarray(values, dtype=float)
+def _indicators(path, name, g) -> np.ndarray:
+    # Float gamma draws as int64; an entry other than exactly 0 or 1 is
+    # refused, not truncated.
     bad = (g != 0) & (g != 1)
     if bad.any():
         raise ValueError(f"{path}: {name} entry {float(g[bad][0])!r} is not 0 or 1")
     return g.astype(np.int64)
 
 
-def _scan_indices(path, name, values) -> np.ndarray:
-    # 1-based scan indices as int64: each entry a positive integer, in
+def _scan_indices(path, name, s) -> np.ndarray:
+    # Float 1-based scan indices as int64: each entry a positive integer, in
     # strictly increasing order.  A 3.7 or a -4 is refused, not truncated.
-    s = np.asarray(values, dtype=float)
     bad = ~np.isfinite(s) | (s != np.floor(s)) | (s < 1)
     if bad.any():
         raise ValueError(f"{path}: {name} entry {float(s[bad][0])!r} is not a positive integer")
@@ -192,13 +211,15 @@ def save_model(path, params: GpParams, data: Dataset, extra=None) -> None:
 
 def load_model(path):
     doc = load_json(path)
-    if doc.get("kind") != "gp-model":
+    if _field(path, doc, "kind") != "gp-model":
         raise ValueError(f"{path}: not a gp-model document")
     params = GpParams(
-        mu=float(doc["mu"]), sigma2=float(doc["sigma2"]), phi=np.asarray(doc["phi"])
+        mu=float(_field(path, doc, "mu", 0)),
+        sigma2=float(_field(path, doc, "sigma2", 0)),
+        phi=_field(path, doc, "phi", 1),
     )
-    data = _dataset_from_block(doc["dataset"])
-    _expect_width(path, "phi", params.phi, 1, data)
+    data = _dataset(path, doc)
+    _expect_width(path, "phi", params.phi, data)
     return params, data
 
 
@@ -222,24 +243,23 @@ def save_chain(path, chain: Chain, data: Dataset) -> None:
 
 def load_chain(path):
     doc = load_json(path)
-    if doc.get("kind") != "chain":
+    if _field(path, doc, "kind") != "chain":
         raise ValueError(f"{path}: not a chain document")
-    draws = doc["draws"]
+    draws = {name: _field(path, doc, f"draws.{name}", ndim)
+             for name, ndim in (("scan", 1), ("mu", 1), ("sigma2", 1), ("phi", 2), ("gamma", 2))}
     for name in ("mu", "sigma2", "phi", "gamma"):
         if len(draws[name]) != len(draws["scan"]):
             raise ValueError(f"{path}: draws.{name} has {len(draws[name])} entries, draws.scan {len(draws['scan'])}")
     chain = Chain(
-        mu=np.asarray(draws["mu"], dtype=float),
-        sigma2=np.asarray(draws["sigma2"], dtype=float),
-        phi=np.asarray(draws["phi"], dtype=float),
+        mu=draws["mu"], sigma2=draws["sigma2"], phi=draws["phi"],
         gamma=_indicators(path, "draws.gamma", draws["gamma"]),
         scans=_scan_indices(path, "draws.scan", draws["scan"]),
-        accept_rate=float(doc["accept_rate"]),
-        meta=doc["meta"],
+        accept_rate=float(_field(path, doc, "accept_rate", 0)),
+        meta=_field(path, doc, "meta"),
     )
-    data = _dataset_from_block(doc["dataset"])
-    _expect_width(path, "phi", chain.phi, 2, data)
-    _expect_width(path, "gamma", chain.gamma, 2, data)
+    data = _dataset(path, doc)
+    _expect_width(path, "phi", chain.phi, data)
+    _expect_width(path, "gamma", chain.gamma, data)
     return chain, data
 
 

@@ -10,8 +10,8 @@ phi is updated by a single-block random-walk Metropolis step and gamma by
 componentwise Bernoulli draws.  Both steps read the mixture prior from one
 table that Hyperparams computes once; log det R, 1'R^-1 1, the GLS mean
 and the quadratic form are read off the linalg.CorrFactor of the current
-phi.  The scan carries that factor and phi's prior rows, each made once per
-proposal, so the current state's kernel and the gamma step only read them.
+phi.  The scan carries that factor, phi's prior rows (made per proposal) and
+its inclusion probabilities (per accepted proposal); the steps only read them.
 """
 
 import hashlib
@@ -222,18 +222,20 @@ def update_sigma2(state: SamplerState, factor: linalg.CorrFactor) -> float:
     return float(1.0 / state.rng.gamma(len(factor.y) / 2.0, 2.0 / quad))
 
 
-PhiUpdate = namedtuple("PhiUpdate", ["phi", "accepted", "factor", "prior", "proposal_failed"])
+PhiUpdate = namedtuple("PhiUpdate", ["phi", "accepted", "factor", "prior", "inclusion", "proposal_failed"])
 
 
-def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor: linalg.CorrFactor, prior) -> PhiUpdate:
+def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor: linalg.CorrFactor, prior,
+               inclusion) -> PhiUpdate:
     """One block random-walk Metropolis step on phi.
 
     Proposes phi~ ~ N(phi, diag(prop_sd^2)) and accepts with probability
     min(1, g(phi~)/g(phi)).  The proposal is the scan's one factorization
-    and prior evaluation; `factor` and `prior` (hyper._prior_logpdf(phi))
-    are the current state's, and the result carries both for its phi.  A
-    proposal that does not factor at exactly SAMPLER_NUGGET is rejected
-    and flagged instead of aborting the chain.
+    and prior evaluation; `factor`, `prior` (hyper._prior_logpdf(phi)) and
+    `inclusion` (P(gamma_k = 1 | phi_k)) are the current state's, and the
+    result carries all three for its phi, the last computed only when the
+    proposal is accepted.  A proposal that does not factor at exactly
+    SAMPLER_NUGGET is rejected and flagged instead of aborting the chain.
     """
     rng = state.rng
     phi = state.phi
@@ -245,12 +247,12 @@ def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor: l
     try:
         prop_factor = _factor(prop, data)
     except NotPositiveDefiniteError:
-        return PhiUpdate(phi, False, factor, prior, True)
+        return PhiUpdate(phi, False, factor, prior, inclusion, True)
     prop_prior = hyper._prior_logpdf(prop)
     logp_prop = _kernel_value(prop_factor, prop_prior, state.mu, state.sigma2, state.gamma)
     if log_u < logp_prop - logp_cur:
-        return PhiUpdate(prop, True, prop_factor, prop_prior, False)
-    return PhiUpdate(phi, False, factor, prior, False)
+        return PhiUpdate(prop, True, prop_factor, prop_prior, _inclusion(prop_prior, hyper), False)
+    return PhiUpdate(phi, False, factor, prior, inclusion, False)
 
 
 def _inclusion(prior, hyper: Hyperparams) -> np.ndarray:
@@ -267,9 +269,8 @@ def inclusion_probabilities(phi, hyper: Hyperparams) -> np.ndarray:
     return _inclusion(hyper._prior_logpdf(np.asarray(phi, dtype=float)), hyper)
 
 
-def update_gamma(state: SamplerState, hyper: Hyperparams, prior) -> np.ndarray:
-    """Componentwise Bernoulli draws of gamma given phi's prior rows `prior`."""
-    probs = _inclusion(prior, hyper)
+def update_gamma(state: SamplerState, probs) -> np.ndarray:
+    """Componentwise Bernoulli draws of gamma, P(gamma_k = 1) = probs[k]."""
     return (state.rng.uniform(size=len(probs)) < probs).astype(np.int64)
 
 
@@ -332,6 +333,7 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
     except NotPositiveDefiniteError as exc:
         raise SamplerError(0, f"initial correlation matrix at nugget {SAMPLER_NUGGET:g}: {exc}") from exc
     prior = hyper._prior_logpdf(state.phi)
+    inclusion = _inclusion(prior, hyper)
 
     kept = range(hyper.burnin + 1, hyper.iters + 1, hyper.thin)
     mu_draws = np.empty(len(kept))
@@ -345,11 +347,11 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
         try:
             state.mu = update_mu(state, factor)
             state.sigma2 = update_sigma2(state, factor)
-            step = update_phi(state, data, hyper, factor, prior)
-            state.phi, factor, prior = step.phi, step.factor, step.prior
+            step = update_phi(state, data, hyper, factor, prior, inclusion)
+            state.phi, factor, prior, inclusion = step.phi, step.factor, step.prior, step.inclusion
             accepted += step.accepted
             failures += step.proposal_failed
-            state.gamma = update_gamma(state, hyper, prior)
+            state.gamma = update_gamma(state, inclusion)
         except ValueError as exc:
             raise SamplerError(scan, str(exc)) from exc
         if scan in kept:

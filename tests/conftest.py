@@ -176,7 +176,7 @@ def use_phi_target(monkeypatch, log_kernel):
     posterior: no correlation matrix is factored, and the real proposal and
     accept/reject step run against the synthetic kernel.  The stand-in
     factor of a phi is phi itself and the prior rows are not read, so a
-    step is update_phi(state, None, hyper, state.phi, None)."""
+    step is update_phi(state, None, hyper, state.phi, None, None)."""
     monkeypatch.setattr(sampler, "_factor", lambda phi, data: phi)
     monkeypatch.setattr(sampler, "_kernel_value", lambda factor, *rest: log_kernel(factor))
 

@@ -1,5 +1,8 @@
 """End-to-end command-line behavior, driven in process through main(argv)."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,19 @@ class TestFitCommand:
 
     def test_data_and_design_exclusive(self, toy_csv):
         assert cli.main(["fit", "--data", toy_csv, "--design", toy_csv]) == 2
+
+    def test_ranges_and_observed_ranges_exclusive(self, toy_csv, capsys):
+        assert cli.main(["fit", "--data", toy_csv, "--ranges", "0:1,0:1,0:1", "--observed-ranges"]) == 2
+        assert "not allowed with argument --ranges" in capsys.readouterr().err
+
+    def test_one_run_exit_2(self, tmp_path, capsys):
+        # Too little data is bad input, not a failed fit (exit 3).
+        path = tmp_path / "one.csv"
+        write_data_csv(path, np.array([[0.5, 0.5]]), [1.0])
+        out = tmp_path / "m.json"
+        assert cli.main(["fit", "--data", str(path), "--out", str(out)]) == 2
+        assert "need at least 2 runs to fit, got 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_data_outside_unit_cube_needs_ranges(self, tmp_path):
         path = tmp_path / "wide.csv"
@@ -362,10 +378,11 @@ class TestBenchmarkCommand:
         assert cli.main(["benchmark", "--spec", self._spec(tmp_path, reps=1, thin=None), "--out", str(out)]) == 0
         assert io.load_json(out)["spec"]["thin"] is None
 
-    def test_missing_function_exit_2(self, tmp_path):
+    def test_missing_function_exit_2(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         io.save_json(path, {"n": 10})
         assert cli.main(["benchmark", "--spec", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        assert f"{path}: benchmark spec field 'function' is missing" in capsys.readouterr().err
 
     @staticmethod
     def _forbid_replicates(monkeypatch):
@@ -430,3 +447,81 @@ class TestBenchmarkCommand:
         partial = io.load_json(out)
         assert partial["aggregate"]["n_ok"] == 0
         assert len(partial["failures"]) == 2
+
+
+@pytest.fixture(scope="module")
+def chain_path(toy_csv, tmp_path_factory):
+    where = tmp_path_factory.mktemp("chain")
+    out = where / "chain.json"
+    cli.main(["select", "--data", toy_csv, "--iters", "60", "--burnin", "20", "--chain", str(out),
+              "--report", str(where / "r.json"), "--trace", str(where / "t.csv")])
+    return str(out)
+
+
+def _drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+class TestMalformedSavedFiles:
+    """A model or chain file that is not what the loader needs exits 2 and
+    names the file and the field, with no traceback."""
+
+    @pytest.mark.parametrize(
+        "source,edit,named",
+        [("model", lambda doc: [doc], "the document is not a JSON object"),
+         ("model", _drop("mu"), "field mu is missing"),
+         ("model", lambda doc: {**doc, "mu": None}, "field mu must be a number"),
+         ("model", lambda doc: {**doc, "phi": ["a", *doc["phi"][1:]]}, "field phi must be a list of numbers"),
+         ("model", lambda doc: {**doc, "dataset": {**doc["dataset"], "points": [[0.5], [0.2, 0.3]]}},
+          "field dataset.points must be a list of lists of numbers"),
+         ("chain", lambda doc: [doc], "the document is not a JSON object"),
+         ("chain", _drop("draws"), "field draws is missing"),
+         ("chain", lambda doc: {**doc, "draws": _drop("mu")(doc["draws"])}, "field draws.mu is missing"),
+         ("chain", lambda doc: {**doc, "draws": {**doc["draws"], "phi": [["a"] * 3] * len(doc["draws"]["phi"])}},
+          "field draws.phi must be a list of lists of numbers"),
+         ("chain", lambda doc: {**doc, "accept_rate": None}, "field accept_rate must be a number")],
+        ids=["model-array", "model-no-mu", "model-null-mu", "model-text-phi", "model-ragged-points",
+             "chain-array", "chain-no-draws", "chain-no-mu", "chain-text-phi", "chain-null-accept-rate"],
+    )
+    def test_exit_2_names_file_and_field(self, model_path, chain_path, tmp_path, capsys, source, edit, named):
+        bad = tmp_path / f"{source}.json"
+        io.save_json(bad, edit(io.load_json(model_path if source == "model" else chain_path)))
+        test = tmp_path / "test.csv"
+        io.write_design_csv(test, np.array([[0.2, 0.3, 0.4]]))
+        out = tmp_path / "pred.csv"
+        assert cli.main(["predict", f"--{source}", str(bad), "--test", str(test), "--out", str(out)]) == 2
+        assert f"error: {bad}: {named}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("design", "--out"), ("fit", "--out"), ("select", "--chain"), ("select", "--report"),
+         ("select", "--trace"), ("predict", "--out"), ("benchmark", "--out")],
+    )
+    def test_missing_directory_exit_2_names_path(self, toy_csv, model_path, tmp_path, capsys, command, flag):
+        test = tmp_path / "test.csv"
+        io.write_design_csv(test, np.array([[0.2, 0.3, 0.4]]))
+        spec = tmp_path / "spec.json"
+        io.save_json(spec, dict(function="toy", n=10, reps=1, iters=40, burnin=10))
+        argv = {
+            "design": ["--n", "6", "--d", "2"],
+            "fit": ["--data", toy_csv],
+            "select": ["--data", toy_csv, "--iters", "40", "--burnin", "10", "--chain", str(tmp_path / "c.json"),
+                       "--report", str(tmp_path / "r.json"), "--trace", str(tmp_path / "t.csv")],
+            "predict": ["--model", model_path, "--test", str(test)],
+            "benchmark": ["--spec", str(spec)],
+        }[command]
+        bad = tmp_path / "missing" / "out"
+        assert cli.main([command, *argv, flag, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+
+
+def test_readme_exit_codes_match_the_table():
+    # README's "Exit codes:" sentence lists every code main can return.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Exit codes:(.*?)\.", readme, re.S).group(1)
+    listed = [int(code) for code in re.findall(r"\b(\d+) [a-z]", sentence)]
+    assert sorted(listed) == sorted({cli.EXIT_OK, *cli.EXIT_CODES.values()})

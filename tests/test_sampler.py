@@ -1,5 +1,6 @@
 """Sampler layer: hyperparameters, conditional updates, seeds, full chains."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.stats import norm
 import ssgp.sampler as sampler
 from conftest import (
     build_corr_matrix,
+    fixed_nugget_factor,
     make_dataset,
     normal_logpdf,
     phi_log_kernel,
@@ -18,6 +20,7 @@ from conftest import (
     use_phi_target,
 )
 from ssgp import linalg
+from ssgp.designs import maximin_lhd
 from ssgp.errors import NotPositiveDefiniteError, OptimizerFailedError, SamplerError
 from ssgp.gp import Dataset, FitOptions, GpParams, mle_fit
 from ssgp.sampler import (
@@ -37,6 +40,8 @@ from ssgp.sampler import (
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_policy_constants_pinned():
@@ -192,7 +197,7 @@ class TestInclusionProbabilities:
         phi = np.array([0.0, 0.9])
         probs = inclusion_probabilities(phi, h)
         state = SamplerState(mu=0.0, sigma2=1.0, phi=phi, gamma=np.ones(2, dtype=np.int64), rng=np.random.default_rng(4))
-        draws = np.array([update_gamma(state, h, h._prior_logpdf(phi)) for _ in range(20000)])
+        draws = np.array([update_gamma(state, probs) for _ in range(20000)])
         assert draws.dtype == np.int64
         assert set(np.unique(draws)) <= {0, 1}
         freq = draws.mean(axis=0)
@@ -328,7 +333,7 @@ class TestUpdatePhi:
         state = self._state([0.5, 0.5])
         use_phi_target(monkeypatch, lambda v: 0.0)
         for _ in range(50):
-            step = update_phi(state, None, hyper, state.phi, None)
+            step = update_phi(state, None, hyper, state.phi, None, None)
             assert step.accepted
             state.phi = step.phi
 
@@ -339,7 +344,7 @@ class TestUpdatePhi:
         kernel = lambda v: 0.0 if np.array_equal(v, start) else -np.inf
         use_phi_target(monkeypatch, kernel)
         for _ in range(20):
-            step = update_phi(state, None, hyper, state.phi, None)
+            step = update_phi(state, None, hyper, state.phi, None, None)
             assert not step.accepted
             assert np.array_equal(step.phi, start)
 
@@ -359,7 +364,8 @@ class TestUpdatePhi:
         hyper = Hyperparams.for_dim(3, tau=0.3)
         state = self._state([0.9, 1.1, 0.2])
         factor = sampler._factor(state.phi, toy10)
-        step = update_phi(state, toy10, hyper, factor, hyper._prior_logpdf(state.phi))
+        prior = hyper._prior_logpdf(state.phi)
+        step = update_phi(state, toy10, hyper, factor, prior, sampler._inclusion(prior, hyper))
         assert step.proposal_failed
         assert not step.accepted
         assert np.array_equal(step.phi, state.phi)
@@ -397,7 +403,7 @@ class TestUpdatePhi:
         use_phi_target(monkeypatch, kernel)
         draws = np.empty(20000)
         for i in range(20000):
-            step = update_phi(state, None, hyper, state.phi, None)
+            step = update_phi(state, None, hyper, state.phi, None, None)
             state.phi = step.phi
             draws[i] = state.phi[0]
         assert abs(draws.mean()) < 0.05
@@ -501,6 +507,24 @@ class TestLeanScanParity:
         assert counts["checks"] == 0
         assert 0 < counts["priors"] <= hyper.iters + 1
 
+    def test_inclusion_once_per_accepted_proposal(self, toy10, monkeypatch):
+        # The gamma step only draws: phi's inclusion probabilities are made
+        # when the chain starts and when a proposal is accepted.
+        calls = [0]
+        real = sampler._inclusion
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(sampler, "_inclusion", counted)
+        hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.3, iters=200, burnin=50, seed=5)
+        init = GpParams(mu=float(toy10.responses.mean()), sigma2=1.0, phi=np.full(3, 0.5))
+        chain = run_chain(toy10, hyper, init=init)
+        accepted = round(chain.accept_rate * hyper.iters)
+        assert 0 < accepted < hyper.iters
+        assert calls[0] == accepted + 1
+
 
 class TestGewekeJointDistribution:
     """Geweke (2004, JASA 99(467)), "Getting it right", for the real phi and
@@ -523,14 +547,15 @@ class TestGewekeJointDistribution:
         state = SamplerState(mu, sigma2, np.array([0.4, 0.1]), np.array([1, 0]), rng)
         lower = sampler._factor(state.phi, data).lower
         prior = hyper._prior_logpdf(state.phi)
+        inclusion = inclusion_probabilities(state.phi, hyper)
         stats = np.empty((steps, 3 * d + 1))
         for t in range(steps):
             # update_phi reads the design's pair table and the responses.
             y = mu + np.sqrt(sigma2) * (lower @ rng.normal(size=n))
             current = SimpleNamespace(pair_table=data.pair_table, responses=y)
-            step = update_phi(state, current, hyper, linalg.CorrFactor(lower, y), prior)
-            state.phi, prior = step.phi, step.prior
-            state.gamma = update_gamma(state, hyper, prior)
+            step = update_phi(state, current, hyper, linalg.CorrFactor(lower, y), prior, inclusion)
+            state.phi, prior, inclusion = step.phi, step.prior, step.inclusion
+            state.gamma = update_gamma(state, inclusion)
             lower = step.factor.lower
             stats[t] = [*state.phi, *state.phi**2, *state.gamma, step.factor.quad(mu) / (n * sigma2)]
         tau2, c2, p = hyper.tau**2, hyper.c**2, hyper.p
@@ -539,6 +564,60 @@ class TestGewekeJointDistribution:
         batch_means = stats.reshape(batches, -1, stats.shape[1]).mean(axis=1)
         z = (stats.mean(axis=0) - expect) / (batch_means.std(axis=0, ddof=1) / np.sqrt(batches))
         # z in the order phi_k, phi_k^2, gamma_k, quadratic form.
+        assert np.all(np.abs(z) < 4.0), f"z = {np.round(z, 1)}"
+
+
+class TestExactPosteriorOracle:
+    """The shipped scan, mu and sigma2 steps included, against the posterior
+    computed by quadrature at d = 2.  Integrating mu and sigma2 out under
+    their flat and 1/sigma2 priors leaves
+
+        p(phi | y) ∝ |R|^-1/2 (1'R^-1 1)^-1/2 S^-(n-1) pi(phi),
+
+    with S^2 the GLS residual quadratic form and pi the mixture prior with
+    gamma summed out.  Given phi, mu | sigma2 ~ N(GLS mean, sigma2 / 1'R^-1 1)
+    and sigma2 ~ InverseGamma((n-1)/2, S^2/2), so E[sigma2 | phi, y] =
+    S^2/(n-3) and Var(mu | phi, y) = S^2/((n-3) 1'R^-1 1); and
+    P(gamma_k = 1 | y) = E[P(gamma_k = 1 | phi_k) | y].  The target is even
+    in each phi_k, so the grid covers u = log|phi| with the Jacobian
+    exp(u_1 + u_2).  The Geweke test holds mu and sigma2 fixed; this one
+    checks their conditionals composed with the phi and gamma steps.
+    """
+
+    def test_chain_matches_quadrature(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        from ess import ess_geyer
+
+        x = maximin_lhd(10, 2, 0).points
+        data = Dataset.from_arrays(x, np.sin(4 * x[:, 0]) + 0.05 * x[:, 1])
+        n, grid = data.n, 120
+        hyper = Hyperparams.for_dim(2, tau=0.3, c=5.0, p=0.5, prop_sd=0.3, iters=22000, burnin=2000, seed=0)
+        u = np.linspace(np.log(1e-3), np.log(9.0), grid)
+        phi = np.exp(np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1).reshape(-1, 2))
+        terms = np.empty((len(phi), 4))
+        for i, point in enumerate(phi):
+            f = fixed_nugget_factor(data.pair_table, point * point, SAMPLER_NUGGET, data.responses)
+            terms[i] = f.log_det, f.one_rinv_one, f.gls_mean, f.quad(f.gls_mean)
+        log_det, q, gls_mean, s2 = terms.T
+        spike = np.log1p(-hyper.p) + normal_logpdf(phi, hyper.tau**2)
+        slab = np.log(hyper.p) + normal_logpdf(phi, (hyper.c * hyper.tau) ** 2)
+        log_post = (-0.5 * (log_det + np.log(q) + (n - 1) * np.log(s2))
+                    + np.logaddexp(spike, slab).sum(axis=1) + np.log(phi).sum(axis=1))
+        w = np.exp(log_post - log_post.max())
+        w /= w.sum()
+        edge = w.reshape(grid, grid)
+        assert edge[[0, -1]].sum() + edge[1:-1, [0, -1]].sum() < 1e-4
+        incl = np.array([inclusion_probabilities(point, hyper) for point in phi])
+        mean_mu = w @ gls_mean
+        exact = [*(w @ incl), *(w @ phi**2), mean_mu,
+                 w @ (s2 / ((n - 3) * q) + (gls_mean - mean_mu) ** 2), w @ s2 / (n - 3)]
+
+        y = data.responses
+        init = GpParams(mu=float(y.mean()), sigma2=float(y.var()), phi=np.array([1.0, 0.1]))
+        chain = run_chain(data, hyper, init=init)
+        series = [*chain.gamma.T, *(chain.phi**2).T, chain.mu, (chain.mu - mean_mu) ** 2, chain.sigma2]
+        z = np.array([(s.mean() - e) / (s.std() / np.sqrt(ess_geyer(s))) for s, e in zip(series, exact)])
+        # z in the order P(gamma_k = 1), E[theta_k], E[mu], Var(mu), E[sigma2].
         assert np.all(np.abs(z) < 4.0), f"z = {np.round(z, 1)}"
 
 
