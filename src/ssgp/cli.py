@@ -9,6 +9,7 @@ Exit codes: EXIT_OK, 2 for bad flags, or the EXIT_CODES entry of the failure.
 """
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import fields as dataclass_fields
@@ -124,7 +125,17 @@ def _print_selection(report, var_names):
         print("note: modal frequency tie broken lexicographically")
 
 
+def _check_output_dirs(*paths) -> None:
+    # select and benchmark run chains before they write, so they check
+    # first that each output's directory exists: a bad path costs no sampling.
+    for path in paths:
+        parent = os.path.dirname(os.fspath(path)) or os.curdir
+        if not os.path.isdir(parent):
+            raise ValueError(f"{path}: {parent} is not an existing directory")
+
+
 def _cmd_select(args) -> int:
+    _check_output_dirs(args.chain, args.report, args.trace)
     data = _load_dataset(args)
     # Flags left out are None and keep the sampler defaults.
     hyper = default_hyperparams(data, args.seed, **{k: getattr(args, k) for k in CHAIN_FIELDS})
@@ -178,13 +189,18 @@ def _spec_from_file(path) -> BenchmarkSpec:
 
 
 def _cmd_benchmark(args) -> int:
+    _check_output_dirs(args.out)
     spec = _spec_from_file(args.spec)
     started = time.perf_counter()
     try:
         report = run_benchmark(spec, workers=args.workers)
     except BenchmarkError as exc:
         if exc.report is not None:
-            io.save_json(args.out, exc.report)
+            # The quota failure stays the command's error and exit code.
+            try:
+                io.save_json(args.out, exc.report)
+            except OSError as save_exc:
+                print(f"error: partial report not saved: {save_exc}", file=sys.stderr)
         raise
     io.save_json(args.out, report)
     _render_benchmark(report)

@@ -159,9 +159,18 @@ def _field(path, doc, name, ndim=None):
     return arr.astype(float)
 
 
+def _named(path, make, *args, **kwargs):
+    # make(*args, **kwargs), with the file named in a ValueError it raises
+    # on values _field has read (GpParams and Dataset check them).
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _dataset(path, doc) -> Dataset:
-    return Dataset(*(_field(path, doc, f"dataset.{name}", ndim)
-                     for name, ndim in (("points", 2), ("responses", 1), ("ranges", 2))))
+    return _named(path, Dataset, *(_field(path, doc, f"dataset.{name}", ndim)
+                                   for name, ndim in (("points", 2), ("responses", 1), ("ranges", 2))))
 
 
 def _expect_width(path, name, arr, data: Dataset):
@@ -213,7 +222,8 @@ def load_model(path):
     doc = load_json(path)
     if _field(path, doc, "kind") != "gp-model":
         raise ValueError(f"{path}: not a gp-model document")
-    params = GpParams(
+    params = _named(
+        path, GpParams,
         mu=float(_field(path, doc, "mu", 0)),
         sigma2=float(_field(path, doc, "sigma2", 0)),
         phi=_field(path, doc, "phi", 1),

@@ -12,10 +12,16 @@ How R is built.  Every matrix that is factored here (each Gibbs proposal,
 each nugget attempt of corr_cholesky) is built from its strict lower
 triangle only.  A PairTable holds the squared coordinate differences of
 the n(n-1)/2 pairs i > j; one GEMV with -theta and one exp over its rows
-give the off-diagonal correlations, which are scattered into a zeroed
+give the off-diagonal correlations, which are scattered into a
 Fortran-order n x n buffer with 1 + nugget on the diagonal.  _cholesky
 factors that buffer in place, reading only its lower triangle, so R's
-upper triangle is never formed.
+upper triangle is never formed.  The buffer is a _Scratch: its matrix,
+flat column view and GEMV output, made once.  corr_cholesky makes one per
+nugget attempt; a Gibbs chain makes two when it starts and reuses them for
+every proposal (sampler._Slots).  The matrix is zero when it is made, and
+neither the build nor potrf (which reads and writes the lower triangle
+only) ever writes above the diagonal, so its upper triangle stays zero for
+the buffer's life and potrf's `clean` pass, which zeroes it, is skipped.
 
 Where arguments are checked.  pair_table checks design points,
 corr_cholesky theta and the nugget, and solve_with_chol its operands.
@@ -24,10 +30,13 @@ passed, without a second scan: with theta and the nugget finite, every
 entry of R is finite and every row of L has norm sqrt(R_ii) <=
 sqrt(1 + nugget), so _cholesky's one diagonal test, PIVOT_TOL < L_ii^2 <
 inf (with potrf's breakdown flag), rejects every non-finite, broken-down
-or nearly singular factor.  The Gibbs scan calls _corr_factor unchecked
-at its constant nugget: phi is finite where a chain enters (GpParams, the
-init and Hyperparams are checked), and a proposal whose theta = phi^2 is
-still not finite fails that test or has a -inf or NaN prior.
+or nearly singular factor.  It reads the test off the diagonal's extremes,
+PIVOT_TOL < lo^2 <= hi^2 < inf: squaring is monotone on the non-negative
+diagonal that potrf makes, and a NaN entry makes lo NaN.  The Gibbs scan
+calls _corr_factor unchecked at its constant nugget: phi is finite where a
+chain enters (GpParams, the init and Hyperparams are checked), and a
+proposal whose theta = phi^2 is still not finite fails that test or has a
+-inf or NaN prior.
 """
 
 from dataclasses import dataclass, field
@@ -84,32 +93,62 @@ def pair_table(points) -> PairTable:
     return PairTable(rows, j * n + i, n)
 
 
-def _corr_lower(pairs: PairTable, theta, nugget) -> np.ndarray:
-    # R(theta) + nugget I in a new Fortran-order buffer, lower triangle and
-    # diagonal only (the upper triangle is zero); nothing is checked here.
-    n, index = pairs.n, pairs.index
-    r = pairs.rows @ -theta
-    np.exp(r, out=r)
+class _Scratch(NamedTuple):
+    """A buffer that R is built and factored in, with its views made once.
+
+    matrix is Fortran-order n x n and zero when made; flat is its column-order
+    flat view and diag that view's diagonal; gemv takes the PairTable
+    product, and pairs is its first n(n-1)/2 entries.  Two scratches may
+    share one gemv, since R is built before it is factored.
+    """
+
+    matrix: np.ndarray
+    flat: np.ndarray
+    diag: np.ndarray
+    gemv: np.ndarray
+    pairs: np.ndarray
+
+
+def _scratch(pairs: PairTable, gemv=None) -> _Scratch:
+    n = pairs.n
     m = np.zeros((n, n), order="F")
     # m.T is C-contiguous, so this is a flat view of m in column order.
     flat = m.T.reshape(-1)
-    flat[index] = r[: len(index)]
-    flat[:: n + 1] = 1.0 + nugget
+    if gemv is None:
+        gemv = np.empty(len(pairs.rows))
+    return _Scratch(m, flat, flat[:: n + 1], gemv, gemv[: len(pairs.index)])
+
+
+def _corr_lower(pairs: PairTable, theta, nugget, out: _Scratch | None = None) -> np.ndarray:
+    # R(theta) + nugget I, lower triangle and diagonal only, in out's matrix
+    # (a new scratch when omitted), whose upper triangle stays zero; nothing
+    # is checked here.
+    m, flat, diag, r, r_pairs = _scratch(pairs) if out is None else out
+    np.matmul(pairs.rows, -theta, out=r)
+    np.exp(r, out=r)
+    flat[pairs.index] = r_pairs
+    diag[:] = 1.0 + nugget
     return m
 
 
+def _pivots_pass(diag) -> bool:
+    # PIVOT_TOL < L_ii^2 < inf for every entry of a non-negative diagonal,
+    # read off its extremes; a NaN entry makes lo NaN, which fails.
+    lo, hi = diag.min(), diag.max()
+    return PIVOT_TOL < lo * lo <= hi * hi < np.inf
+
+
 def _cholesky(m) -> np.ndarray:
-    # Lower factor of a symmetric matrix; potrf reads only its lower
-    # triangle and works in place on a Fortran-order float64 m, which then
-    # becomes the factor.  NotPositiveDefiniteError on a breakdown, or on a
-    # pivot L_ii^2 at or below PIVOT_TOL or not finite, so the caller rejects
-    # or escalates the nugget.
-    lower, info = dpotrf(m, lower=1, clean=1, overwrite_a=1)
+    # Lower factor of a symmetric matrix whose upper triangle is zero (every
+    # buffer _corr_lower fills); potrf reads and writes only the lower
+    # triangle, in place on a Fortran-order float64 m, which then becomes
+    # the factor.  NotPositiveDefiniteError on a breakdown, or on a pivot
+    # L_ii^2 at or below PIVOT_TOL or not finite, so the caller rejects or
+    # escalates the nugget.
+    lower, info = dpotrf(m, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefiniteError(f"leading minor of order {info} is not positive definite")
-    # A NaN pivot makes min() NaN, which fails the first comparison.
-    pivots = lower.diagonal() ** 2
-    if not PIVOT_TOL < pivots.min() <= pivots.max() < np.inf:
+    if not _pivots_pass(lower.diagonal()):
         raise NotPositiveDefiniteError(f"pivot at or below tolerance {PIVOT_TOL}, or not finite")
     return lower
 
@@ -130,22 +169,23 @@ class CorrFactor:
     """One Cholesky factorization R = L L' and what its readers reuse.
 
     CorrFactor(lower, y) wraps a factor that _cholesky has made and passed.
-    log det R, w1 = L^-1 1, 1'R^-1 1 and the GLS mean (1'R^-1 1)^-1 1'R^-1 y
-    are computed the first time each is read, the last three from one
-    two-column triangular solve [L^-1 1, L^-1 y].  A quadratic form
-    (y - mu)'R^-1(y - mu) is |L^-1 (y - mu)|^2 from one triangular solve of
-    the residual; the last one is kept, so the Gibbs scan's sigma2 and phi
-    steps share it.
+    log det R is computed from L's diagonal when the factor is made: every
+    Gibbs proposal and likelihood value reads it.  w1 = L^-1 1, 1'R^-1 1 and
+    the GLS mean (1'R^-1 1)^-1 1'R^-1 y are computed the first time each is
+    read, from one two-column triangular solve [L^-1 1, L^-1 y].  A
+    quadratic form (y - mu)'R^-1(y - mu) is |L^-1 (y - mu)|^2 from one
+    triangular solve of the residual; the last one is kept, so the Gibbs
+    scan's sigma2 and phi steps share it.
     """
 
     lower: np.ndarray
     y: np.ndarray
+    log_det: float = field(init=False)
     # [mu, quad] of the last quad(mu) call.
     _last_quad: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
 
-    @cached_property
-    def log_det(self) -> float:
-        return float(2.0 * np.log(self.lower.diagonal()).sum())
+    def __post_init__(self):
+        object.__setattr__(self, "log_det", float(2.0 * np.log(self.lower.diagonal()).sum()))
 
     @cached_property
     def _ones_y(self) -> np.ndarray:
@@ -183,10 +223,11 @@ class CorrFactor:
         return v.T @ v
 
 
-def _corr_factor(pairs: PairTable, theta, nugget, y) -> CorrFactor:
-    # Unchecked factor of R(theta) + nugget I at exactly `nugget`, raising
+def _corr_factor(pairs: PairTable, theta, nugget, y, out: _Scratch | None = None) -> CorrFactor:
+    # Unchecked factor of R(theta) + nugget I at exactly `nugget`, built and
+    # factored in `out` (a new scratch when omitted), raising
     # NotPositiveDefiniteError instead of escalating (the sampler's target).
-    return CorrFactor(_cholesky(_corr_lower(pairs, theta, nugget)), y)
+    return CorrFactor(_cholesky(_corr_lower(pairs, theta, nugget, out)), y)
 
 
 def corr_cholesky(points, theta, nugget: float = DEFAULT_NUGGET, pairs: PairTable | None = None):

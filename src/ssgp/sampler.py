@@ -12,6 +12,13 @@ table that Hyperparams computes once; log det R, 1'R^-1 1, the GLS mean
 and the quadratic form are read off the linalg.CorrFactor of the current
 phi.  The scan carries that factor, phi's prior rows (made per proposal) and
 its inclusion probabilities (per accepted proposal); the steps only read them.
+
+A chain owns its scratch memory (_Slots), allocated once when it starts:
+two slots, each an n x n buffer that R is built and factored in and a pair
+of prior rows.  One slot holds the current phi's factor and rows; each
+proposal is built in the other, and an accepted proposal swaps their roles.
+So a proposal never writes over the factor the scan carries, whether it is
+accepted, rejected or fails to factor.
 """
 
 import hashlib
@@ -183,19 +190,42 @@ class Chain:
         return self.phi.shape[1]
 
 
-def _factor(phi, data) -> linalg.CorrFactor:
-    # R(phi) at exactly SAMPLER_NUGGET; raises NotPositiveDefiniteError.
+class _Slots:
+    """Scratch memory of one chain: two slots, `current` and the other.
+
+    Slot k is the linalg._Scratch scratch[k], in which R(phi) is built and
+    factored, and the prior rows priors[k] of that phi (row g for
+    gamma_k = g).  The two scratches share one GEMV output.  Without a
+    PairTable, scratch[k] is None and each proposal is built in a new buffer.
+    """
+
+    def __init__(self, d: int, pairs: linalg.PairTable | None = None):
+        if pairs is None:
+            self.scratch = (None, None)
+        else:
+            gemv = np.empty(len(pairs.rows))
+            self.scratch = (linalg._scratch(pairs, gemv), linalg._scratch(pairs, gemv))
+        self.priors = np.empty((2, 2, d))
+        self.current = 0
+
+
+def _factor(phi, data, out=None) -> linalg.CorrFactor:
+    # R(phi) at exactly SAMPLER_NUGGET, built and factored in `out` (a
+    # linalg._Scratch, new when omitted); raises NotPositiveDefiniteError.
     # Unchecked: phi is finite, so theta = phi^2 passes (see linalg).
-    return linalg._corr_factor(data.pair_table, phi * phi, SAMPLER_NUGGET, data.responses)
+    return linalg._corr_factor(data.pair_table, phi * phi, SAMPLER_NUGGET, data.responses, out)
 
 
-def _kernel_value(factor, prior, mu, sigma2, gamma) -> float:
+def _log_priors(priors, gamma) -> np.ndarray:
+    # sum_k log N(phi_k; 0, (tau_k c_k^{gamma_k})^2) of each phi whose prior
+    # rows (hyper._prior_logpdf) are stacked in `priors`, shape (m, 2, d).
+    return np.where(gamma, priors[:, 1], priors[:, 0]).sum(axis=1)
+
+
+def _kernel_value(factor, log_prior, mu, sigma2) -> float:
     # Log full-conditional kernel of phi, up to an additive constant:
-    # -1/2 log det R(phi) - (y-mu)'R^-1(y-mu)/(2 sigma2)
-    # + sum_k log N(phi_k; 0, (tau_k c_k^{gamma_k})^2), with R(phi) from
-    # `factor` and each prior term the gamma_k row of `prior` (update_phi).
-    spike, slab = prior
-    log_prior = float(np.where(gamma, slab, spike).sum())
+    # -1/2 log det R(phi) - (y-mu)'R^-1(y-mu)/(2 sigma2) + log_prior, with
+    # R(phi) from `factor` and log_prior from _log_priors.
     return -0.5 * factor.log_det - factor.quad(mu) / (2.0 * sigma2) + log_prior
 
 
@@ -226,7 +256,7 @@ PhiUpdate = namedtuple("PhiUpdate", ["phi", "accepted", "factor", "prior", "incl
 
 
 def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor: linalg.CorrFactor, prior,
-               inclusion) -> PhiUpdate:
+               inclusion, slots: _Slots | None = None) -> PhiUpdate:
     """One block random-walk Metropolis step on phi.
 
     Proposes phi~ ~ N(phi, diag(prop_sd^2)) and accepts with probability
@@ -236,22 +266,33 @@ def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor: l
     result carries all three for its phi, the last computed only when the
     proposal is accepted.  A proposal that does not factor at exactly
     SAMPLER_NUGGET is rejected and flagged instead of aborting the chain.
+    `slots` is the chain's scratch memory, whose current slot holds
+    `factor` and `prior`; the proposal is built in the other slot, and an
+    accepted proposal makes it current.  Without it, the step makes its own.
     """
     rng = state.rng
     phi = state.phi
-    logp_cur = _kernel_value(factor, prior, state.mu, state.sigma2, state.gamma)
+    if slots is None:
+        slots = _Slots(len(phi))
+        slots.priors[0] = prior
+    cur = slots.current
+    new = 1 - cur
     # Proposal first, acceptance uniform second: the stream stays aligned
     # whether or not the proposal factors.
     prop = phi + rng.normal(size=phi.shape) * hyper.prop_sd
     log_u = float(np.log(rng.uniform()))
     try:
-        prop_factor = _factor(prop, data)
+        prop_factor = _factor(prop, data, slots.scratch[new])
     except NotPositiveDefiniteError:
         return PhiUpdate(phi, False, factor, prior, inclusion, True)
-    prop_prior = hyper._prior_logpdf(prop)
-    logp_prop = _kernel_value(prop_factor, prop_prior, state.mu, state.sigma2, state.gamma)
+    priors = slots.priors
+    priors[new] = hyper._prior_logpdf(prop)
+    log_prior = _log_priors(priors, state.gamma).tolist()
+    logp_cur = _kernel_value(factor, log_prior[cur], state.mu, state.sigma2)
+    logp_prop = _kernel_value(prop_factor, log_prior[new], state.mu, state.sigma2)
     if log_u < logp_prop - logp_cur:
-        return PhiUpdate(prop, True, prop_factor, prop_prior, _inclusion(prop_prior, hyper), False)
+        slots.current = new
+        return PhiUpdate(prop, True, prop_factor, priors[new], _inclusion(priors[new], hyper), False)
     return PhiUpdate(phi, False, factor, prior, inclusion, False)
 
 
@@ -328,11 +369,13 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
         gamma=np.ones(d, dtype=np.int64),
         rng=np.random.default_rng(hyper.seed),
     )
+    slots = _Slots(d, data.pair_table)
     try:
-        factor = _factor(state.phi, data)
+        factor = _factor(state.phi, data, slots.scratch[slots.current])
     except NotPositiveDefiniteError as exc:
         raise SamplerError(0, f"initial correlation matrix at nugget {SAMPLER_NUGGET:g}: {exc}") from exc
-    prior = hyper._prior_logpdf(state.phi)
+    prior = slots.priors[slots.current]
+    prior[:] = hyper._prior_logpdf(state.phi)
     inclusion = _inclusion(prior, hyper)
 
     kept = range(hyper.burnin + 1, hyper.iters + 1, hyper.thin)
@@ -347,7 +390,7 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
         try:
             state.mu = update_mu(state, factor)
             state.sigma2 = update_sigma2(state, factor)
-            step = update_phi(state, data, hyper, factor, prior, inclusion)
+            step = update_phi(state, data, hyper, factor, prior, inclusion, slots)
             state.phi, factor, prior, inclusion = step.phi, step.factor, step.prior, step.inclusion
             accepted += step.accepted
             failures += step.proposal_failed

@@ -148,8 +148,9 @@ def chol_decompose(m) -> np.ndarray:
     mt = m.T
     if not ((m == mt).all() or (np.abs(m - mt) <= 1e-12 + 1e-10 * np.abs(mt)).all()):
         raise ValueError("matrix is not symmetric")
-    # A Fortran-order copy: _cholesky factors such a matrix in place.
-    return _cholesky(np.array(m, order="F"))
+    # A Fortran-order copy of its lower triangle, the upper one zero as in
+    # every buffer linalg builds: _cholesky factors such a matrix in place.
+    return _cholesky(np.array(np.tril(m), order="F"))
 
 
 def loo_means_by_folds(params, data: Dataset, nugget: float) -> np.ndarray:
@@ -177,7 +178,7 @@ def use_phi_target(monkeypatch, log_kernel):
     accept/reject step run against the synthetic kernel.  The stand-in
     factor of a phi is phi itself and the prior rows are not read, so a
     step is update_phi(state, None, hyper, state.phi, None, None)."""
-    monkeypatch.setattr(sampler, "_factor", lambda phi, data: phi)
+    monkeypatch.setattr(sampler, "_factor", lambda phi, data, out=None: phi)
     monkeypatch.setattr(sampler, "_kernel_value", lambda factor, *rest: log_kernel(factor))
 
 
@@ -197,7 +198,8 @@ def phi_log_kernel(phi, mu, sigma2, gamma, data: Dataset, hyper) -> float:
     not factor there.
     """
     phi = np.asarray(phi, dtype=float)
-    return sampler._kernel_value(_checked_factor(phi, data), hyper._prior_logpdf(phi), mu, sigma2, gamma)
+    log_prior = float(sampler._log_priors(hyper._prior_logpdf(phi)[None], gamma)[0])
+    return sampler._kernel_value(_checked_factor(phi, data), log_prior, mu, sigma2)
 
 
 def reference_run_chain(data: Dataset, hyper, init):

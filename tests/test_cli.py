@@ -448,6 +448,25 @@ class TestBenchmarkCommand:
         assert partial["aggregate"]["n_ok"] == 0
         assert len(partial["failures"]) == 2
 
+    def test_quota_failure_exit_5_when_partial_report_cannot_be_saved(self, tmp_path, monkeypatch, capsys):
+        # The output directory exists when the command starts and is gone
+        # when the partial report is saved.
+        nodir = tmp_path / "nodir"
+        nodir.mkdir()
+
+        def broken(data, hyper=None, init=None):
+            if nodir.exists():
+                nodir.rmdir()
+            raise SamplerError(1, "forced failure")
+
+        monkeypatch.setattr(testbed, "run_chain", broken)
+        out = nodir / "r.json"
+        assert cli.main(["benchmark", "--spec", self._spec(tmp_path), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert f"error: partial report not saved: [Errno 2] No such file or directory: '{out}'" in err
+        assert err.rstrip().endswith("2 of 2 replicates failed (quota 10%)")
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def chain_path(toy_csv, tmp_path_factory):
@@ -479,9 +498,16 @@ class TestMalformedSavedFiles:
          ("chain", lambda doc: {**doc, "draws": _drop("mu")(doc["draws"])}, "field draws.mu is missing"),
          ("chain", lambda doc: {**doc, "draws": {**doc["draws"], "phi": [["a"] * 3] * len(doc["draws"]["phi"])}},
           "field draws.phi must be a list of lists of numbers"),
-         ("chain", lambda doc: {**doc, "accept_rate": None}, "field accept_rate must be a number")],
+         ("chain", lambda doc: {**doc, "accept_rate": None}, "field accept_rate must be a number"),
+         # Values the loaders read and GpParams or Dataset then reject.
+         ("model", lambda doc: {**doc, "mu": float("nan")}, "mu must be finite, got nan"),
+         ("model", lambda doc: {**doc, "dataset": {**doc["dataset"], "ranges": [[0, 1]]}},
+          "ranges must have shape (3, 2), got (1, 2)"),
+         ("chain", lambda doc: {**doc, "dataset": {**doc["dataset"], "ranges": [[0, 1]]}},
+          "ranges must have shape (3, 2), got (1, 2)")],
         ids=["model-array", "model-no-mu", "model-null-mu", "model-text-phi", "model-ragged-points",
-             "chain-array", "chain-no-draws", "chain-no-mu", "chain-text-phi", "chain-null-accept-rate"],
+             "chain-array", "chain-no-draws", "chain-no-mu", "chain-text-phi", "chain-null-accept-rate",
+             "model-nan-mu", "model-short-ranges", "chain-short-ranges"],
     )
     def test_exit_2_names_file_and_field(self, model_path, chain_path, tmp_path, capsys, source, edit, named):
         bad = tmp_path / f"{source}.json"
@@ -500,7 +526,18 @@ class TestUnwritableOutput:
         [("design", "--out"), ("fit", "--out"), ("select", "--chain"), ("select", "--report"),
          ("select", "--trace"), ("predict", "--out"), ("benchmark", "--out")],
     )
-    def test_missing_directory_exit_2_names_path(self, toy_csv, model_path, tmp_path, capsys, command, flag):
+    def test_missing_directory_exit_2_names_path(self, toy_csv, model_path, tmp_path, capsys, monkeypatch, command,
+                                                 flag):
+        # select and benchmark check their outputs before any chain runs.
+        chains = [0]
+        for module in (cli, testbed):
+            real = module.run_chain
+
+            def counted(*args, _real=real, **kwargs):
+                chains[0] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "run_chain", counted)
         test = tmp_path / "test.csv"
         io.write_design_csv(test, np.array([[0.2, 0.3, 0.4]]))
         spec = tmp_path / "spec.json"
@@ -517,6 +554,9 @@ class TestUnwritableOutput:
         assert cli.main([command, *argv, flag, str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
+        if command in ("select", "benchmark"):
+            assert chains[0] == 0
+            assert not (tmp_path / "c.json").exists()
 
 
 def test_readme_exit_codes_match_the_table():

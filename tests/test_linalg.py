@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import (
     build_corr_matrix,
@@ -175,6 +177,39 @@ class TestCholesky:
             linalg.solve_with_chol(np.eye(2), [1.0, np.inf])
 
 
+# Diagonals a factor can carry: any non-negative float, NaN, and the edges
+# of the pivot test, PIVOT_TOL = sqrt(PIVOT_TOL)^2 and the largest finite
+# square.
+_TOL_ROOT = float(np.sqrt(linalg.PIVOT_TOL))
+_EDGES = [0.0, -0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308, _TOL_ROOT, 1.0,
+          float(np.sqrt(np.finfo(float).max))]
+_EDGES += [float(np.nextafter(v, w)) for v in _EDGES[6:] for w in (0.0, np.inf)]
+_DIAGONAL_ENTRY = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=True),
+    st.floats(min_value=0.5 * _TOL_ROOT, max_value=2.0 * _TOL_ROOT),
+    st.sampled_from(_EDGES),
+)
+
+
+class TestPivotTest:
+    @given(st.lists(_DIAGONAL_ENTRY, min_size=1, max_size=60))
+    @example([_TOL_ROOT])  # its square is PIVOT_TOL exactly: rejected
+    @example([1.0, float(np.nextafter(_TOL_ROOT, 1.0))])
+    @example([1.0, np.nan, 0.5])
+    @example([0.5, np.inf])
+    @example([5e-324, 1.0])
+    def test_extremes_decide_as_the_squared_form(self, entries):
+        # _cholesky tests PIVOT_TOL < lo^2 <= hi^2 < inf on the diagonal's
+        # extremes; the squared form tests every L_ii^2.  Both must accept
+        # and reject the same diagonals, NaN, infinity and subnormals
+        # included.
+        diag = np.array(entries)
+        with np.errstate(over="ignore"):
+            pivots = diag**2
+            squared = bool(linalg.PIVOT_TOL < pivots.min() <= pivots.max() < np.inf)
+            assert linalg._pivots_pass(diag) == squared
+
+
 def _random_spd(rng, n):
     # Moderate conditioning so explicit-inverse comparisons stay meaningful.
     b = rng.normal(size=(n, n))
@@ -315,6 +350,38 @@ class TestPairTable:
                     lower = fixed_nugget_factor(pairs, theta, nugget, np.zeros(n)).lower
                     assert lower.tobytes(order="C") == expect.tobytes(order="C")
                     checked += 1
+
+
+class TestScratch:
+    def test_reused_buffer_matches_a_new_one(self):
+        # One scratch refilled for many theta, some of which do not factor:
+        # each factor must be the bits of one built in a new
+        # buffer, and the upper triangle must stay zero with potrf's clean
+        # pass skipped.
+        rng = np.random.default_rng(7)
+        for n, d in ((2, 1), (13, 3), (54, 10)):
+            pts = rng.uniform(size=(n, d))
+            pairs = linalg.pair_table(pts)
+            out = linalg._scratch(pairs)
+            failed = 0
+            for k in range(30):
+                theta = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), d))
+                nugget = float(rng.choice([0.0, 1e-8, 1e-5]))
+                if k % 4 == 3:
+                    # R is all ones to the last bit: singular.
+                    theta, nugget = theta * 1e-20, 0.0
+                try:
+                    fresh = linalg._corr_factor(pairs, theta, nugget, np.zeros(n)).lower
+                except NotPositiveDefiniteError:
+                    failed += 1
+                    with pytest.raises(NotPositiveDefiniteError):
+                        linalg._corr_factor(pairs, theta, nugget, np.zeros(n), out)
+                    continue
+                reused = linalg._corr_factor(pairs, theta, nugget, np.zeros(n), out).lower
+                assert np.shares_memory(reused, out.matrix)
+                assert reused.tobytes(order="F") == fresh.tobytes(order="F")
+                assert not np.triu(out.matrix, 1).any()
+            assert failed > 0
 
 
 class TestCorrFactor:

@@ -245,8 +245,9 @@ class TestPhiLogKernel:
     def test_prior_bitwise_equal_to_unhoisted_form(self):
         # With log det R = 0 and a zero quadratic form the kernel is its
         # prior alone, sum_k log N(phi_k; 0, (tau_k c_k^gamma_k)^2).  The
-        # table lookup must give the bits of the density evaluated in full,
-        # which seeded chains were drawn with.
+        # table lookup, summed for the current phi and a proposal at once
+        # as the scan does, must give the bits of each density evaluated
+        # in full, which seeded chains were drawn with.
         stub = SimpleNamespace(log_det=0.0, quad=lambda mu: 0.0)
         rng = np.random.default_rng(31)
         for _ in range(300):
@@ -254,11 +255,15 @@ class TestPhiLogKernel:
             tau = rng.uniform(0.01, 2.0, d)
             c = rng.uniform(2.5, 80.0, d)
             gamma = rng.integers(0, 2, size=d)
-            phi = rng.normal(scale=2.0, size=d)
+            phis = rng.normal(scale=2.0, size=(2, d))
             h = Hyperparams.for_dim(d, tau=tau, c=c, p=rng.uniform(0.01, 1.0, d))
-            expected = float(np.sum(normal_logpdf(phi, (tau * np.power(c, gamma)) ** 2)))
-            got = sampler._kernel_value(stub, h._prior_logpdf(phi), rng.normal(), rng.uniform(0.1, 3.0), gamma)
-            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+            priors = np.empty((2, 2, d))
+            priors[0], priors[1] = h._prior_logpdf(phis[0]), h._prior_logpdf(phis[1])
+            log_priors = sampler._log_priors(priors, gamma).tolist()
+            for phi, log_prior in zip(phis, log_priors):
+                expected = float(np.sum(normal_logpdf(phi, (tau * np.power(c, gamma)) ** 2)))
+                got = sampler._kernel_value(stub, log_prior, rng.normal(), rng.uniform(0.1, 3.0))
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestConditionalUpdates:
@@ -384,7 +389,9 @@ class TestUpdatePhi:
                 gamma = rng.integers(0, 2, size=d.dim)
                 factor = sampler._factor(phi, d)
                 factor.quad(mu)
-                scan = sampler._kernel_value(factor, hyper._prior_logpdf(phi), mu, sigma2, gamma)
+                # The scan sums phi's prior rows beside a proposal's.
+                priors = np.stack([hyper._prior_logpdf(phi), hyper._prior_logpdf(2.0 * phi)])
+                scan = sampler._kernel_value(factor, sampler._log_priors(priors, gamma).tolist()[0], mu, sigma2)
                 public = phi_log_kernel(phi, mu, sigma2, gamma, d, hyper)
                 assert scan == public
                 r = build_corr_matrix(d.points, phi**2, nugget=SAMPLER_NUGGET)
@@ -417,8 +424,8 @@ def test_rejected_proposal_skips_the_gls_solve(toy10, monkeypatch):
     made = []
     real = sampler._factor
 
-    def recording(phi, data):
-        made.append(real(phi, data))
+    def recording(phi, data, out=None):
+        made.append(real(phi, data, out))
         return made[-1]
 
     monkeypatch.setattr(sampler, "_factor", recording)
@@ -524,6 +531,62 @@ class TestLeanScanParity:
         accepted = round(chain.accept_rate * hyper.iters)
         assert 0 < accepted < hyper.iters
         assert calls[0] == accepted + 1
+
+
+class TestChainOwnsItsBuffers:
+    """run_chain builds and factors each proposal in whichever of its two
+    buffers the current factor does not hold, so no proposal writes over
+    the factor the scan carries."""
+
+    def test_rejected_and_failed_proposals_leave_the_current_factor(self, toy10, monkeypatch):
+        # Every third dpotrf writes its factor into the proposal's buffer in
+        # full and then reports a breakdown, so _cholesky raises
+        # NotPositiveDefiniteError after potrf has run.
+        real_potrf = linalg.dpotrf
+        calls = [0]
+
+        def breaks_every_third(m, **kwargs):
+            lower, info = real_potrf(m, **kwargs)
+            calls[0] += 1
+            return lower, 3 if calls[0] % 3 == 0 else info
+
+        real_step = sampler.update_phi
+        seen = {"accepted": 0, "rejected": 0, "failed": 0}
+
+        def checked(state, data, hyper, factor, *rest):
+            before = factor.lower.tobytes(order="A")
+            step = real_step(state, data, hyper, factor, *rest)
+            if step.accepted:
+                seen["accepted"] += 1
+                assert not np.shares_memory(step.factor.lower, factor.lower)
+            else:
+                seen["failed" if step.proposal_failed else "rejected"] += 1
+                assert step.factor is factor
+                assert factor.lower.tobytes(order="A") == before
+            return step
+
+        monkeypatch.setattr(linalg, "dpotrf", breaks_every_third)
+        monkeypatch.setattr(sampler, "update_phi", checked)
+        hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.3, iters=150, burnin=10, seed=2)
+        chain = run_chain(toy10, hyper, init=GpParams(mu=0.0, sigma2=1.0, phi=np.full(3, 0.5)))
+        assert min(seen.values()) > 0, seen
+        assert seen["failed"] == chain.meta["mh_proposal_failures"]
+
+    def test_each_step_is_called_once_per_scan(self, toy10, monkeypatch):
+        # The four steps stay module attributes that run_chain looks up on
+        # every scan, which is where a tracer or a test reaches them.
+        counts = dict.fromkeys(("update_mu", "update_sigma2", "update_phi", "update_gamma"), 0)
+        for name in counts:
+            real = getattr(sampler, name)
+
+            def counted(*args, _name=name, _real=real):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(sampler, name, counted)
+        hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.3, iters=70, burnin=20, seed=6)
+        run_chain(toy10, hyper, init=GpParams(mu=0.0, sigma2=1.0, phi=np.full(3, 0.5)))
+        assert counts == dict.fromkeys(counts, hyper.iters)
 
 
 class TestGewekeJointDistribution:
