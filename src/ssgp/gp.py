@@ -5,7 +5,8 @@ whose correlation is the Gaussian kernel
 r(x, x') = exp(-sum_k theta_k (x_k - x'_k)^2) on inputs scaled to the unit
 cube.  Given the correlation parameters theta, the mean and variance have
 closed-form maximizers (profile MLEs); theta itself is found by bounded
-L-BFGS-B on the log scale, with the analytic gradient of the profile
+L-BFGS-B on the log scale, from Latin-hypercube starts or, warm, by one
+descent from a given theta, with the analytic gradient of the profile
 likelihood computed from the same Cholesky factor as its value and from the
 Dataset's pair table; the profile mean is that factor's GLS mean.
 Prediction keeps the last model's factor and R^-1 (y - mu) on the Dataset.
@@ -254,21 +255,36 @@ def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGE
     return value, _profile_gradient(factor, mu, s2, theta, data)
 
 
-def mle_fit(data: Dataset, opts: FitOptions | None = None) -> GpParams:
-    """Maximum-likelihood kriging fit by multi-start L-BFGS-B on log theta.
+def mle_fit(data: Dataset, opts: FitOptions | None = None, start=None) -> GpParams:
+    """Maximum-likelihood kriging fit by bounded L-BFGS-B on log theta.
 
-    N_STARTS starts come from a random Latin hypercube over the log-theta
-    box [LOG_THETA_LO, LOG_THETA_HI]^d; each runs bounded L-BFGS-B for at
-    most MAX_ITER iterations with the analytic gradient, and the best final
-    objective wins.  A theta whose correlation matrix cannot be factored
-    even at the maximum nugget counts as an infinite objective.  phi is the
-    positive square root of the fitted theta.
+    Without `start`, N_STARTS starts come from a random Latin hypercube
+    over the log-theta box [LOG_THETA_LO, LOG_THETA_HI]^d, drawn from
+    opts.seed.  With `start`, a theta of shape (d,) with finite, positive
+    entries (a fit's theta, say), the search is one descent from log(start)
+    clipped into the box, and opts.seed is unused.  Each descent runs
+    bounded L-BFGS-B for at most MAX_ITER iterations with the analytic
+    gradient, and the best final objective wins.  A theta whose correlation
+    matrix cannot be factored even at the maximum nugget counts as an
+    infinite objective.  phi is the positive square root of the fitted theta.
     """
     if opts is None:
         opts = FitOptions()
     if data.n < 2:
         raise ValueError(f"need at least 2 runs to fit, got {data.n}")
     d = data.dim
+    if start is None:
+        rng = np.random.default_rng(opts.seed)
+        starts = LOG_THETA_LO + random_lhd(N_STARTS, d, rng).points * (
+            LOG_THETA_HI - LOG_THETA_LO
+        )
+    else:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (d,):
+            raise ValueError(f"start must have shape ({d},), got {start.shape}")
+        if not (np.isfinite(start).all() and (start > 0).all()):
+            raise ValueError("start entries must be finite and positive")
+        starts = np.clip(np.log(start), LOG_THETA_LO, LOG_THETA_HI)[None, :]
 
     def objective(logtheta):
         theta = np.exp(logtheta)
@@ -279,10 +295,6 @@ def mle_fit(data: Dataset, opts: FitOptions | None = None) -> GpParams:
         # Chain rule to log theta.
         return value, g * theta
 
-    rng = np.random.default_rng(opts.seed)
-    starts = LOG_THETA_LO + random_lhd(N_STARTS, d, rng).points * (
-        LOG_THETA_HI - LOG_THETA_LO
-    )
     bounds = [(LOG_THETA_LO, LOG_THETA_HI)] * d
     best_val, best_x = np.inf, None
     for x0 in starts:

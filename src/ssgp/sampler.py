@@ -334,10 +334,13 @@ def derive_seed(master: int, *path) -> int:
 def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | None = None) -> Chain:
     """Run the full Metropolis-within-Gibbs sampler.
 
-    Initializes at the kriging MLEs (phi_k = +sqrt(theta_hat_k), gamma all
-    ones) unless `init` is supplied, then iterates mu -> sigma2 -> phi ->
-    gamma for `iters` scans, storing draws after `burnin`.  Deterministic
-    given (data, hyper): the chain owns a generator seeded by hyper.seed.
+    Initializes at `init`, or when it is omitted at the kriging MLEs of a
+    multi-start mle_fit at SAMPLER_NUGGET seeded by
+    derive_seed(hyper.seed, "mle-init").  Either way phi_k starts at
+    min(|phi_k|, c_k tau_k), i.e. +sqrt(theta_hat_k) capped at one slab sd,
+    with gamma all ones.  It then iterates mu -> sigma2 -> phi -> gamma for
+    `iters` scans, storing draws after `burnin`.  Deterministic given (data,
+    hyper, init): the chain owns a generator seeded by hyper.seed.
     """
     if hyper is None:
         hyper = default_hyperparams(data)

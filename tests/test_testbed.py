@@ -9,12 +9,12 @@ import pytest
 
 import ssgp.testbed as testbed
 from conftest import loo_means_by_folds, make_dataset
-from ssgp import linalg
+from ssgp import linalg, sampler
 from ssgp.designs import scale_points
 from ssgp.errors import BenchmarkError, SamplerError
 from ssgp.gp import Dataset, FitOptions, mle_fit
 from ssgp.io import canonical_json
-from ssgp.sampler import derive_seed, posterior_params
+from ssgp.sampler import SAMPLER_NUGGET, derive_seed, posterior_params
 from ssgp.testbed import (
     BenchmarkSpec,
     eval_batch,
@@ -338,6 +338,39 @@ class TestRunBenchmark:
         monkeypatch.setattr(testbed, "maximin_lhd", counting)
         run_benchmark(tiny_spec(reps=1))
         assert len(calls) == 1
+
+    def test_one_search_then_one_descent_per_replicate(self, monkeypatch):
+        # The comparator is the replicate's one multi-start search; the
+        # chain's init is one descent from its theta at the sampler nugget,
+        # handed to run_chain, which then fits nothing of its own.
+        fits, inits, chain_fits = [], [], []
+        real_fit, real_chain = testbed.mle_fit, testbed.run_chain
+
+        def recording_fit(data, opts=None, start=None):
+            params = real_fit(data, opts, start=start)
+            fits.append((opts, None if start is None else np.array(start), params))
+            return params
+
+        def recording_chain(data, hyper=None, init=None):
+            inits.append(init)
+            return real_chain(data, hyper, init)
+
+        def recording_chain_fit(*args, **kwargs):
+            chain_fits.append(args)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(testbed, "mle_fit", recording_fit)
+        monkeypatch.setattr(testbed, "run_chain", recording_chain)
+        monkeypatch.setattr(sampler, "mle_fit", recording_chain_fit)
+        report = run_benchmark(tiny_spec(reps=1))
+        assert report["aggregate"]["n_ok"] == 1
+        (cmp_opts, cmp_start, comparator), (init_opts, init_start, init) = fits
+        rep_seed = derive_seed(0, "rep", 0)
+        assert cmp_opts == FitOptions(seed=derive_seed(rep_seed, "mle")) and cmp_start is None
+        assert init_opts.nugget == SAMPLER_NUGGET
+        assert init_start.tobytes() == comparator.theta.tobytes()
+        assert len(inits) == 1 and inits[0] is init
+        assert chain_fits == []
 
 
 class TestProcessPool:
