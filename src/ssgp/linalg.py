@@ -17,11 +17,12 @@ Fortran-order n x n buffer with 1 + nugget on the diagonal.  _cholesky
 factors that buffer in place, reading only its lower triangle, so R's
 upper triangle is never formed.  The buffer is a _Scratch: its matrix,
 flat column view and GEMV output, made once.  corr_cholesky makes one per
-nugget attempt; a Gibbs chain makes two when it starts and reuses them for
-every proposal (sampler._Slots).  The matrix is zero when it is made, and
-neither the build nor potrf (which reads and writes the lower triangle
-only) ever writes above the diagonal, so its upper triangle stays zero for
-the buffer's life and potrf's `clean` pass, which zeroes it, is skipped.
+nugget attempt; a Gibbs chain makes two when it starts (the two slots of
+its sampler.SamplerState) and reuses them for every proposal.  The matrix
+is zero when it is made, and neither the build nor potrf (which reads and
+writes the lower triangle only) ever writes above the diagonal, so its
+upper triangle stays zero for the buffer's life and potrf's `clean` pass,
+which zeroes it, is skipped.
 
 Where arguments are checked.  pair_table checks design points,
 corr_cholesky theta and the nugget, and solve_with_chol its operands.

@@ -7,25 +7,28 @@ Each phi_k gets a two-component normal-mixture prior: a narrow N(0, tau_k^2)
 much the data push phi_k away from zero.  mu carries a flat prior and sigma2
 the scale-invariant 1/sigma2 prior, so both have closed-form conditionals;
 phi is updated by a single-block random-walk Metropolis step and gamma by
-componentwise Bernoulli draws.  Both steps read the mixture prior from one
-table that Hyperparams computes once; log det R, 1'R^-1 1, the GLS mean
-and the quadratic form are read off the linalg.CorrFactor of the current
-phi.  The scan carries that factor, phi's prior rows (made per proposal) and
-its inclusion probabilities (per accepted proposal); the steps only read them.
+componentwise Bernoulli draws.
 
-A chain owns its scratch memory (_Slots), allocated once when it starts:
-two slots, each an n x n buffer that R is built and factored in and a pair
-of prior rows.  One slot holds the current phi's factor and rows; each
-proposal is built in the other, and an accepted proposal swaps their roles.
-So a proposal never writes over the factor the scan carries, whether it is
-accepted, rejected or fails to factor.
+A chain has one state, SamplerState, and the four steps only read and
+mutate it.  It holds the draws and the generator; what the steps read of
+the data and the settings (the design's PairTable, the responses, prop_sd
+and the mixture prior's table: the spike and slab variances, their
+log(2 pi var) terms and log P(gamma_k = g)); the factor of the current phi
+(log det R, 1'R^-1 1, the GLS mean and the quadratic form are read off
+this linalg.CorrFactor) with its inclusion probabilities; and the accepted
+and failed proposal counts.
+
+The state also owns the chain's scratch memory, allocated once: two slots,
+each an n x n buffer that R is built and factored in (a linalg._Scratch)
+and a pair of prior rows.  The slot `current` holds the current phi's
+factor and rows; each proposal is built in the other, and an accepted
+proposal swaps their roles.  So a proposal never writes over the factor
+the scan carries, whether it is accepted, rejected or fails to factor.
 """
 
 import hashlib
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +49,7 @@ SAMPLER_NUGGET = 1e-5
 # The Hyperparams fields a caller may set for a chain: per-input vectors, then run lengths.
 _VECTOR_FIELDS = ("tau", "c", "p", "prop_sd")
 CHAIN_FIELDS = _VECTOR_FIELDS + ("iters", "burnin", "thin")
+_INT_FIELDS = ("iters", "burnin", "thin", "seed")
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,9 @@ class Hyperparams:
     scalars broadcast.
     tau_k is the spike scale, c_k the slab multiplier (c_k >> 1 expected),
     p_k the prior inclusion probability P(gamma_k = 1), and prop_sd the
-    per-coordinate standard deviation of the random-walk proposal.
+    per-coordinate standard deviation of the random-walk proposal.  iters,
+    burnin, thin and seed are integers (a bool is not; a numpy integer is
+    stored as an int).
     """
 
     tau: np.ndarray
@@ -97,6 +103,12 @@ class Hyperparams:
             warnings.warn("slab multiplier c <= 2 barely separates the mixture components", RuntimeWarning, stacklevel=3)
         if np.any(self.p <= 0) or np.any(self.p > 1):
             raise ValueError("p entries must lie in (0, 1]")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            # A bool is an int subclass; a numpy integer is stored as an int.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.iters < 1:
             raise ValueError("iters must be positive")
         if not 0 <= self.burnin < self.iters:
@@ -109,22 +121,6 @@ class Hyperparams:
     @property
     def dim(self) -> int:
         return len(self.tau)
-
-    @cached_property
-    def _prior_table(self):
-        # The mixture prior of phi, computed once per Hyperparams instead of
-        # once per scan; row g of each (2, d) array is for gamma_k = g.  The
-        # variances tau^2 and (c tau)^2, their log(2 pi var) terms, and
-        # log P(gamma_k = g): log(1 - p) (-inf at p = 1) and log p.
-        var = np.stack([self.tau**2, (self.c * self.tau) ** 2])
-        with np.errstate(divide="ignore"):
-            log_weight = np.stack([np.log1p(-self.p), np.log(self.p)])
-        return var, np.log(2.0 * np.pi * var), log_weight
-
-    def _prior_logpdf(self, phi) -> np.ndarray:
-        # log N(phi_k; 0, var[g, k]) for both components, shape (2, d).
-        var, log_norm, _ = self._prior_table
-        return -0.5 * (log_norm + phi * phi / var)
 
     @classmethod
     def for_dim(cls, d: int, tau=0.3, **settings) -> "Hyperparams":
@@ -158,17 +154,6 @@ def default_hyperparams(data: Dataset, seed: int = 0, **overrides) -> Hyperparam
     return Hyperparams.for_dim(data.dim, seed=seed, **settings)
 
 
-@dataclass
-class SamplerState:
-    """Mutable state of one chain: current draws plus the owned generator."""
-
-    mu: float
-    sigma2: float
-    phi: np.ndarray
-    gamma: np.ndarray
-    rng: np.random.Generator
-
-
 @dataclass(frozen=True)
 class Chain:
     """Stored post-burn-in draws, columnar, plus acceptance bookkeeping."""
@@ -190,35 +175,65 @@ class Chain:
         return self.phi.shape[1]
 
 
-class _Slots:
-    """Scratch memory of one chain: two slots, `current` and the other.
+class SamplerState:
+    """The one mutable state of a chain; the four steps read and mutate it.
 
-    Slot k is the linalg._Scratch scratch[k], in which R(phi) is built and
-    factored, and the prior rows priors[k] of that phi (row g for
-    gamma_k = g).  The two scratches share one GEMV output.  Without a
-    PairTable, scratch[k] is None and each proposal is built in a new buffer.
+    SamplerState(data, hyper, mu, sigma2, phi, gamma, rng) holds:
+    - the draws mu, sigma2, phi and gamma, and the generator rng;
+    - of `data`, the design's PairTable (pairs) and the responses (y);
+    - of `hyper`, prop_sd and the mixture prior's table (var, log_norm and
+      log_weight, each (2, d) with row g for gamma_k = g);
+    - two slots: slot k is scratch[k], a linalg._Scratch that R is built
+      and factored in (the two share one GEMV output), and priors[k], the
+      prior rows of its phi;
+    - `current`, the slot of the current phi, whose factor and inclusion
+      probabilities are `factor` and `inclusion`;
+    - `accepted` and `failures`, the counts of accepted proposals and of
+      proposals that did not factor.
+
+    The start phi is factored in slot 0; NotPositiveDefiniteError is raised
+    when it does not factor at exactly SAMPLER_NUGGET.
     """
 
-    def __init__(self, d: int, pairs: linalg.PairTable | None = None):
-        if pairs is None:
-            self.scratch = (None, None)
-        else:
-            gemv = np.empty(len(pairs.rows))
-            self.scratch = (linalg._scratch(pairs, gemv), linalg._scratch(pairs, gemv))
-        self.priors = np.empty((2, 2, d))
+    def __init__(self, data: Dataset, hyper: Hyperparams, mu, sigma2, phi, gamma, rng: np.random.Generator):
+        self.mu, self.sigma2, self.phi, self.gamma, self.rng = mu, sigma2, phi, gamma, rng
+        self.pairs, self.y, self.prop_sd = data.pair_table, data.responses, hyper.prop_sd
+        # The variances tau^2 and (c tau)^2, their log(2 pi var) terms, and
+        # log P(gamma_k = g): log(1 - p) (-inf at p = 1) and log p.
+        self.var = np.stack([hyper.tau**2, (hyper.c * hyper.tau) ** 2])
+        self.log_norm = np.log(2.0 * np.pi * self.var)
+        with np.errstate(divide="ignore"):
+            self.log_weight = np.stack([np.log1p(-hyper.p), np.log(hyper.p)])
+        gemv = np.empty(len(self.pairs.rows))
+        self.scratch = (linalg._scratch(self.pairs, gemv), linalg._scratch(self.pairs, gemv))
+        self.priors = np.empty((2, 2, len(phi)))
         self.current = 0
+        self.factor = _factor(self, phi, 0)
+        self.priors[0] = self.prior_rows(phi)
+        self.inclusion = self.inclusion_of(self.priors[0])
+        self.accepted = self.failures = 0
+
+    def prior_rows(self, phi) -> np.ndarray:
+        """log N(phi_k; 0, var[g, k]) for both components, shape (2, d)."""
+        return -0.5 * (self.log_norm + phi * phi / self.var)
+
+    def inclusion_of(self, rows) -> np.ndarray:
+        """P(gamma_k = 1 | phi_k) = a / (a + b) from phi's prior rows: a the
+        slab density times p_k, b the spike density times 1 - p_k."""
+        log_b, log_a = rows + self.log_weight
+        return np.exp(log_a - np.logaddexp(log_a, log_b))
 
 
-def _factor(phi, data, out=None) -> linalg.CorrFactor:
-    # R(phi) at exactly SAMPLER_NUGGET, built and factored in `out` (a
-    # linalg._Scratch, new when omitted); raises NotPositiveDefiniteError.
-    # Unchecked: phi is finite, so theta = phi^2 passes (see linalg).
-    return linalg._corr_factor(data.pair_table, phi * phi, SAMPLER_NUGGET, data.responses, out)
+def _factor(state: SamplerState, phi, slot: int) -> linalg.CorrFactor:
+    # R(phi) at exactly SAMPLER_NUGGET, built and factored in the state's
+    # scratch[slot]; raises NotPositiveDefiniteError.  Unchecked: phi is
+    # finite, so theta = phi^2 passes (see linalg).
+    return linalg._corr_factor(state.pairs, phi * phi, SAMPLER_NUGGET, state.y, state.scratch[slot])
 
 
 def _log_priors(priors, gamma) -> np.ndarray:
     # sum_k log N(phi_k; 0, (tau_k c_k^{gamma_k})^2) of each phi whose prior
-    # rows (hyper._prior_logpdf) are stacked in `priors`, shape (m, 2, d).
+    # rows (SamplerState.prior_rows) are stacked in `priors`, shape (m, 2, d).
     return np.where(gamma, priors[:, 1], priors[:, 0]).sum(axis=1)
 
 
@@ -229,90 +244,66 @@ def _kernel_value(factor, log_prior, mu, sigma2) -> float:
     return -0.5 * factor.log_det - factor.quad(mu) / (2.0 * sigma2) + log_prior
 
 
-def update_mu(state: SamplerState, factor: linalg.CorrFactor) -> float:
+def update_mu(state: SamplerState) -> None:
     """Draw mu from N(GLS mean, sigma2 / (1' R^-1 1)).
 
-    `factor` is the CorrFactor of the current phi; both moments are read
-    from it, without a solve.
+    Both moments are read from the state's factor, without a solve.
     """
-    sd = np.sqrt(state.sigma2 / factor.one_rinv_one)
-    return float(state.rng.normal(factor.gls_mean, sd))
+    sd = np.sqrt(state.sigma2 / state.factor.one_rinv_one)
+    state.mu = float(state.rng.normal(state.factor.gls_mean, sd))
 
 
-def update_sigma2(state: SamplerState, factor: linalg.CorrFactor) -> float:
+def update_sigma2(state: SamplerState) -> None:
     """Draw sigma2 from InverseGamma(n/2, (y-mu)'R^-1(y-mu)/2).
 
     Sampled as the reciprocal of a Gamma(n/2, rate=quad/2) draw.  The
-    quadratic form comes from `factor`, the CorrFactor of the current phi,
-    which keeps it for the phi step of the same scan.
+    quadratic form comes from the state's factor, which keeps it for the
+    phi step of the same scan.
     """
-    quad = factor.quad(state.mu)
+    quad = state.factor.quad(state.mu)
     if quad <= 0:
         raise ValueError("non-positive quadratic form in sigma2 update (degenerate residual)")
-    return float(1.0 / state.rng.gamma(len(factor.y) / 2.0, 2.0 / quad))
+    state.sigma2 = float(1.0 / state.rng.gamma(len(state.y) / 2.0, 2.0 / quad))
 
 
-PhiUpdate = namedtuple("PhiUpdate", ["phi", "accepted", "factor", "prior", "inclusion", "proposal_failed"])
-
-
-def update_phi(state: SamplerState, data: Dataset, hyper: Hyperparams, factor: linalg.CorrFactor, prior,
-               inclusion, slots: _Slots | None = None) -> PhiUpdate:
+def update_phi(state: SamplerState) -> None:
     """One block random-walk Metropolis step on phi.
 
     Proposes phi~ ~ N(phi, diag(prop_sd^2)) and accepts with probability
     min(1, g(phi~)/g(phi)).  The proposal is the scan's one factorization
-    and prior evaluation; `factor`, `prior` (hyper._prior_logpdf(phi)) and
-    `inclusion` (P(gamma_k = 1 | phi_k)) are the current state's, and the
-    result carries all three for its phi, the last computed only when the
-    proposal is accepted.  A proposal that does not factor at exactly
-    SAMPLER_NUGGET is rejected and flagged instead of aborting the chain.
-    `slots` is the chain's scratch memory, whose current slot holds
-    `factor` and `prior`; the proposal is built in the other slot, and an
-    accepted proposal makes it current.  Without it, the step makes its own.
+    and prior evaluation, both in the slot that is not current; an accepted
+    proposal makes that slot current, with its factor and (computed only
+    then) its inclusion probabilities, and is counted.  A proposal that does
+    not factor at exactly SAMPLER_NUGGET is rejected and counted as failed
+    instead of aborting the chain.
     """
     rng = state.rng
-    phi = state.phi
-    if slots is None:
-        slots = _Slots(len(phi))
-        slots.priors[0] = prior
-    cur = slots.current
+    cur = state.current
     new = 1 - cur
     # Proposal first, acceptance uniform second: the stream stays aligned
     # whether or not the proposal factors.
-    prop = phi + rng.normal(size=phi.shape) * hyper.prop_sd
+    prop = state.phi + rng.normal(size=state.phi.shape) * state.prop_sd
     log_u = float(np.log(rng.uniform()))
     try:
-        prop_factor = _factor(prop, data, slots.scratch[new])
+        prop_factor = _factor(state, prop, new)
     except NotPositiveDefiniteError:
-        return PhiUpdate(phi, False, factor, prior, inclusion, True)
-    priors = slots.priors
-    priors[new] = hyper._prior_logpdf(prop)
+        state.failures += 1
+        return
+    priors = state.priors
+    priors[new] = state.prior_rows(prop)
     log_prior = _log_priors(priors, state.gamma).tolist()
-    logp_cur = _kernel_value(factor, log_prior[cur], state.mu, state.sigma2)
+    logp_cur = _kernel_value(state.factor, log_prior[cur], state.mu, state.sigma2)
     logp_prop = _kernel_value(prop_factor, log_prior[new], state.mu, state.sigma2)
     if log_u < logp_prop - logp_cur:
-        slots.current = new
-        return PhiUpdate(prop, True, prop_factor, priors[new], _inclusion(priors[new], hyper), False)
-    return PhiUpdate(phi, False, factor, prior, inclusion, False)
+        state.phi, state.factor, state.current = prop, prop_factor, new
+        state.inclusion = state.inclusion_of(priors[new])
+        state.accepted += 1
 
 
-def _inclusion(prior, hyper: Hyperparams) -> np.ndarray:
-    # P(gamma_k = 1 | phi_k) from phi's prior rows.
-    _, _, log_weight = hyper._prior_table
-    log_b, log_a = prior + log_weight
-    return np.exp(log_a - np.logaddexp(log_a, log_b))
-
-
-def inclusion_probabilities(phi, hyper: Hyperparams) -> np.ndarray:
-    """P(gamma_k = 1 | phi_k) = a / (a + b) with a the slab density times p_k
-    and b the spike density times 1 - p_k, evaluated through log densities.
-    """
-    return _inclusion(hyper._prior_logpdf(np.asarray(phi, dtype=float)), hyper)
-
-
-def update_gamma(state: SamplerState, probs) -> np.ndarray:
-    """Componentwise Bernoulli draws of gamma, P(gamma_k = 1) = probs[k]."""
-    return (state.rng.uniform(size=len(probs)) < probs).astype(np.int64)
+def update_gamma(state: SamplerState) -> None:
+    """Componentwise Bernoulli draws of gamma, P(gamma_k = 1) = state.inclusion[k]."""
+    probs = state.inclusion
+    state.gamma = (state.rng.uniform(size=len(probs)) < probs).astype(np.int64)
 
 
 def _float_list(v):
@@ -365,21 +356,11 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
     # density left under the prior; a random walk cannot recover from there
     # in any realistic number of scans.  Start within one slab sd instead.
     phi0 = np.minimum(np.abs(params.phi), hyper.c * hyper.tau)
-    state = SamplerState(
-        mu=params.mu,
-        sigma2=params.sigma2,
-        phi=phi0,
-        gamma=np.ones(d, dtype=np.int64),
-        rng=np.random.default_rng(hyper.seed),
-    )
-    slots = _Slots(d, data.pair_table)
     try:
-        factor = _factor(state.phi, data, slots.scratch[slots.current])
+        state = SamplerState(data, hyper, params.mu, params.sigma2, phi0, np.ones(d, dtype=np.int64),
+                             np.random.default_rng(hyper.seed))
     except NotPositiveDefiniteError as exc:
         raise SamplerError(0, f"initial correlation matrix at nugget {SAMPLER_NUGGET:g}: {exc}") from exc
-    prior = slots.priors[slots.current]
-    prior[:] = hyper._prior_logpdf(state.phi)
-    inclusion = _inclusion(prior, hyper)
 
     kept = range(hyper.burnin + 1, hyper.iters + 1, hyper.thin)
     mu_draws = np.empty(len(kept))
@@ -387,17 +368,12 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
     phi_draws = np.empty((len(kept), d))
     gamma_draws = np.empty((len(kept), d), dtype=np.int64)
 
-    accepted = 0
-    failures = 0
     for scan in range(1, hyper.iters + 1):
         try:
-            state.mu = update_mu(state, factor)
-            state.sigma2 = update_sigma2(state, factor)
-            step = update_phi(state, data, hyper, factor, prior, inclusion, slots)
-            state.phi, factor, prior, inclusion = step.phi, step.factor, step.prior, step.inclusion
-            accepted += step.accepted
-            failures += step.proposal_failed
-            state.gamma = update_gamma(state, inclusion)
+            update_mu(state)
+            update_sigma2(state)
+            update_phi(state)
+            update_gamma(state)
         except ValueError as exc:
             raise SamplerError(scan, str(exc)) from exc
         if scan in kept:
@@ -407,7 +383,7 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
             phi_draws[row] = state.phi
             gamma_draws[row] = state.gamma
 
-    rate = accepted / hyper.iters
+    rate = state.accepted / hyper.iters
     if not 0.1 <= rate <= 0.6:
         warnings.warn(
             f"MH acceptance rate {rate:.3f} outside [0.1, 0.6]; consider retuning prop_sd",
@@ -421,7 +397,7 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
         "sampler_nugget": SAMPLER_NUGGET,
         "dataset_fingerprint": data.fingerprint(),
         "init": {"mu": params.mu, "sigma2": params.sigma2, "phi": _float_list(phi0)},
-        "mh_proposal_failures": failures,
+        "mh_proposal_failures": state.failures,
     }
     return Chain(mu_draws, sigma2_draws, phi_draws, gamma_draws, np.array(kept, dtype=np.int64), rate, meta)
 

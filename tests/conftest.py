@@ -3,9 +3,10 @@ the scalar kernel, the full (n, n, d) squared differences, the full
 correlation matrix and the likelihood gradient from them, a checked
 Cholesky, a checked factor at a fixed nugget, the normal log-density, the
 phi log-kernel, a reference Gibbs scan, a per-fold leave-one-out and a
-reference maximin search as oracles, and a synthetic target for the phi
-step."""
+reference maximin search as oracles, a chain state built for one test, and
+a synthetic target for the phi step."""
 
+import functools
 import warnings
 from types import SimpleNamespace
 
@@ -172,19 +173,43 @@ def normal_logpdf(x, var):
     return -0.5 * (np.log(2.0 * np.pi * var) + x * x / var)
 
 
+@functools.cache
+def _small_dataset(d: int) -> Dataset:
+    # Three runs in d dimensions with zero responses.
+    return Dataset(np.random.default_rng(0).uniform(size=(3, d)), np.zeros(3), np.tile([0.0, 1.0], (d, 1)))
+
+
+def chain_state(hyper, phi, data: Dataset | None = None, mu=0.0, sigma2=1.0, gamma=None, seed=0):
+    """The SamplerState a chain on `data` would hold at (mu, sigma2, phi,
+    gamma), gamma all ones unless given.  Without data it is a three-run
+    dataset of hyper's dimension, for tests of the prior rows, the
+    inclusion probabilities or a synthetic phi target.  `seed` seeds the
+    state's generator, or is the generator."""
+    if data is None:
+        data = _small_dataset(hyper.dim)
+    gamma = np.ones(hyper.dim, dtype=np.int64) if gamma is None else np.asarray(gamma)
+    return sampler.SamplerState(data, hyper, mu, sigma2, np.asarray(phi, dtype=float), gamma,
+                                np.random.default_rng(seed))
+
+
 def use_phi_target(monkeypatch, log_kernel):
     """Make sampler.update_phi target exp(log_kernel(phi)) instead of the
     posterior: no correlation matrix is factored, and the real proposal and
     accept/reject step run against the synthetic kernel.  The stand-in
-    factor of a phi is phi itself and the prior rows are not read, so a
-    step is update_phi(state, None, hyper, state.phi, None, None)."""
-    monkeypatch.setattr(sampler, "_factor", lambda phi, data, out=None: phi)
+    factor of a phi is phi itself and the prior rows are not read.  Build
+    the state after this call, so that its factor is its phi too."""
+    monkeypatch.setattr(sampler, "_factor", lambda state, phi, slot: phi)
     monkeypatch.setattr(sampler, "_kernel_value", lambda factor, *rest: log_kernel(factor))
 
 
 def _checked_factor(phi, data: Dataset):
     # R(phi) at exactly SAMPLER_NUGGET, theta = phi^2 checked first.
     return fixed_nugget_factor(data.pair_table, phi * phi, sampler.SAMPLER_NUGGET, data.responses)
+
+
+def _log_prior(phi, gamma, hyper) -> float:
+    # sum_k log N(phi_k; 0, (tau_k c_k^{gamma_k})^2), every density in full.
+    return float(np.sum(normal_logpdf(phi, (hyper.tau * np.power(hyper.c, gamma)) ** 2)))
 
 
 def phi_log_kernel(phi, mu, sigma2, gamma, data: Dataset, hyper) -> float:
@@ -195,37 +220,41 @@ def phi_log_kernel(phi, mu, sigma2, gamma, data: Dataset, hyper) -> float:
     Even in phi: flipping all signs leaves the value unchanged.  R(phi)
     carries exactly SAMPLER_NUGGET and comes from the checked
     fixed_nugget_factor; NotPositiveDefiniteError is raised when it does
-    not factor there.
+    not factor there.  The prior is each normal_logpdf in full.
     """
     phi = np.asarray(phi, dtype=float)
-    log_prior = float(sampler._log_priors(hyper._prior_logpdf(phi)[None], gamma)[0])
-    return sampler._kernel_value(_checked_factor(phi, data), log_prior, mu, sigma2)
+    return sampler._kernel_value(_checked_factor(phi, data), _log_prior(phi, gamma, hyper), mu, sigma2)
 
 
 def reference_run_chain(data: Dataset, hyper, init):
-    """run_chain's scan the long way, from `init`: the public mu and sigma2
-    updates, every factor from the checked fixed_nugget_factor, phi's
+    """run_chain's scan the long way, from `init`, sharing no step with it:
+    mu and sigma2 drawn by rng.normal and rng.gamma from the factor's
+    moments, every factor from the checked fixed_nugget_factor, phi's
     mixture prior evaluated fresh by normal_logpdf at each kernel value,
-    and gamma drawn from the public inclusion_probabilities.  Returns the
-    kept draws, the acceptance rate and the count of proposals that did not
-    factor, which the lean scan must reproduce bit for bit."""
+    and gamma drawn from inclusion probabilities made from normal_logpdf
+    and log p, log(1 - p).  Returns the kept draws, the acceptance rate and
+    the count of proposals that did not factor, which the lean scan must
+    reproduce bit for bit."""
     rng = np.random.default_rng(hyper.seed)
+    n = data.n
+    mu, sigma2 = init.mu, init.sigma2
     phi = np.minimum(np.abs(init.phi), hyper.c * hyper.tau)
-    state = sampler.SamplerState(init.mu, init.sigma2, phi, np.ones(data.dim, dtype=np.int64), rng)
+    gamma = np.ones(data.dim, dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.log(hyper.p), np.log1p(-hyper.p)
 
     def log_kernel(factor, phi):
-        prior = float(np.sum(normal_logpdf(phi, (hyper.tau * np.power(hyper.c, state.gamma)) ** 2)))
-        return -0.5 * factor.log_det - factor.quad(state.mu) / (2.0 * state.sigma2) + prior
+        return -0.5 * factor.log_det - factor.quad(mu) / (2.0 * sigma2) + _log_prior(phi, gamma, hyper)
 
     factor = _checked_factor(phi, data)
     kept = range(hyper.burnin + 1, hyper.iters + 1, hyper.thin)
     draws = {"mu": [], "sigma2": [], "phi": [], "gamma": []}
     accepted = failures = 0
     for scan in range(1, hyper.iters + 1):
-        state.mu = sampler.update_mu(state, factor)
-        state.sigma2 = sampler.update_sigma2(state, factor)
-        logp_cur = log_kernel(factor, state.phi)
-        prop = state.phi + rng.normal(size=state.phi.shape) * hyper.prop_sd
+        mu = float(rng.normal(factor.gls_mean, np.sqrt(sigma2 / factor.one_rinv_one)))
+        sigma2 = float(1.0 / rng.gamma(n / 2.0, 2.0 / factor.quad(mu)))
+        logp_cur = log_kernel(factor, phi)
+        prop = phi + rng.normal(size=phi.shape) * hyper.prop_sd
         log_u = float(np.log(rng.uniform()))
         try:
             prop_factor = _checked_factor(prop, data)
@@ -233,13 +262,15 @@ def reference_run_chain(data: Dataset, hyper, init):
             failures += 1
         else:
             if log_u < log_kernel(prop_factor, prop) - logp_cur:
-                state.phi, factor = prop, prop_factor
+                phi, factor = prop, prop_factor
                 accepted += 1
-        probs = sampler.inclusion_probabilities(state.phi, hyper)
-        state.gamma = (rng.uniform(size=len(probs)) < probs).astype(np.int64)
+        log_a = normal_logpdf(phi, (hyper.c * hyper.tau) ** 2) + log_p
+        log_b = normal_logpdf(phi, hyper.tau**2) + log_q
+        probs = np.exp(log_a - np.logaddexp(log_a, log_b))
+        gamma = (rng.uniform(size=len(probs)) < probs).astype(np.int64)
         if scan in kept:
-            for key, values in draws.items():
-                values.append(getattr(state, key))
+            for values, value in zip(draws.values(), (mu, sigma2, phi, gamma)):
+                values.append(value)
     return SimpleNamespace(**{k: np.array(v) for k, v in draws.items()},
                            accept_rate=accepted / hyper.iters, failures=failures)
 

@@ -16,14 +16,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from conftest import chol_decompose, make_dataset, use_phi_target
+from conftest import chain_state, chol_decompose, make_dataset, use_phi_target
 from ssgp import cli, io, linalg
 from ssgp.designs import scale_points
 from ssgp.gp import FitOptions, mle_fit, predict_batch
 from ssgp.sampler import (
     Hyperparams,
-    SamplerState,
-    inclusion_probabilities,
     update_mu,
     update_phi,
     update_sigma2,
@@ -199,17 +197,16 @@ class TestCriterion6Properties:
         mu4 = m[3] - 4 * m[2] * m[0] + 6 * m[1] * m[0] ** 2 - 3 * m[0] ** 4
 
         n_draws = 20000
-        state = SamplerState(
-            mu=mu_fixed, sigma2=sigma2_fixed, phi=phi,
-            gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(0),
-        )
-        factor = linalg.CorrFactor(chol, y)
+        state = chain_state(Hyperparams.for_dim(3), phi, data, mu_fixed, sigma2_fixed)
         mus = np.empty(n_draws)
         s2s = np.empty(n_draws)
         for i in range(n_draws):
-            mus[i] = update_mu(state, factor)
+            update_mu(state)
+            mus[i] = state.mu
             state.mu = mu_fixed
-            s2s[i] = update_sigma2(state, factor)
+            update_sigma2(state)
+            s2s[i] = state.sigma2
+            state.sigma2 = sigma2_fixed
         z = np.array([
             (mus.mean() - gls_mean) / np.sqrt(mu_var / n_draws),
             (mus.var(ddof=1) - mu_var) / (mu_var * np.sqrt(2.0 / (n_draws - 1))),
@@ -230,15 +227,12 @@ class TestCriterion6Properties:
         # Standard-normal log-kernel substituted for the posterior: 100k
         # random-walk steps must reproduce the target moments.
         hyper = Hyperparams.for_dim(1, tau=0.3, prop_sd=2.4)
-        state = SamplerState(
-            mu=0.0, sigma2=1.0, phi=np.zeros(1),
-            gamma=np.ones(1, dtype=np.int64), rng=np.random.default_rng(8),
-        )
         kernel = lambda v: -0.5 * float(v @ v)
         use_phi_target(monkeypatch, kernel)
+        state = chain_state(hyper, np.zeros(1), seed=8)
         draws = np.empty(100000)
         for i in range(draws.size):
-            state.phi = update_phi(state, None, hyper, state.phi, None, None).phi
+            update_phi(state)
             draws[i] = state.phi[0]
         mean, var = float(draws.mean()), float(draws.var())
         ok = abs(mean) < 0.02 and abs(var - 1.0) < 0.05
@@ -259,8 +253,7 @@ class TestCriterion6Properties:
             tau = rng.uniform(0.05, 1.0, size=d)
             c = rng.uniform(2.5, 50.0, size=d)
             p = rng.uniform(0.05, 0.95, size=d)
-            hyper = Hyperparams.for_dim(d, tau=tau, c=c, p=p)
-            got = inclusion_probabilities(phi, hyper)
+            got = chain_state(Hyperparams.for_dim(d, tau=tau, c=c, p=p), phi).inclusion
             slab = p * norm.pdf(phi, scale=c * tau)
             spike = (1.0 - p) * norm.pdf(phi, scale=tau)
             worst = max(worst, float(np.max(np.abs(got - slab / (slab + spike)))))

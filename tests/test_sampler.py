@@ -11,6 +11,7 @@ from scipy.stats import norm
 import ssgp.sampler as sampler
 from conftest import (
     build_corr_matrix,
+    chain_state,
     fixed_nugget_factor,
     make_dataset,
     normal_logpdf,
@@ -30,7 +31,6 @@ from ssgp.sampler import (
     SamplerState,
     default_hyperparams,
     derive_seed,
-    inclusion_probabilities,
     posterior_params,
     run_chain,
     update_gamma,
@@ -100,6 +100,21 @@ class TestHyperparams:
         with pytest.raises(ValueError, match=phrase):
             Hyperparams.for_dim(2, **kwargs)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("iters", 10.5), ("iters", 10.0), ("iters", True), ("burnin", np.float64(2.0)),
+         ("thin", "2"), ("thin", None), ("seed", 1.5), ("seed", False)],
+    )
+    def test_run_lengths_and_seed_must_be_integers(self, name, value):
+        # Unchecked, a float fails deep in run_chain (in range or
+        # SeedSequence) with a TypeError, and a bool runs as 0 or 1.  A numpy
+        # integer is accepted and stored as an int.
+        with pytest.raises(ValueError) as err:
+            Hyperparams.for_dim(2, **{name: value})
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+        h = Hyperparams.for_dim(2, iters=np.int64(50), burnin=np.int32(10), thin=np.uint8(2), seed=np.int64(3))
+        assert [(type(v), v) for v in (h.iters, h.burnin, h.thin, h.seed)] == [(int, 50), (int, 10), (int, 2), (int, 3)]
+
     def test_barely_separated_slab_warns(self):
         with pytest.warns(RuntimeWarning, match="slab"):
             Hyperparams.for_dim(2, tau=0.3, c=1.5)
@@ -144,9 +159,12 @@ class TestDeriveSeed:
 
 
 class TestInclusionProbabilities:
+    """A state's inclusion probabilities, made from its prior rows when it
+    is built at phi (SamplerState.inclusion_of)."""
+
     def test_frozen_values(self):
         h = Hyperparams.for_dim(2, tau=0.3, c=25.0, p=0.5)
-        probs = inclusion_probabilities(np.array([0.0, 0.9]), h)
+        probs = chain_state(h, [0.0, 0.9]).inclusion
         # At phi = 0 the ratio collapses to 1/(1+c) = 1/26; at phi = 0.9 the
         # slab dominates.  Both frozen from direct density evaluation.
         assert probs[0] == pytest.approx(0.038461538461538464, abs=1e-15)
@@ -161,14 +179,14 @@ class TestInclusionProbabilities:
             p = rng.uniform(0.01, 1.0)
             phi = rng.normal(scale=2.0)
             h = Hyperparams.for_dim(1, tau=tau, c=c, p=p)
-            got = inclusion_probabilities(np.array([phi]), h)[0]
+            got = chain_state(h, [phi]).inclusion[0]
             a = norm.pdf(phi, scale=c * tau) * p
             b = norm.pdf(phi, scale=tau) * (1.0 - p)
             assert abs(got - a / (a + b)) < 1e-12
 
     def test_bitwise_equal_to_unhoisted_form(self):
-        # The per-Hyperparams constants are the same arithmetic as the
-        # normal log-densities evaluated in full, so seeded gamma draws are
+        # The per-chain constants are the same arithmetic as the normal
+        # log-densities evaluated in full, so seeded gamma draws are
         # unchanged; p = 1 gives log(1 - p) = -inf and probability 1.
         rng = np.random.default_rng(8)
         for i in range(300):
@@ -184,20 +202,25 @@ class TestInclusionProbabilities:
             with np.errstate(divide="ignore"):
                 log_b = normal_logpdf(phi, tau**2) + np.log1p(-p)
             expected = np.exp(log_a - np.logaddexp(log_a, log_b))
-            assert np.array_equal(inclusion_probabilities(phi, h), expected)
-            assert np.array_equal(inclusion_probabilities(phi, h), expected)
+            state = chain_state(h, phi)
+            assert np.array_equal(state.inclusion, expected)
+            assert np.array_equal(state.inclusion_of(state.prior_rows(phi)), expected)
 
     def test_monotone_in_abs_phi(self):
         h = Hyperparams.for_dim(1, tau=0.3, c=25.0)
-        grid = [inclusion_probabilities(np.array([v]), h)[0] for v in (0.0, 0.3, 0.6, 0.9, 1.5)]
+        grid = [chain_state(h, [v]).inclusion[0] for v in (0.0, 0.3, 0.6, 0.9, 1.5)]
         assert all(a < b for a, b in zip(grid, grid[1:]))
 
     def test_update_gamma_frequencies(self):
         h = Hyperparams.for_dim(2, tau=0.3, c=25.0)
-        phi = np.array([0.0, 0.9])
-        probs = inclusion_probabilities(phi, h)
-        state = SamplerState(mu=0.0, sigma2=1.0, phi=phi, gamma=np.ones(2, dtype=np.int64), rng=np.random.default_rng(4))
-        draws = np.array([update_gamma(state, probs) for _ in range(20000)])
+        state = chain_state(h, [0.0, 0.9], seed=4)
+        probs = state.inclusion
+
+        def draw():
+            update_gamma(state)
+            return state.gamma
+
+        draws = np.array([draw() for _ in range(20000)])
         assert draws.dtype == np.int64
         assert set(np.unique(draws)) <= {0, 1}
         freq = draws.mean(axis=0)
@@ -256,14 +279,23 @@ class TestPhiLogKernel:
             c = rng.uniform(2.5, 80.0, d)
             gamma = rng.integers(0, 2, size=d)
             phis = rng.normal(scale=2.0, size=(2, d))
-            h = Hyperparams.for_dim(d, tau=tau, c=c, p=rng.uniform(0.01, 1.0, d))
+            state = chain_state(Hyperparams.for_dim(d, tau=tau, c=c, p=rng.uniform(0.01, 1.0, d)), phis[0])
             priors = np.empty((2, 2, d))
-            priors[0], priors[1] = h._prior_logpdf(phis[0]), h._prior_logpdf(phis[1])
+            priors[0], priors[1] = state.prior_rows(phis[0]), state.prior_rows(phis[1])
             log_priors = sampler._log_priors(priors, gamma).tolist()
             for phi, log_prior in zip(phis, log_priors):
                 expected = float(np.sum(normal_logpdf(phi, (tau * np.power(c, gamma)) ** 2)))
                 got = sampler._kernel_value(stub, log_prior, rng.normal(), rng.uniform(0.1, 3.0))
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+def _repeat(step, state, name, times):
+    # `times` successive draws of one step, each read off the state it mutates.
+    draws = []
+    for _ in range(times):
+        step(state)
+        draws.append(getattr(state, name))
+    return np.array(draws)
 
 
 class TestConditionalUpdates:
@@ -279,9 +311,8 @@ class TestConditionalUpdates:
         mean_true = float(ones @ rinv_y) / denom
         sigma2 = 2.7
         sd_true = np.sqrt(sigma2 / denom)
-        state = SamplerState(mu=0.0, sigma2=sigma2, phi=phi, gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(21))
-        factor = linalg.CorrFactor(chol, toy10.responses)
-        draws = np.array([update_mu(state, factor) for _ in range(5000)])
+        state = chain_state(Hyperparams.for_dim(3), phi, toy10, sigma2=sigma2, seed=21)
+        draws = _repeat(update_mu, state, "mu", 5000)
         assert abs(draws.mean() - mean_true) < 5 * sd_true / np.sqrt(5000)
         assert abs(draws.var() - sd_true**2) < 5 * sd_true**2 * np.sqrt(2 / 4999)
 
@@ -295,9 +326,8 @@ class TestConditionalUpdates:
         a, b = toy10.n / 2.0, quad / 2.0
         mean_true = b / (a - 1)
         var_true = b**2 / ((a - 1) ** 2 * (a - 2))
-        state = SamplerState(mu=mu, sigma2=1.0, phi=phi, gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(22))
-        factor = linalg.CorrFactor(chol, toy10.responses)
-        draws = np.array([update_sigma2(state, factor) for _ in range(5000)])
+        state = chain_state(Hyperparams.for_dim(3), phi, toy10, mu=mu, seed=22)
+        draws = _repeat(update_sigma2, state, "sigma2", 5000)
         assert abs(draws.mean() - mean_true) < 5 * np.sqrt(var_true / 5000)
         assert abs(draws.var() - var_true) / var_true < 0.2
 
@@ -305,9 +335,9 @@ class TestConditionalUpdates:
         from ssgp.gp import Dataset
 
         data = Dataset.from_arrays([[0.2], [0.8]], [2.0, 2.0])
-        state = SamplerState(mu=2.0, sigma2=1.0, phi=np.array([1.0]), gamma=np.ones(1, dtype=np.int64), rng=np.random.default_rng(0))
+        state = chain_state(Hyperparams.for_dim(1), [1.0], data, mu=2.0)
         with pytest.raises(ValueError, match="quadratic form"):
-            update_sigma2(state, linalg.CorrFactor(np.eye(2), data.responses))
+            update_sigma2(state)
 
     def test_joint_gibbs_reaches_marginal(self, toy10):
         # Alternating the two closed-form updates with phi frozen targets the
@@ -319,39 +349,34 @@ class TestConditionalUpdates:
         v = solve_triangular(chol, y - mu_gls, lower=True)
         quad_gls = float(v @ v)
         target = quad_gls / (toy10.n - 3)
-        state = SamplerState(mu=mu_gls, sigma2=1.0, phi=phi, gamma=np.ones(3, dtype=np.int64), rng=np.random.default_rng(33))
+        state = chain_state(Hyperparams.for_dim(3), phi, toy10, mu=mu_gls, seed=33)
         total = 0.0
-        factor = linalg.CorrFactor(chol, y)
         for _ in range(20000):
-            state.mu = update_mu(state, factor)
-            state.sigma2 = update_sigma2(state, factor)
+            update_mu(state)
+            update_sigma2(state)
             total += state.sigma2
         assert abs(total / 20000 / target - 1.0) < 0.05
 
 
 class TestUpdatePhi:
-    def _state(self, phi, seed=0):
-        return SamplerState(mu=0.0, sigma2=1.0, phi=np.asarray(phi, dtype=float), gamma=np.ones(len(phi), dtype=np.int64), rng=np.random.default_rng(seed))
-
     def test_flat_kernel_always_accepts(self, monkeypatch):
         hyper = Hyperparams.for_dim(2, tau=0.3)
-        state = self._state([0.5, 0.5])
         use_phi_target(monkeypatch, lambda v: 0.0)
-        for _ in range(50):
-            step = update_phi(state, None, hyper, state.phi, None, None)
-            assert step.accepted
-            state.phi = step.phi
+        state = chain_state(hyper, [0.5, 0.5])
+        for i in range(50):
+            update_phi(state)
+            assert state.accepted == i + 1
 
     def test_impossible_proposal_always_rejects(self, monkeypatch):
         hyper = Hyperparams.for_dim(1, tau=0.3)
         start = np.array([0.5])
-        state = self._state(start)
         kernel = lambda v: 0.0 if np.array_equal(v, start) else -np.inf
         use_phi_target(monkeypatch, kernel)
+        state = chain_state(hyper, start)
         for _ in range(20):
-            step = update_phi(state, None, hyper, state.phi, None, None)
-            assert not step.accepted
-            assert np.array_equal(step.phi, start)
+            update_phi(state)
+            assert not state.accepted
+            assert np.array_equal(state.phi, start)
 
     def test_failed_proposal_factorization_rejected(self, toy10, monkeypatch):
         # The scan factors through linalg's unchecked routine, so the
@@ -366,14 +391,12 @@ class TestUpdatePhi:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(linalg, "_corr_factor", second_call_fails)
-        hyper = Hyperparams.for_dim(3, tau=0.3)
-        state = self._state([0.9, 1.1, 0.2])
-        factor = sampler._factor(state.phi, toy10)
-        prior = hyper._prior_logpdf(state.phi)
-        step = update_phi(state, toy10, hyper, factor, prior, sampler._inclusion(prior, hyper))
-        assert step.proposal_failed
-        assert not step.accepted
-        assert np.array_equal(step.phi, state.phi)
+        start = np.array([0.9, 1.1, 0.2])
+        state = chain_state(Hyperparams.for_dim(3, tau=0.3), start, toy10)
+        update_phi(state)
+        assert state.failures == 1
+        assert not state.accepted
+        assert np.array_equal(state.phi, start)
 
     def test_scan_kernel_matches_phi_log_kernel(self, toy10):
         # The log-kernel the scan compares, read from a CorrFactor whose
@@ -387,10 +410,11 @@ class TestUpdatePhi:
                 phi = rng.normal(scale=0.8, size=d.dim)
                 mu, sigma2 = rng.normal(), rng.uniform(0.1, 3.0)
                 gamma = rng.integers(0, 2, size=d.dim)
-                factor = sampler._factor(phi, d)
+                state = chain_state(hyper, phi, d)
+                factor = state.factor
                 factor.quad(mu)
                 # The scan sums phi's prior rows beside a proposal's.
-                priors = np.stack([hyper._prior_logpdf(phi), hyper._prior_logpdf(2.0 * phi)])
+                priors = np.stack([state.prior_rows(phi), state.prior_rows(2.0 * phi)])
                 scan = sampler._kernel_value(factor, sampler._log_priors(priors, gamma).tolist()[0], mu, sigma2)
                 public = phi_log_kernel(phi, mu, sigma2, gamma, d, hyper)
                 assert scan == public
@@ -405,13 +429,12 @@ class TestUpdatePhi:
         # Shortened version of the 100k oracle; tight run lives in the
         # acceptance suite.
         hyper = Hyperparams.for_dim(1, tau=0.3, prop_sd=2.4)
-        state = self._state([0.0], seed=8)
         kernel = lambda v: -0.5 * float(v @ v)
         use_phi_target(monkeypatch, kernel)
+        state = chain_state(hyper, [0.0], seed=8)
         draws = np.empty(20000)
         for i in range(20000):
-            step = update_phi(state, None, hyper, state.phi, None, None)
-            state.phi = step.phi
+            update_phi(state)
             draws[i] = state.phi[0]
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.12
@@ -424,8 +447,8 @@ def test_rejected_proposal_skips_the_gls_solve(toy10, monkeypatch):
     made = []
     real = sampler._factor
 
-    def recording(phi, data, out=None):
-        made.append(real(phi, data, out))
+    def recording(state, phi, slot):
+        made.append(real(state, phi, slot))
         return made[-1]
 
     monkeypatch.setattr(sampler, "_factor", recording)
@@ -496,7 +519,7 @@ class TestLeanScanParity:
     def test_no_entry_check_and_one_prior_per_proposal(self, toy10, monkeypatch):
         counts = {"checks": 0, "priors": 0}
         # corr_cholesky is where linalg checks theta and the nugget.
-        real_check, real_prior = linalg.corr_cholesky, Hyperparams._prior_logpdf
+        real_check, real_prior = linalg.corr_cholesky, SamplerState.prior_rows
 
         def counted_check(*args, **kwargs):
             counts["checks"] += 1
@@ -507,7 +530,7 @@ class TestLeanScanParity:
             return real_prior(self, phi)
 
         monkeypatch.setattr(linalg, "corr_cholesky", counted_check)
-        monkeypatch.setattr(Hyperparams, "_prior_logpdf", counted_prior)
+        monkeypatch.setattr(SamplerState, "prior_rows", counted_prior)
         hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.3, iters=200, burnin=50, seed=5)
         init = GpParams(mu=float(toy10.responses.mean()), sigma2=1.0, phi=np.full(3, 0.5))
         run_chain(toy10, hyper, init=init)
@@ -518,13 +541,13 @@ class TestLeanScanParity:
         # The gamma step only draws: phi's inclusion probabilities are made
         # when the chain starts and when a proposal is accepted.
         calls = [0]
-        real = sampler._inclusion
+        real = SamplerState.inclusion_of
 
         def counted(*args):
             calls[0] += 1
             return real(*args)
 
-        monkeypatch.setattr(sampler, "_inclusion", counted)
+        monkeypatch.setattr(SamplerState, "inclusion_of", counted)
         hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.3, iters=200, burnin=50, seed=5)
         init = GpParams(mu=float(toy10.responses.mean()), sigma2=1.0, phi=np.full(3, 0.5))
         chain = run_chain(toy10, hyper, init=init)
@@ -553,17 +576,17 @@ class TestChainOwnsItsBuffers:
         real_step = sampler.update_phi
         seen = {"accepted": 0, "rejected": 0, "failed": 0}
 
-        def checked(state, data, hyper, factor, *rest):
+        def checked(state):
+            factor, accepted, failures = state.factor, state.accepted, state.failures
             before = factor.lower.tobytes(order="A")
-            step = real_step(state, data, hyper, factor, *rest)
-            if step.accepted:
+            real_step(state)
+            if state.accepted > accepted:
                 seen["accepted"] += 1
-                assert not np.shares_memory(step.factor.lower, factor.lower)
+                assert not np.shares_memory(state.factor.lower, factor.lower)
             else:
-                seen["failed" if step.proposal_failed else "rejected"] += 1
-                assert step.factor is factor
+                seen["failed" if state.failures > failures else "rejected"] += 1
+                assert state.factor is factor
                 assert factor.lower.tobytes(order="A") == before
-            return step
 
         monkeypatch.setattr(linalg, "dpotrf", breaks_every_third)
         monkeypatch.setattr(sampler, "update_phi", checked)
@@ -607,20 +630,16 @@ class TestGewekeJointDistribution:
         data = Dataset(np.random.default_rng(0).uniform(size=(n, d)), np.zeros(n), np.tile([0.0, 1.0], (d, 1)))
         hyper = Hyperparams.for_dim(d, tau=0.3, c=5.0, p=0.5, prop_sd=0.5)
         rng = np.random.default_rng(1)
-        state = SamplerState(mu, sigma2, np.array([0.4, 0.1]), np.array([1, 0]), rng)
-        lower = sampler._factor(state.phi, data).lower
-        prior = hyper._prior_logpdf(state.phi)
-        inclusion = inclusion_probabilities(state.phi, hyper)
+        state = chain_state(hyper, [0.4, 0.1], data, mu, sigma2, gamma=[1, 0], seed=rng)
         stats = np.empty((steps, 3 * d + 1))
         for t in range(steps):
-            # update_phi reads the design's pair table and the responses.
-            y = mu + np.sqrt(sigma2) * (lower @ rng.normal(size=n))
-            current = SimpleNamespace(pair_table=data.pair_table, responses=y)
-            step = update_phi(state, current, hyper, linalg.CorrFactor(lower, y), prior, inclusion)
-            state.phi, prior, inclusion = step.phi, step.prior, step.inclusion
-            state.gamma = update_gamma(state, inclusion)
-            lower = step.factor.lower
-            stats[t] = [*state.phi, *state.phi**2, *state.gamma, step.factor.quad(mu) / (n * sigma2)]
+            # update_phi reads the responses from the state, with the
+            # current factor's.
+            state.y = mu + np.sqrt(sigma2) * (state.factor.lower @ rng.normal(size=n))
+            state.factor = linalg.CorrFactor(state.factor.lower, state.y)
+            update_phi(state)
+            update_gamma(state)
+            stats[t] = [*state.phi, *state.phi**2, *state.gamma, state.factor.quad(mu) / (n * sigma2)]
         tau2, c2, p = hyper.tau**2, hyper.c**2, hyper.p
         expect = np.concatenate([np.zeros(d), (1 - p) * tau2 + p * c2 * tau2, p, [1.0]])
         # Standard errors by batch means, 50 batches of 400 steps.
@@ -670,7 +689,8 @@ class TestExactPosteriorOracle:
         w /= w.sum()
         edge = w.reshape(grid, grid)
         assert edge[[0, -1]].sum() + edge[1:-1, [0, -1]].sum() < 1e-4
-        incl = np.array([inclusion_probabilities(point, hyper) for point in phi])
+        state = chain_state(hyper, phi[0], data)
+        incl = np.array([state.inclusion_of(state.prior_rows(point)) for point in phi])
         mean_mu = w @ gls_mean
         exact = [*(w @ incl), *(w @ phi**2), mean_mu,
                  w @ (s2 / ((n - 3) * q) + (gls_mean - mean_mu) ** 2), w @ s2 / (n - 3)]
@@ -758,11 +778,11 @@ class TestRunChain:
         real = sampler.update_sigma2
         calls = {"n": 0}
 
-        def flaky(state, factor):
+        def flaky(state):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise ValueError("forced failure")
-            return real(state, factor)
+            return real(state)
 
         monkeypatch.setattr(sampler, "update_sigma2", flaky)
         hyper = Hyperparams.for_dim(3, tau=0.3, iters=30, burnin=5, seed=0)
