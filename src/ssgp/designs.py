@@ -59,6 +59,25 @@ def _min_dist_and_crit(d2):
     return float(np.sqrt(d2.min())), float(np.sum(1.0 / d2))
 
 
+# Candidate swaps screened at a time by maximin_lhd.
+_SCREEN_BATCH = 32
+
+
+def _screen_slack(d: int) -> float:
+    # Coordinates lie in [0, 1], so a squared distance is a sum of d terms
+    # in [0, 1], and both the sweep's sum and the screen's update of a
+    # stored one lie within (d + 3)^2 2^-53 of the true value.  The slack is
+    # four times the sum of the two bounds.
+    return (d + 3) ** 2 * 2.0**-50
+
+
+def _screen_floor(best_d2: float, d: int) -> float:
+    # A screened minimum below this floor belongs to a swap that the sweep
+    # rejects early: its own sum is then below best_d2 (1 - 2^-48), and the
+    # rounded square root of such a sum is below that of best_d2.
+    return best_d2 * (1.0 - 2.0**-48) - _screen_slack(d)
+
+
 def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     """Maximin Latin hypercube via within-column pair-swap hill climbing.
 
@@ -74,6 +93,20 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     a or b closer to some point than the current minimum is rejected
     without the inverse-square sum: the other distances cannot raise the
     minimum back.
+
+    Most sweeps end at that early reject, so the sweeps are screened in
+    batches first.  A sweep's draws (which end of the closest pair is a,
+    the partner b, the column k) never depend on the design, so all are
+    drawn up front in the search's order, and the generator ends where the
+    search leaves it.  Up to _SCREEN_BATCH candidate swaps at a time are
+    screened against the current design: a's squared distances after the
+    swap are d2(a, p) - (x_ak - x_pk)^2 + (x_bk - x_pk)^2, and b's likewise.
+    A candidate is passed over only when its lowest screened distance lies
+    below the current minimum by more than the rounding bound
+    _screen_slack(d), so that the sweep would reject it early.  The first
+    candidate not passed over runs the sweep in full, and screening resumes
+    after it.  The screen never accepts a swap, so the design is bitwise
+    the one the sweep-by-sweep search makes.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
@@ -86,10 +119,18 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     cols = design.points.T.copy()
     if sweeps is None:
         sweeps = 100 * n
+    # Each sweep's draws, in the search's order: whether a is the first end
+    # of the closest pair, the partner before it skips a, and the column.
+    # Below 2^31, an int32 draw takes the same 32-bit words as the default
+    # int64 one, at half the call's cost.
+    random, integers, i32 = rng.random, rng.integers, np.int32
+    draws = ((random() < 0.5, integers(n - 1, dtype=i32), integers(d, dtype=i32)) for _ in range(sweeps))
+    first, partner, coord = np.fromiter(draws, dtype=(np.intp, 3), count=sweeps).T
 
     # d2 holds the squared distances in pdist order, plus a spare last slot
     # that pos[p, p] points at: pos[p, q] is the slot of pair {p, q}, so a
-    # point's whole row of distances is scattered by d2[pos[p]] = row.
+    # point's whole row of distances is scattered by d2[pos[p]] = row, and
+    # gathered into the n x n matrix dist = d2[pos].
     i, j = np.triu_indices(n, k=1)
     npairs = len(i)
     pos = np.full((n, n), npairs)
@@ -97,12 +138,33 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     d2 = np.append(pdist(design.points, "sqeuclidean"), np.inf)
     best_min, best_crit = _min_dist_and_crit(d2[:npairs])
     closest = int(np.argmin(d2[:npairs]))
-    for _ in range(sweeps):
-        a = int(i[closest]) if rng.random() < 0.5 else int(j[closest])
-        b = int(rng.integers(n - 1))
-        if b >= a:
-            b += 1
-        k = int(rng.integers(d))
+    dist, floor = d2[pos], _screen_floor(d2[closest], d)
+    sweep = 0
+    while sweep < sweeps:
+        stop = min(sweep + _SCREEN_BATCH, sweeps)
+        t = np.arange(stop - sweep)
+        a = np.array([j[closest], i[closest]]).take(first[sweep:stop])
+        b = partner[sweep:stop]
+        b = b + (b >= a)
+        ends, k = np.array([a, b]), coord[sweep:stop]
+        # sq[0] holds (x_ak - x_pk)^2 for every p, sq[1] the same for b, and
+        # the swap trades them: row 0 of `screened` is a's squared distances
+        # after it, row 1 b's.
+        sq = cols[k, ends][:, :, None] - cols[k]
+        sq *= sq
+        screened = dist[ends]
+        screened -= sq
+        screened += sq[::-1]
+        # a's distance to b does not change; a point's to itself is no pair.
+        screened[0, t, b] = screened[1, t, a] = np.inf
+        low = screened.min(axis=2)
+        survivors = np.flatnonzero(np.minimum(low[0], low[1]) >= floor)
+        if not survivors.size:
+            sweep = stop
+            continue
+        sweep += int(survivors[0])
+        a, b, k = int(a[survivors[0]]), int(b[survivors[0]]), int(coord[sweep])
+        sweep += 1
         cols[k, a], cols[k, b] = cols[k, b], cols[k, a]
         diff = cols.take((a, b), axis=1)[:, :, None] - cols[:, None, :]
         diff *= diff
@@ -119,6 +181,7 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
         if new_min > best_min or (new_min == best_min and new_crit < best_crit):
             best_min, best_crit, d2 = new_min, new_crit, new_d2
             closest = int(np.argmin(d2[:npairs]))
+            dist, floor = d2[pos], _screen_floor(d2[closest], d)
         else:
             cols[k, a], cols[k, b] = cols[k, b], cols[k, a]
     return Design(cols.T.copy())

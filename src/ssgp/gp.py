@@ -210,6 +210,10 @@ class FitOptions:
     def __post_init__(self):
         if not 0 <= self.nugget < np.inf:
             raise ValueError("nugget must be finite and non-negative")
+        # A bool is an int subclass; a numpy integer is stored as an int.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

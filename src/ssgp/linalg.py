@@ -40,7 +40,6 @@ proposal whose theta = phi^2 is still not finite fails that test or has a
 -inf or NaN prior.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -165,7 +164,6 @@ def solve_with_chol(lower, b) -> np.ndarray:
     return dpotrs(lower, b, lower=1)[0]
 
 
-@dataclass(frozen=True)
 class CorrFactor:
     """One Cholesky factorization R = L L' and what its readers reuse.
 
@@ -176,17 +174,15 @@ class CorrFactor:
     read, from one two-column triangular solve [L^-1 1, L^-1 y].  A
     quadratic form (y - mu)'R^-1(y - mu) is |L^-1 (y - mu)|^2 from one
     triangular solve of the residual; the last one is kept, so the Gibbs
-    scan's sigma2 and phi steps share it.
+    scan's sigma2 and phi steps share it.  It is a plain class because the
+    Gibbs scan makes one per proposal.
     """
 
-    lower: np.ndarray
-    y: np.ndarray
-    log_det: float = field(init=False)
-    # [mu, quad] of the last quad(mu) call.
-    _last_quad: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "log_det", float(2.0 * np.log(self.lower.diagonal()).sum()))
+    def __init__(self, lower: np.ndarray, y: np.ndarray):
+        self.lower, self.y = lower, y
+        self.log_det = float(2.0 * np.log(lower.diagonal()).sum())
+        # mu and the value of the last quad(mu) call.
+        self._quad_mu = self._quad = None
 
     @cached_property
     def _ones_y(self) -> np.ndarray:
@@ -207,12 +203,10 @@ class CorrFactor:
 
     def quad(self, mu) -> float:
         """(y - mu)'R^-1(y - mu); non-negative by construction."""
-        last_mu, value = self._last_quad
-        if mu != last_mu:
+        if mu != self._quad_mu:
             v = dtrtrs(self.lower, self.y - mu, lower=1)[0]
-            value = float(v @ v)
-            self._last_quad[:] = (mu, value)
-        return value
+            self._quad_mu, self._quad = mu, float(v @ v)
+        return self._quad
 
     def whiten(self, b) -> np.ndarray:
         """L^-1 b by one triangular solve; b is not checked."""

@@ -48,9 +48,12 @@ def select_variables(chain: Chain, rule: str = "modal") -> SelectionReport:
         raise ValueError(f"unknown selection rule {rule!r}")
     if chain.size == 0:
         raise ValueError("empty chain")
-    vecs, counts = np.unique(chain.gamma, axis=0, return_counts=True)
-    # np.unique returns rows lexicographically sorted; the stable sort by
-    # descending count therefore keeps ties in lexicographic order.
+    # The draws sorted lexicographically (lexsort's last key is its first),
+    # then counted by runs of equal rows; the stable sort by descending
+    # count keeps ties in lexicographic order.
+    draws = chain.gamma[np.lexsort(chain.gamma.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (draws[1:] != draws[:-1]).any(axis=1)])
+    vecs, counts = draws[starts], np.diff(np.r_[starts, len(draws)])
     order = np.argsort(-counts, kind="stable")
     table = tuple(
         (tuple(int(g) for g in vecs[i]), float(counts[i]) / chain.size) for i in order

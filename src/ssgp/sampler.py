@@ -27,6 +27,7 @@ the scan carries, whether it is accepted, rejected or fails to factor.
 """
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -209,13 +210,17 @@ class SamplerState:
         self.priors = np.empty((2, 2, len(phi)))
         self.current = 0
         self.factor = _factor(self, phi, 0)
-        self.priors[0] = self.prior_rows(phi)
-        self.inclusion = self.inclusion_of(self.priors[0])
+        self.inclusion = self.inclusion_of(self.prior_rows(phi, 0))
         self.accepted = self.failures = 0
 
-    def prior_rows(self, phi) -> np.ndarray:
-        """log N(phi_k; 0, var[g, k]) for both components, shape (2, d)."""
-        return -0.5 * (self.log_norm + phi * phi / self.var)
+    def prior_rows(self, phi, slot: int) -> np.ndarray:
+        """log N(phi_k; 0, var[g, k]) for both components, shape (2, d),
+        written into priors[slot] and returned."""
+        rows = self.priors[slot]
+        np.divide(phi * phi, self.var, out=rows)
+        np.add(self.log_norm, rows, out=rows)
+        np.multiply(-0.5, rows, out=rows)
+        return rows
 
     def inclusion_of(self, rows) -> np.ndarray:
         """P(gamma_k = 1 | phi_k) = a / (a + b) from phi's prior rows: a the
@@ -249,7 +254,7 @@ def update_mu(state: SamplerState) -> None:
 
     Both moments are read from the state's factor, without a solve.
     """
-    sd = np.sqrt(state.sigma2 / state.factor.one_rinv_one)
+    sd = math.sqrt(state.sigma2 / state.factor.one_rinv_one)
     state.mu = float(state.rng.normal(state.factor.gls_mean, sd))
 
 
@@ -282,28 +287,27 @@ def update_phi(state: SamplerState) -> None:
     new = 1 - cur
     # Proposal first, acceptance uniform second: the stream stays aligned
     # whether or not the proposal factors.
-    prop = state.phi + rng.normal(size=state.phi.shape) * state.prop_sd
-    log_u = float(np.log(rng.uniform()))
+    prop = state.phi + rng.standard_normal(len(state.phi)) * state.prop_sd
+    log_u = float(np.log(rng.random()))
     try:
         prop_factor = _factor(state, prop, new)
     except NotPositiveDefiniteError:
         state.failures += 1
         return
-    priors = state.priors
-    priors[new] = state.prior_rows(prop)
-    log_prior = _log_priors(priors, state.gamma).tolist()
+    rows = state.prior_rows(prop, new)
+    log_prior = _log_priors(state.priors, state.gamma).tolist()
     logp_cur = _kernel_value(state.factor, log_prior[cur], state.mu, state.sigma2)
     logp_prop = _kernel_value(prop_factor, log_prior[new], state.mu, state.sigma2)
     if log_u < logp_prop - logp_cur:
         state.phi, state.factor, state.current = prop, prop_factor, new
-        state.inclusion = state.inclusion_of(priors[new])
+        state.inclusion = state.inclusion_of(rows)
         state.accepted += 1
 
 
 def update_gamma(state: SamplerState) -> None:
     """Componentwise Bernoulli draws of gamma, P(gamma_k = 1) = state.inclusion[k]."""
     probs = state.inclusion
-    state.gamma = (state.rng.uniform(size=len(probs)) < probs).astype(np.int64)
+    state.gamma = (state.rng.random(len(probs)) < probs).astype(np.int64)
 
 
 def _float_list(v):
@@ -376,8 +380,8 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
             update_gamma(state)
         except ValueError as exc:
             raise SamplerError(scan, str(exc)) from exc
-        if scan in kept:
-            row = kept.index(scan)
+        row, skip = divmod(scan - kept.start, hyper.thin)
+        if row >= 0 and not skip:
             mu_draws[row] = state.mu
             sigma2_draws[row] = state.sigma2
             phi_draws[row] = state.phi

@@ -36,9 +36,19 @@ BOREHOLE_RANGES = (
 )
 
 
+# Each simulator takes the columns of a batch of points: x[k] holds
+# coordinate k of every point.
+
+
+def _power(v, k):
+    # v ** k for each element by C pow, as on a numpy float; an array's **
+    # rounds some inputs differently, which would move seeded responses.
+    return np.array([t**k for t in v])
+
+
 def _toy(x):
     # x3 enters with coefficient zero on purpose: it is the inert variable.
-    return (x[0] ** 3 + 1.0) * np.cos(np.pi * x[1]) + 0.0 * x[2]
+    return (_power(x[0], 3) + 1.0) * np.cos(np.pi * x[1]) + 0.0 * x[2]
 
 
 def _linear(x):
@@ -53,7 +63,7 @@ def _borehole(x):
     r_w, r, t_u, h_u, t_l, h_l, length, k_w = x
     log_ratio = np.log(r / r_w)
     denom = log_ratio * (
-        1.0 + 2.0 * length * t_u / (log_ratio * r_w**2 * k_w) + t_u / t_l
+        1.0 + 2.0 * length * t_u / (log_ratio * _power(r_w, 2) * k_w) + t_u / t_l
     )
     return 2.0 * np.pi * t_u * (h_u - h_l) / denom
 
@@ -103,17 +113,25 @@ def eval_function(f: TestFunction, x) -> float:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (f.dim,):
         raise ValueError(f"{f.name} expects {f.dim} coordinates, got {x.shape}")
-    if f.name == "borehole":
-        dom = f.domain()
-        if np.any(x < dom[:, 0]) or np.any(x > dom[:, 1]):
-            bad = int(np.argmax((x < dom[:, 0]) | (x > dom[:, 1]))) + 1
-            raise ValueError(f"borehole input {f.var_names[bad - 1]} out of range")
-    return float(f.func(x))
+    return float(eval_batch(f, x[None])[0])
 
 
 def eval_batch(f: TestFunction, xs) -> np.ndarray:
+    """Evaluate the rows of xs, in original (unscaled) coordinates, in one call.
+
+    A borehole point outside the domain raises ValueError naming the first
+    such row's first input out of range.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    return np.array([eval_function(f, row) for row in xs])
+    if xs.ndim != 2 or xs.shape[1] != f.dim:
+        raise ValueError(f"{f.name} expects {f.dim} coordinates per row, got shape {xs.shape}")
+    if f.name == "borehole":
+        dom = f.domain()
+        bad = (xs < dom[:, 0]) | (xs > dom[:, 1])
+        if bad.any():
+            k = int(np.argmax(bad[bad.any(axis=1)][0]))
+            raise ValueError(f"borehole input {f.var_names[k]} out of range")
+    return f.func(xs.T)
 
 
 # Piston slap noise: 12 runs, 6 inputs (clearance, peak-pressure location,

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from conftest import reference_maximin_lhd
+from ssgp import designs
 from ssgp.designs import Design, maximin_lhd, random_lhd, scale_points
 from ssgp.sampler import derive_seed
 
@@ -92,14 +93,70 @@ class TestMaximinLhd:
         with pytest.raises(ValueError, match="n >= 2"):
             maximin_lhd(1, 3, 0)
 
-    @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (12, 6), (30, 3), (50, 8), (54, 10)])
+    @pytest.mark.parametrize("n,d", [(2, 1), (9, 1), (3, 2), (12, 6), (30, 3), (50, 8), (54, 10)])
     def test_same_designs_as_two_pass_search(self, n, d):
-        # Updating only the swapped points' distances, and rejecting early,
-        # must not move a bit of any seeded design: the shipped specs' sizes,
-        # the smallest ones, and a 64-bit seed such as the testbed derives.
+        # Updating only the swapped points' distances, screening candidates
+        # in batches and rejecting early must not move a bit of any seeded
+        # design: the shipped specs' sizes, the smallest ones, and a 64-bit
+        # seed such as the testbed derives.
         for seed in [*range(5), derive_seed(0, "design")]:
             got = maximin_lhd(n, d, seed).points
             assert got.tobytes() == reference_maximin_lhd(n, d, seed).points.tobytes()
+
+    @pytest.mark.parametrize("sweeps", [1, 7, 33])
+    @pytest.mark.parametrize("n,d", [(2, 1), (6, 1), (5, 3), (20, 4)])
+    def test_same_designs_after_few_sweeps(self, n, d, sweeps):
+        # Runs that end inside the first batch, or just after it.
+        for seed in range(4):
+            got = maximin_lhd(n, d, seed, sweeps=sweeps).points
+            assert got.tobytes() == reference_maximin_lhd(n, d, seed, sweeps=sweeps).points.tobytes()
+
+    @pytest.mark.parametrize("n,d", [(6, 1), (3, 2), (4, 2)])
+    def test_same_designs_where_the_minimum_ties(self, n, d, monkeypatch):
+        # A swap whose partner is the other end of the closest pair leaves
+        # that distance alone, and in one dimension every swap only relabels
+        # the points, so these searches often keep the minimum and let the
+        # inverse-square sum decide.  Each candidate the full criterion
+        # scores is replayed against the acceptance rule to count the ties.
+        scored = []
+        real = designs._min_dist_and_crit
+
+        def recorded(d2):
+            scored.append(real(d2))
+            return scored[-1]
+
+        monkeypatch.setattr(designs, "_min_dist_and_crit", recorded)
+        ties = 0
+        for seed in range(4):
+            scored.clear()
+            got = maximin_lhd(n, d, seed).points
+            assert got.tobytes() == reference_maximin_lhd(n, d, seed).points.tobytes()
+            best = scored[0]
+            for cand in scored[1:]:
+                ties += cand[0] == best[0]
+                if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+                    best = cand
+        assert ties > 0
+
+    def test_generator_ends_where_the_two_pass_search_leaves_it(self):
+        # The draws are made up front, in the search's order, so a caller's
+        # generator continues with the same stream, 32-bit halves included.
+        for n, d, sweeps in [(12, 3, None), (6, 1, 7), (30, 2, 1), (2, 1, 5)]:
+            ours, ref = np.random.default_rng(4), np.random.default_rng(4)
+            maximin_lhd(n, d, ours, sweeps=sweeps)
+            reference_maximin_lhd(n, d, ref, sweeps=sweeps)
+            assert ours.bit_generator.state == ref.bit_generator.state
+            assert ours.integers(1000, size=3).tolist() == ref.integers(1000, size=3).tolist()
+            assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("n,d", [(12, 6), (50, 8)])
+    def test_screen_passing_every_candidate_changes_nothing(self, n, d, monkeypatch):
+        # With an unbounded slack nothing is screened out, and every sweep
+        # takes the exact path: the screen only decides which sweeps run it.
+        screened = [maximin_lhd(n, d, seed).points for seed in range(3)]
+        monkeypatch.setattr(designs, "_screen_slack", lambda d: np.inf)
+        for seed, design in enumerate(screened):
+            assert maximin_lhd(n, d, seed).points.tobytes() == design.tobytes()
 
 
 class TestDesignClass:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -268,6 +269,21 @@ class TestProfileEstimates:
         s2 = (y - mu) @ rinv @ (y - mu) / 5
         expected = 0.5 * (5 * np.log(s2) + np.linalg.slogdet(r)[1])
         assert neg_log_profile_likelihood(theta, data) == pytest.approx(expected, abs=1e-9)
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, False, "3", None])
+    def test_seed_of_wrong_type_rejected_by_name(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {re.escape(repr(seed))}"):
+            FitOptions(seed=seed)
+
+    def test_numpy_integer_seed_stored_as_int(self):
+        opts = FitOptions(seed=np.int64(7))
+        assert type(opts.seed) is int and opts == FitOptions(seed=7)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            FitOptions(seed=-1)
 
 
 class TestMleFit:

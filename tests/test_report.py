@@ -51,6 +51,47 @@ class TestTabulate:
         assert len(set(g for g, _ in table)) == len(table)
 
 
+def unique_rows_table(gamma):
+    """The frequency table by np.unique(axis=0): distinct rows sorted
+    lexicographically, then stably by descending count."""
+    vecs, counts = np.unique(gamma, axis=0, return_counts=True)
+    order = np.argsort(-counts, kind="stable")
+    return tuple((tuple(int(g) for g in vecs[i]), float(counts[i]) / len(gamma)) for i in order)
+
+
+class TestTabulationMatchesUniqueRows:
+    """select_variables counts runs of lexsorted rows; its table, tie order
+    and tie flag must be those of np.unique(axis=0)."""
+
+    @staticmethod
+    def _assert_same(gammas):
+        report = select_variables(chain_from_gammas(gammas))
+        expected = unique_rows_table(gammas)
+        assert report.table == expected
+        assert report.tie == (len(expected) > 1 and expected[1][1] == expected[0][1])
+        assert (report.modal_gamma, report.modal_freq) == expected[0]
+
+    def test_random_chains(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            m, d = int(rng.integers(1, 400)), int(rng.integers(1, 11))
+            self._assert_same(rng.integers(0, 2, size=(m, d)) * (rng.random((m, d)) < rng.random()))
+
+    def test_chains_full_of_ties(self):
+        # Every distinct row drawn equally often, in a shuffled order, so
+        # every frequency ties and lexicographic order alone decides.
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            d, reps = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            rows = rng.integers(0, 2, size=(int(rng.integers(1, 12)), d))
+            distinct = np.unique(rows, axis=0)
+            gammas = np.repeat(distinct, reps, axis=0)
+            self._assert_same(gammas[rng.permutation(len(gammas))])
+
+    def test_one_distinct_row(self):
+        self._assert_same(np.ones((50, 4), dtype=np.int64))
+
+
 class TestMarginals:
     def test_per_dimension_rates(self):
         chain = chain_from_gammas([[1, 0], [1, 1], [1, 0], [0, 0]])

@@ -204,7 +204,7 @@ class TestInclusionProbabilities:
             expected = np.exp(log_a - np.logaddexp(log_a, log_b))
             state = chain_state(h, phi)
             assert np.array_equal(state.inclusion, expected)
-            assert np.array_equal(state.inclusion_of(state.prior_rows(phi)), expected)
+            assert np.array_equal(state.inclusion_of(state.prior_rows(phi, 1)), expected)
 
     def test_monotone_in_abs_phi(self):
         h = Hyperparams.for_dim(1, tau=0.3, c=25.0)
@@ -280,9 +280,8 @@ class TestPhiLogKernel:
             gamma = rng.integers(0, 2, size=d)
             phis = rng.normal(scale=2.0, size=(2, d))
             state = chain_state(Hyperparams.for_dim(d, tau=tau, c=c, p=rng.uniform(0.01, 1.0, d)), phis[0])
-            priors = np.empty((2, 2, d))
-            priors[0], priors[1] = state.prior_rows(phis[0]), state.prior_rows(phis[1])
-            log_priors = sampler._log_priors(priors, gamma).tolist()
+            state.prior_rows(phis[0], 0), state.prior_rows(phis[1], 1)
+            log_priors = sampler._log_priors(state.priors, gamma).tolist()
             for phi, log_prior in zip(phis, log_priors):
                 expected = float(np.sum(normal_logpdf(phi, (tau * np.power(c, gamma)) ** 2)))
                 got = sampler._kernel_value(stub, log_prior, rng.normal(), rng.uniform(0.1, 3.0))
@@ -414,8 +413,8 @@ class TestUpdatePhi:
                 factor = state.factor
                 factor.quad(mu)
                 # The scan sums phi's prior rows beside a proposal's.
-                priors = np.stack([state.prior_rows(phi), state.prior_rows(2.0 * phi)])
-                scan = sampler._kernel_value(factor, sampler._log_priors(priors, gamma).tolist()[0], mu, sigma2)
+                state.prior_rows(phi, 0), state.prior_rows(2.0 * phi, 1)
+                scan = sampler._kernel_value(factor, sampler._log_priors(state.priors, gamma).tolist()[0], mu, sigma2)
                 public = phi_log_kernel(phi, mu, sigma2, gamma, d, hyper)
                 assert scan == public
                 r = build_corr_matrix(d.points, phi**2, nugget=SAMPLER_NUGGET)
@@ -525,9 +524,9 @@ class TestLeanScanParity:
             counts["checks"] += 1
             return real_check(*args, **kwargs)
 
-        def counted_prior(self, phi):
+        def counted_prior(self, phi, slot):
             counts["priors"] += 1
-            return real_prior(self, phi)
+            return real_prior(self, phi, slot)
 
         monkeypatch.setattr(linalg, "corr_cholesky", counted_check)
         monkeypatch.setattr(SamplerState, "prior_rows", counted_prior)
@@ -690,7 +689,7 @@ class TestExactPosteriorOracle:
         edge = w.reshape(grid, grid)
         assert edge[[0, -1]].sum() + edge[1:-1, [0, -1]].sum() < 1e-4
         state = chain_state(hyper, phi[0], data)
-        incl = np.array([state.inclusion_of(state.prior_rows(point)) for point in phi])
+        incl = np.array([state.inclusion_of(state.prior_rows(point, 1)) for point in phi])
         mean_mu = w @ gls_mean
         exact = [*(w @ incl), *(w @ phi**2), mean_mu,
                  w @ (s2 / ((n - 3) * q) + (gls_mean - mean_mu) ** 2), w @ s2 / (n - 3)]

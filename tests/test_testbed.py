@@ -97,6 +97,45 @@ class TestFunctions:
         assert out[0] == 2.0
         assert out[1] == pytest.approx(-1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("name", sorted(testbed.FUNCTIONS))
+    def test_eval_batch_bitwise_equal_to_point_by_point(self, name):
+        # One call on the whole batch against each simulator's formula on
+        # one point at a time, in numpy scalars, which the seeded responses
+        # were made with.
+        f = get_function(name)
+        unit = np.random.default_rng(6).uniform(size=(20000, f.dim))
+        xs = np.vstack([scale_points(unit, f.domain(), "from_unit"), f.domain().T])
+        expected = np.array([float(POINT_FORMULAS[name](x)) for x in xs])
+        assert eval_batch(f, xs).tobytes() == expected.tobytes()
+        assert eval_function(f, xs[7]) == expected[7]
+
+    def test_eval_batch_range_check_names_first_bad_point(self):
+        f = get_function("borehole")
+        xs = np.tile(f.domain().mean(axis=1), (4, 1))
+        xs[2, 7] = 1e5  # K_w
+        xs[3, 0] = 0.4  # r_w, on a later point
+        with pytest.raises(ValueError, match="K_w out of range"):
+            eval_batch(f, xs)
+
+    def test_eval_batch_arity_checked(self):
+        with pytest.raises(ValueError, match="coordinates"):
+            eval_batch(get_function("toy"), np.zeros((4, 2)))
+
+
+def _borehole_point(x):
+    r_w, r, t_u, h_u, t_l, h_l, length, k_w = x
+    log_ratio = np.log(r / r_w)
+    denom = log_ratio * (1.0 + 2.0 * length * t_u / (log_ratio * r_w**2 * k_w) + t_u / t_l)
+    return 2.0 * np.pi * t_u * (h_u - h_l) / denom
+
+
+POINT_FORMULAS = {
+    "toy": lambda x: (x[0] ** 3 + 1.0) * np.cos(np.pi * x[1]) + 0.0 * x[2],
+    "linear": lambda x: 2.0 * x[0] + 2.0 * x[1] + 2.0 * x[2] + 2.0 * x[3],
+    "sinusoidal": lambda x: np.sin(x[0]) + np.sin(5.0 * x[1]),
+    "borehole": _borehole_point,
+}
+
 
 class TestPistonData:
     def test_shape_and_scaling(self):
