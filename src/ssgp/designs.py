@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
+from .errors import integer
+
 KINDS = ("maximin-lhd", "random-lhd")
 
 
@@ -31,19 +33,17 @@ class Design:
 def _as_rng(seed):
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(integer("seed", seed, 0))
 
 
 def random_lhd(n: int, d: int, seed) -> Design:
     """Random Latin hypercube: coordinate k of point i is (perm_k(i) - u)/n.
 
     perm_k is a uniform random permutation of 1..n and u ~ U(0,1), so each
-    column lands exactly once in each stratum [(i-1)/n, i/n).
+    column lands exactly once in each stratum [(i-1)/n, i/n).  seed is a
+    non-negative integer or a Generator, which the design advances.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    n, d = integer("n", n, 1), integer("d", d, 1)
     rng = _as_rng(seed)
     pts = np.empty((n, d))
     for k in range(d):
@@ -108,17 +108,13 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     after it.  The screen never accepts a swap, so the design is bitwise
     the one the sweep-by-sweep search makes.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    if sweeps is not None and sweeps < 0:
-        raise ValueError(f"sweeps must be >= 0, got {sweeps}")
+    n, d = integer("n", n, 2), integer("d", d, 1)
+    sweeps = 100 * n if sweeps is None else integer("sweeps", sweeps, 0)
     rng = _as_rng(seed)
     design = random_lhd(n, d, rng)
     # One row per coordinate, so the axis-0 sum below adds coordinate by
     # coordinate, as pdist does.
     cols = design.points.T.copy()
-    if sweeps is None:
-        sweeps = 100 * n
     # Each sweep's draws, in the search's order: whether a is the first end
     # of the closest pair, the partner before it skips a, and the column.
     # Below 2^31, an int32 draw takes the same 32-bit words as the default

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule."""
+
+from numbers import Integral
 
 
 class NotPositiveDefiniteError(Exception):
@@ -33,3 +35,17 @@ class BenchmarkError(Exception):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
+
+
+def integer(name: str, value, minimum) -> int:
+    """value as a Python int, or ValueError naming `name`.
+
+    The one rule for an integer setting or seed: a bool (an int subclass),
+    float, str or None is rejected, a numpy integer is accepted, and the
+    value must be at least `minimum`.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)

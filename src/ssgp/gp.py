@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 
 from . import linalg
 from .designs import random_lhd, scale_points
-from .errors import IllConditionedError, OptimizerFailedError
+from .errors import IllConditionedError, OptimizerFailedError, integer
 
 # Box bounds for the likelihood search, on the log-theta scale.
 LOG_THETA_LO = np.log(1e-4)
@@ -210,12 +210,7 @@ class FitOptions:
     def __post_init__(self):
         if not 0 <= self.nugget < np.inf:
             raise ValueError("nugget must be finite and non-negative")
-        # A bool is an int subclass; a numpy integer is stored as an int.
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0))
 
 
 def _profile(theta, data: Dataset, nugget):

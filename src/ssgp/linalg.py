@@ -38,6 +38,11 @@ calls _corr_factor unchecked at its constant nugget: phi is finite where a
 chain enters (GpParams, the init and Hyperparams are checked), and a
 proposal whose theta = phi^2 is still not finite fails that test or has a
 -inf or NaN prior.
+
+One caller does scan a factor it has just made: gp's prediction memo
+passes the factor to solve_with_chol for R^-1 (y - mu), whose entry check
+runs isfinite over all n^2 entries on every memo miss.  That scan goes
+when solve_with_chol does, replaced by a factor method (ROADMAP item 6).
 """
 
 from functools import cached_property

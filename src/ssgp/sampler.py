@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import IllConditionedError, NotPositiveDefiniteError, OptimizerFailedError, SamplerError
+from .errors import IllConditionedError, NotPositiveDefiniteError, OptimizerFailedError, SamplerError, integer
 from .gp import Dataset, FitOptions, GpParams, mle_fit
 
 # Jitter used for every correlation factorization inside the sampler.  It is
@@ -50,7 +50,8 @@ SAMPLER_NUGGET = 1e-5
 # The Hyperparams fields a caller may set for a chain: per-input vectors, then run lengths.
 _VECTOR_FIELDS = ("tau", "c", "p", "prop_sd")
 CHAIN_FIELDS = _VECTOR_FIELDS + ("iters", "burnin", "thin")
-_INT_FIELDS = ("iters", "burnin", "thin", "seed")
+# The integer fields and the least value of each.
+_INT_FIELDS = (("iters", 1), ("burnin", 0), ("thin", 1), ("seed", 0))
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ class Hyperparams:
     tau_k is the spike scale, c_k the slab multiplier (c_k >> 1 expected),
     p_k the prior inclusion probability P(gamma_k = 1), and prop_sd the
     per-coordinate standard deviation of the random-walk proposal.  iters,
-    burnin, thin and seed are integers (a bool is not; a numpy integer is
-    stored as an int).
+    burnin, thin and seed are integers, by errors.integer's rule, with
+    burnin < iters.
     """
 
     tau: np.ndarray
@@ -104,20 +105,10 @@ class Hyperparams:
             warnings.warn("slab multiplier c <= 2 barely separates the mixture components", RuntimeWarning, stacklevel=3)
         if np.any(self.p <= 0) or np.any(self.p > 1):
             raise ValueError("p entries must lie in (0, 1]")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            # A bool is an int subclass; a numpy integer is stored as an int.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.iters < 1:
-            raise ValueError("iters must be positive")
-        if not 0 <= self.burnin < self.iters:
+        for name, minimum in _INT_FIELDS:
+            object.__setattr__(self, name, integer(name, getattr(self, name), minimum))
+        if self.burnin >= self.iters:
             raise ValueError(f"burnin must lie in [0, iters), got {self.burnin} with iters {self.iters}")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def dim(self) -> int:
@@ -131,6 +122,7 @@ class Hyperparams:
         d-vectors; iters, burnin, thin, seed); omitted ones keep their
         defaults.
         """
+        d = integer("d", d, 1)
         hyper = cls(np.full(d, tau) if np.ndim(tau) == 0 else tau, **settings)
         if hyper.dim != d:
             raise ValueError(f"tau has length {hyper.dim}, expected {d}")

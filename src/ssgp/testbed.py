@@ -8,14 +8,15 @@ leave-one-out cross-validation (or an external test file when supplied),
 in closed form from the one factor that predict_batch memoizes.
 """
 
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .designs import KINDS, maximin_lhd, random_lhd, scale_points
-from .errors import BenchmarkError, IllConditionedError, OptimizerFailedError, SamplerError
+from .errors import BenchmarkError, IllConditionedError, OptimizerFailedError, SamplerError, integer
 from .gp import Dataset, FitOptions, mle_fit, predict_batch
 from .io import read_data_csv
 from .linalg import DEFAULT_NUGGET
@@ -108,14 +109,6 @@ def get_function(name: str) -> TestFunction:
         raise ValueError(f"unknown test function {name!r}; valid names: {valid}") from None
 
 
-def eval_function(f: TestFunction, x) -> float:
-    """Evaluate one point, given in original (unscaled) coordinates."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape != (f.dim,):
-        raise ValueError(f"{f.name} expects {f.dim} coordinates, got {x.shape}")
-    return float(eval_batch(f, x[None])[0])
-
-
 def eval_batch(f: TestFunction, xs) -> np.ndarray:
     """Evaluate the rows of xs, in original (unscaled) coordinates, in one call.
 
@@ -167,26 +160,24 @@ def piston_dataset() -> Dataset:
     return Dataset.from_arrays(x, y, ranges)
 
 
-def rmspe(truth, pred) -> float:
-    """Root mean squared prediction error."""
+def _residuals(truth, pred) -> np.ndarray:
     truth = np.asarray(truth, dtype=float).ravel()
     pred = np.asarray(pred, dtype=float).ravel()
     if len(truth) != len(pred):
         raise ValueError(f"length mismatch: {len(truth)} vs {len(pred)}")
     if len(truth) < 1:
         raise ValueError("need at least one value")
-    return float(np.sqrt(np.mean((truth - pred) ** 2)))
+    return truth - pred
+
+
+def rmspe(truth, pred) -> float:
+    """Root mean squared prediction error."""
+    return float(np.sqrt(np.mean(_residuals(truth, pred) ** 2)))
 
 
 def mar(truth, pred) -> float:
     """Median of absolute residuals (even length: mean of the middle two)."""
-    truth = np.asarray(truth, dtype=float).ravel()
-    pred = np.asarray(pred, dtype=float).ravel()
-    if len(truth) != len(pred):
-        raise ValueError(f"length mismatch: {len(truth)} vs {len(pred)}")
-    if len(truth) < 1:
-        raise ValueError("need at least one value")
-    return float(np.median(np.abs(truth - pred)))
+    return float(np.median(np.abs(_residuals(truth, pred))))
 
 
 @dataclass(frozen=True)
@@ -249,18 +240,20 @@ class BenchmarkSpec:
             if not ok:
                 raise ValueError(f"benchmark spec field {name!r} must be {want}, got {getattr(self, name)!r}")
 
-        # A JSON bool is an int subclass; a null chain setting keeps the default.
-        for name, value in ((f.name, getattr(self, f.name)) for f in fields(self) if f.type is int):
-            check(type(value) is int or (value is None and name in CHAIN_FIELDS), name, "an integer")
         names = sorted([*FUNCTIONS, "piston"])
         check(self.function in names, "function", f"one of {', '.join(names)}")
         synthetic = self.function != "piston"
+        # Piston ignores n and n_test, so only their type is checked there.
+        unbounded = -math.inf
+        minima = {"n": 2 if synthetic else unbounded, "reps": 1, "iters": 1, "burnin": 0, "thin": 1,
+                  "n_test": 1 if synthetic else unbounded, "seed": 0}
+        for name, minimum in minima.items():
+            value = getattr(self, name)
+            # A null chain setting keeps the default.
+            if value is not None or name not in CHAIN_FIELDS:
+                object.__setattr__(self, name, integer(f"benchmark spec field {name!r}", value, minimum))
         check(not synthetic or self.design in KINDS, "design", f"one of {', '.join(KINDS)}")
-        check(self.reps >= 1, "reps", ">= 1")
-        check(self.seed >= 0, "seed", ">= 0")
         check(self.rule in RULES, "rule", f"one of {', '.join(RULES)}")
-        check(not synthetic or self.n >= 2, "n", ">= 2")
-        check(not synthetic or self.n_test >= 1, "n_test", ">= 1")
         ok = self.test_file is None or (not synthetic and isinstance(self.test_file, str))
         check(ok, "test_file", "null, or a CSV path for function 'piston'")
         # Hyperparams' own checks; its warnings are left to each chain.
@@ -392,10 +385,10 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1) -> dict:
     spec.seed, so the whole report is reproducible.  test_file is read once,
     before any replicate (OSError or ValueError if it cannot be).  Failed
     replicates are recorded and excluded; more than 10% failures raises
-    BenchmarkError carrying the partial report.  workers must be at least 1.
+    BenchmarkError carrying the partial report.  workers is an integer of
+    at least 1.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = integer("workers", workers, 1)
     test_set = None if spec.test_file is None else read_data_csv(spec.test_file)
     if test_set is not None and test_set[0].shape[1] != PISTON_DIM:
         raise ValueError(f"{spec.test_file}: test_file needs {PISTON_DIM} input columns, has {test_set[0].shape[1]}")

@@ -1,6 +1,7 @@
 """The public API: the names ssgp exports, the README quickstart, and the
 functions the benchmark harness calls and traces."""
 
+import ast
 import inspect
 import re
 import sys
@@ -33,6 +34,27 @@ def test_readme_library_quickstart_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2
+
+
+def test_integer_rule_written_once():
+    # errors.integer is the one place that tells an integer setting from a
+    # bool; a hand-copied check elsewhere would drift from it.
+    owners = set()
+    for path in sorted((ROOT / "src" / "ssgp").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(func):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "isinstance"
+                    and len(call.args) == 2
+                    and any(isinstance(t, ast.Name) and t.id == "bool" for t in ast.walk(call.args[1]))
+                ):
+                    owners.add(f"{path.stem}.{func.name}")
+    assert owners == {"errors.integer"}
 
 
 class TestBenchmarkSeams:

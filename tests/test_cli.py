@@ -364,13 +364,14 @@ class TestBenchmarkCommand:
     @pytest.mark.parametrize(
         "field,value",
         [("reps", "5"), ("reps", 2.5), ("n", "30"), ("n", None), ("iters", 60.0),
-         ("burnin", True), ("thin", "1"), ("n_test", [5]), ("seed", False)],
+         ("burnin", True), ("thin", "1"), ("n_test", [5]), ("seed", False),
+         ("reps", -1.5)],
     )
     def test_integer_field_of_wrong_type_exit_2(self, tmp_path, capsys, field, value):
         out = tmp_path / "r.json"
         code = cli.main(["benchmark", "--spec", self._spec(tmp_path, **{field: value}), "--out", str(out)])
         assert code == 2
-        assert f"benchmark spec field '{field}' must be an integer" in capsys.readouterr().err
+        assert f"benchmark spec field '{field}' must be an integer, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_null_chain_field_keeps_default(self, tmp_path):
@@ -434,7 +435,7 @@ class TestBenchmarkCommand:
         out = tmp_path / "r.json"
         spec = self._spec(tmp_path, function="piston", test_file=str(tmp_path / "missing.csv"))
         assert cli.main(["benchmark", "--spec", spec, "--out", str(out), "--workers", workers]) == 2
-        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_quota_failure_exit_5_with_partial_report(self, tmp_path, monkeypatch):

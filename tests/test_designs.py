@@ -90,7 +90,7 @@ class TestMaximinLhd:
         assert np.array_equal(maximin_lhd(10, 3, 7).points, maximin_lhd(10, 3, 7).points)
 
     def test_needs_two_points(self):
-        with pytest.raises(ValueError, match="n >= 2"):
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
             maximin_lhd(1, 3, 0)
 
     @pytest.mark.parametrize("n,d", [(2, 1), (9, 1), (3, 2), (12, 6), (30, 3), (50, 8), (54, 10)])
@@ -157,6 +157,41 @@ class TestMaximinLhd:
         monkeypatch.setattr(designs, "_screen_slack", lambda d: np.inf)
         for seed, design in enumerate(screened):
             assert maximin_lhd(n, d, seed).points.tobytes() == design.tobytes()
+
+
+class TestIntegerArguments:
+    # Unchecked, a bool seed or sweeps runs as 0 or 1, a None seed draws
+    # fresh entropy, and a float fails deep inside with a TypeError.
+    @pytest.mark.parametrize("make", [random_lhd, maximin_lhd])
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((10, 2, True), "seed must be an integer, got True"),
+            ((10, 2, 1.5), "seed must be an integer, got 1.5"),
+            ((10, 2, "3"), "seed must be an integer, got '3'"),
+            ((10, 2, None), "seed must be an integer, got None"),
+            ((2.5, 2, 0), "n must be an integer, got 2.5"),
+            ((10, 2.5, 0), "d must be an integer, got 2.5"),
+            ((10, 0, 0), "d must be >= 1, got 0"),
+        ],
+    )
+    def test_rejected_by_name(self, make, args, message):
+        with pytest.raises(ValueError) as err:
+            make(*args)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("sweeps", [True, 10.5])
+    def test_sweeps_rejected_by_name(self, sweeps):
+        with pytest.raises(ValueError) as err:
+            maximin_lhd(10, 2, 0, sweeps=sweeps)
+        assert str(err.value) == f"sweeps must be an integer, got {sweeps!r}"
+
+    def test_numpy_integers_accepted(self):
+        for make in (random_lhd, maximin_lhd):
+            got = make(np.int64(10), np.int32(2), np.int64(3)).points
+            assert got.tobytes() == make(10, 2, 3).points.tobytes()
+        got = maximin_lhd(10, 2, 3, sweeps=np.int64(40)).points
+        assert got.tobytes() == maximin_lhd(10, 2, 3, sweeps=40).points.tobytes()
 
 
 class TestDesignClass:

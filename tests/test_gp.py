@@ -272,7 +272,7 @@ class TestProfileEstimates:
 
 
 class TestFitOptions:
-    @pytest.mark.parametrize("seed", [1.5, 2.0, True, False, "3", None])
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, False, "3", None, np.float64(3.0), np.True_])
     def test_seed_of_wrong_type_rejected_by_name(self, seed):
         with pytest.raises(ValueError, match=f"seed must be an integer, got {re.escape(repr(seed))}"):
             FitOptions(seed=seed)

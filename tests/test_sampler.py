@@ -94,6 +94,10 @@ class TestHyperparams:
             (dict(tau=0.3, p=-np.inf), "^p entries must be finite$"),
             (dict(tau=0.3, prop_sd=np.nan), "^prop_sd entries must be finite$"),
             (dict(tau=0.3, prop_sd=[0.03, np.inf]), "^prop_sd entries must be finite$"),
+            # Each run length's least value, in errors.integer's words.
+            (dict(tau=0.3, iters=0), "^iters must be >= 1, got 0$"),
+            (dict(tau=0.3, burnin=-1), "^burnin must be >= 0, got -1$"),
+            (dict(tau=0.3, thin=0), "^thin must be >= 1, got 0$"),
         ],
     )
     def test_validation(self, kwargs, phrase):
@@ -103,7 +107,8 @@ class TestHyperparams:
     @pytest.mark.parametrize(
         "name,value",
         [("iters", 10.5), ("iters", 10.0), ("iters", True), ("burnin", np.float64(2.0)),
-         ("thin", "2"), ("thin", None), ("seed", 1.5), ("seed", False)],
+         ("thin", "2"), ("thin", None), ("seed", 1.5), ("seed", False),
+         ("burnin", np.True_)],
     )
     def test_run_lengths_and_seed_must_be_integers(self, name, value):
         # Unchecked, a float fails deep in run_chain (in range or
@@ -114,6 +119,14 @@ class TestHyperparams:
         assert str(err.value) == f"{name} must be an integer, got {value!r}"
         h = Hyperparams.for_dim(2, iters=np.int64(50), burnin=np.int32(10), thin=np.uint8(2), seed=np.int64(3))
         assert [(type(v), v) for v in (h.iters, h.burnin, h.thin, h.seed)] == [(int, 50), (int, 10), (int, 2), (int, 3)]
+
+    @pytest.mark.parametrize("d,message", [(True, "an integer, got True"), (2.5, "an integer, got 2.5"), (0, ">= 1, got 0")])
+    def test_dimension_must_be_a_positive_integer(self, d, message):
+        # Unchecked, a bool or a float fails inside np.full with a TypeError.
+        with pytest.raises(ValueError) as err:
+            Hyperparams.for_dim(d)
+        assert str(err.value) == f"d must be {message}"
+        assert Hyperparams.for_dim(np.int64(3)).dim == 3
 
     def test_barely_separated_slab_warns(self):
         with pytest.warns(RuntimeWarning, match="slab"):

@@ -18,7 +18,6 @@ from ssgp.sampler import SAMPLER_NUGGET, derive_seed, posterior_params
 from ssgp.testbed import (
     BenchmarkSpec,
     eval_batch,
-    eval_function,
     get_function,
     mar,
     piston_dataset,
@@ -46,28 +45,28 @@ class TestFunctions:
 
     def test_toy_hand_value_and_inert_input(self):
         f = get_function("toy")
-        assert eval_function(f, [1.0, 0.0, 0.7]) == 2.0
+        assert eval_batch(f, [1.0, 0.0, 0.7])[0] == 2.0
         # x3 never enters.
-        assert eval_function(f, [0.4, 0.6, 0.1]) == eval_function(f, [0.4, 0.6, 0.9])
+        assert eval_batch(f, [0.4, 0.6, 0.1])[0] == eval_batch(f, [0.4, 0.6, 0.9])[0]
 
     def test_linear_hand_value_and_inert_inputs(self):
         f = get_function("linear")
         x = np.full(10, 0.5)
-        assert eval_function(f, x) == pytest.approx(4.0, abs=1e-15)
+        assert eval_batch(f, x)[0] == pytest.approx(4.0, abs=1e-15)
         y = x.copy()
         y[4:] = 0.9
-        assert eval_function(f, y) == eval_function(f, x)
+        assert eval_batch(f, y)[0] == eval_batch(f, x)[0]
 
     def test_sinusoidal_hand_value(self):
         f = get_function("sinusoidal")
         x = np.zeros(10)
         x[0], x[1] = 0.5, 0.2
-        assert eval_function(f, x) == pytest.approx(np.sin(0.5) + np.sin(1.0), abs=1e-15)
+        assert eval_batch(f, x)[0] == pytest.approx(np.sin(0.5) + np.sin(1.0), abs=1e-15)
 
     def test_borehole_midpoint_frozen(self):
         f = get_function("borehole")
         mid = f.domain().mean(axis=1)
-        assert eval_function(f, mid) == pytest.approx(52.54678464770317, rel=1e-12)
+        assert eval_batch(f, mid)[0] == pytest.approx(52.54678464770317, rel=1e-12)
 
     def test_borehole_head_difference_drives_flow(self):
         f = get_function("borehole")
@@ -76,19 +75,19 @@ class TestFunctions:
         up[3] += 20.0  # upper head
         down = mid.copy()
         down[5] += 20.0  # lower head
-        assert eval_function(f, up) > eval_function(f, mid)
-        assert eval_function(f, down) < eval_function(f, mid)
+        assert eval_batch(f, up)[0] > eval_batch(f, mid)[0]
+        assert eval_batch(f, down)[0] < eval_batch(f, mid)[0]
 
     def test_borehole_range_check_names_variable(self):
         f = get_function("borehole")
         x = f.domain().mean(axis=1)
         x[0] = 0.4
         with pytest.raises(ValueError, match="r_w"):
-            eval_function(f, x)
+            eval_batch(f, x)
 
     def test_arity_checked(self):
-        with pytest.raises(ValueError, match="coordinates"):
-            eval_function(get_function("toy"), [0.1, 0.2])
+        with pytest.raises(ValueError, match=r"^toy expects 3 coordinates per row, got shape \(1, 2\)$"):
+            eval_batch(get_function("toy"), [0.1, 0.2])
 
     def test_eval_batch(self):
         f = get_function("toy")
@@ -107,7 +106,7 @@ class TestFunctions:
         xs = np.vstack([scale_points(unit, f.domain(), "from_unit"), f.domain().T])
         expected = np.array([float(POINT_FORMULAS[name](x)) for x in xs])
         assert eval_batch(f, xs).tobytes() == expected.tobytes()
-        assert eval_function(f, xs[7]) == expected[7]
+        assert eval_batch(f, xs[7])[0] == expected[7]
 
     def test_eval_batch_range_check_names_first_bad_point(self):
         f = get_function("borehole")
@@ -335,6 +334,27 @@ class TestRunBenchmark:
             tiny_spec(design="grid")
         with pytest.raises(ValueError, match="'reps' must be >= 1"):
             tiny_spec(reps=0)
+
+    @pytest.mark.parametrize("workers", [True, 1.5, "2"])
+    def test_workers_of_wrong_type_rejected_before_any_replicate(self, monkeypatch, workers):
+        # Unchecked, True runs in process and 1.5 or "2" fails with a
+        # TypeError.
+        def started(*args):
+            raise AssertionError("a replicate started")
+
+        monkeypatch.setattr(testbed, "_one_replicate", started)
+        with pytest.raises(ValueError) as err:
+            run_benchmark(tiny_spec(), workers=workers)
+        assert str(err.value) == f"workers must be an integer, got {workers!r}"
+
+    def test_numpy_integers_stored_as_int(self):
+        names = ("n", "reps", "iters", "burnin", "thin", "n_test", "seed")
+        plain = tiny_spec(reps=1, seed=3)
+        spec = tiny_spec(**{name: np.int64(getattr(plain, name)) for name in names})
+        assert all(type(getattr(spec, name)) is int for name in names)
+        assert spec == plain
+        report = run_benchmark(spec, workers=np.int64(1))
+        assert canonical_json(report) == canonical_json(run_benchmark(plain))
 
     def test_spec_check_leaves_warnings_to_the_chain(self):
         # The spec runs Hyperparams' checks at load without its c <= 2
