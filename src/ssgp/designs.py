@@ -78,6 +78,61 @@ def _screen_floor(best_d2: float, d: int) -> float:
     return best_d2 * (1.0 - 2.0**-48) - _screen_slack(d)
 
 
+def _lemire(halves, bound: int):
+    # numpy's bounded 32-bit draw in [0, bound) from each 32-bit word h, by
+    # Lemire's multiply-shift (Lemire 2019, ACM TOMACS 29(1)): (h bound) >> 32,
+    # unless the low half of h bound lies below (2^32 - bound) % bound, where
+    # numpy rejects h and draws again.  Returns (values, no word rejected).
+    m = halves * np.uint64(bound)
+    return m >> 32, bool(((m & 0xFFFFFFFF) >= (2**32 - bound) % bound).all())
+
+
+def _decode_sweeps(words, carry, n: int, d: int):
+    # The sweeps' draws decoded from 2 * sweeps raw PCG64 words, as the
+    # per-call search makes them: word 2s gives sweep s's double
+    # (w >> 11) 2^-53, and the odd words' 32-bit halves, low half first,
+    # feed the two bounded draws, after the buffered half `carry` when there
+    # is one (None otherwise).  Each sweep takes two halves, so the search
+    # ends with the buffer in the state it started in, holding the last
+    # word's high half.  Returns (first, partner, coord, that high half), or
+    # None when a bounded draw would have rejected its word.
+    odd = words[1::2]
+    low, high = odd & 0xFFFFFFFF, odd >> 32
+    if carry is None:
+        to_partner, to_coord = low, high
+    else:
+        to_partner, to_coord = np.concatenate(([np.uint64(carry)], high[:-1])), low
+    partner, partner_ok = _lemire(to_partner, n - 1)
+    coord, coord_ok = _lemire(to_coord, d)
+    if not (partner_ok and coord_ok):
+        return None
+    first = (words[0::2] >> 11) * 2.0**-53 < 0.5
+    return first.astype(np.intp), partner.astype(np.intp), coord.astype(np.intp), int(high[-1])
+
+
+def _sweep_draws(rng, n: int, d: int, sweeps: int):
+    # Each sweep's draws, in the search's order, as three intp arrays:
+    # whether a is the first end of the closest pair, the partner before it
+    # skips a, and the column (see maximin_lhd for when they are decoded).
+    bitgen = rng.bit_generator
+    if isinstance(bitgen, np.random.PCG64) and n >= 3 and d >= 2 and sweeps:
+        saved = bitgen.state
+        carry = saved["uinteger"] if saved["has_uint32"] else None
+        decoded = _decode_sweeps(bitgen.random_raw(2 * sweeps), carry, n, d)
+        if decoded is not None:
+            first, partner, coord, buffered = decoded
+            state = bitgen.state
+            state["uinteger"] = buffered
+            bitgen.state = state
+            return first, partner, coord
+        bitgen.state = saved
+    # Below 2^31, an int32 draw takes the same 32-bit words as the default
+    # int64 one, at half the call's cost.
+    random, integers, i32 = rng.random, rng.integers, np.int32
+    draws = ((random() < 0.5, integers(n - 1, dtype=i32), integers(d, dtype=i32)) for _ in range(sweeps))
+    return np.fromiter(draws, dtype=(np.intp, 3), count=sweeps).T
+
+
 def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     """Maximin Latin hypercube via within-column pair-swap hill climbing.
 
@@ -97,16 +152,29 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     Most sweeps end at that early reject, so the sweeps are screened in
     batches first.  A sweep's draws (which end of the closest pair is a,
     the partner b, the column k) never depend on the design, so all are
-    drawn up front in the search's order, and the generator ends where the
-    search leaves it.  Up to _SCREEN_BATCH candidate swaps at a time are
-    screened against the current design: a's squared distances after the
-    swap are d2(a, p) - (x_ak - x_pk)^2 + (x_bk - x_pk)^2, and b's likewise.
+    drawn up front in the search's order (see below), and the generator
+    ends where the search leaves it.  Up to _SCREEN_BATCH candidate swaps
+    at a time are screened against the current design: a's squared
+    distances after the swap are d2(a, p) - (x_ak - x_pk)^2 +
+    (x_bk - x_pk)^2, and b's likewise.
     A candidate is passed over only when its lowest screened distance lies
     below the current minimum by more than the rounding bound
     _screen_slack(d), so that the sweep would reject it early.  The first
     candidate not passed over runs the sweep in full, and screening resumes
     after it.  The screen never accepts a swap, so the design is bitwise
     the one the sweep-by-sweep search makes.
+
+    The draws are the per-call draws random() < 0.5, integers(n - 1) and
+    integers(d) of each sweep in turn, but a PCG64 generator's are decoded
+    from one block of 2 * sweeps raw words (bit_generator.random_raw): a
+    double is (w >> 11) 2^-53, and each bounded draw takes one 32-bit half
+    of a word by Lemire's multiply-shift, as numpy makes them.  PCG64's
+    buffered half-word is used first when the search starts with one, and
+    the generator's full state is left as the per-call draws leave it.
+    The per-call draws are made instead for any other bit generator, for
+    n < 3 or d < 2 (numpy draws nothing for a one-value range), and when a
+    word would be rejected by Lemire's method, after restoring the saved
+    state.  Either way the design and the generator's state are the same.
     """
     n, d = integer("n", n, 2), integer("d", d, 1)
     sweeps = 100 * n if sweeps is None else integer("sweeps", sweeps, 0)
@@ -115,13 +183,7 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     # One row per coordinate, so the axis-0 sum below adds coordinate by
     # coordinate, as pdist does.
     cols = design.points.T.copy()
-    # Each sweep's draws, in the search's order: whether a is the first end
-    # of the closest pair, the partner before it skips a, and the column.
-    # Below 2^31, an int32 draw takes the same 32-bit words as the default
-    # int64 one, at half the call's cost.
-    random, integers, i32 = rng.random, rng.integers, np.int32
-    draws = ((random() < 0.5, integers(n - 1, dtype=i32), integers(d, dtype=i32)) for _ in range(sweeps))
-    first, partner, coord = np.fromiter(draws, dtype=(np.intp, 3), count=sweeps).T
+    first, partner, coord = _sweep_draws(rng, n, d, sweeps)
 
     # d2 holds the squared distances in pdist order, plus a spare last slot
     # that pos[p, p] points at: pos[p, q] is the slot of pair {p, q}, so a

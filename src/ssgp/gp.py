@@ -126,6 +126,14 @@ class Dataset:
         return linalg.pair_table(self.points)
 
     @cached_property
+    def gls_rhs(self) -> np.ndarray:
+        """The read-only Fortran-order (n, 2) table [1, y] (linalg.gls_rhs)
+        that every CorrFactor on this data solves against."""
+        table = linalg.gls_rhs(self.responses)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def _unit_map(self):
         # (lo, width) of the ranges __post_init__ checked, so predict_batch
         # maps test points to the unit cube by scale_points' expression
@@ -146,7 +154,7 @@ class Dataset:
         if memo is not None and memo[0] == key:
             return memo[1:]
         lower, _ = linalg.corr_cholesky(self.points, theta, nugget, pairs=self.pair_table)
-        factor = linalg.CorrFactor(lower, self.responses)
+        factor = linalg.CorrFactor(lower, self.gls_rhs)
         rinv_resid = linalg.solve_with_chol(lower, self.responses - mu)
         memo = (key, factor, rinv_resid)
         object.__setattr__(self, "_prediction_memo", memo)
@@ -213,45 +221,51 @@ class FitOptions:
         object.__setattr__(self, "seed", integer("seed", self.seed, 0))
 
 
-def _profile(theta, data: Dataset, nugget):
-    # One factorization of R(theta), escalating the nugget, and the profile
-    # MLEs of mu and sigma2 read from it.
-    lower, _ = linalg.corr_cholesky(data.points, theta, nugget, pairs=data.pair_table)
-    factor = linalg.CorrFactor(lower, data.responses)
+def _profile(theta, data: Dataset, nugget, out: linalg._Scratch):
+    # One factorization of R(theta), escalating the nugget, built in `out`,
+    # and the profile MLEs of mu and sigma2 read from it.
+    lower, _ = linalg.corr_cholesky(data.points, theta, nugget, pairs=data.pair_table, out=out)
+    factor = linalg.CorrFactor(lower, data.gls_rhs)
     mu = factor.gls_mean
     return factor, mu, max(factor.quad(mu) / data.n, SIGMA2_FLOOR)
 
 
-def _profile_gradient(factor, mu, s2, theta, data: Dataset) -> np.ndarray:
+def _profile_gradient(factor, mu, s2, data: Dataset, r0) -> np.ndarray:
     # d/dtheta_k = -1/2 sum_ij [(R^-1 - a a'/s2) o R0 o D_k]_ij with
     # a = R^-1 (y - mu), R0 = R(theta) without the nugget and D_k the squared
     # coordinate-k differences (R&W 2006, 5.4.1).  mu drops out because it
     # maximizes the likelihood at every theta, the nugget because D_k has a
     # zero diagonal.  W and D_k are symmetric, so this is -sum_{i>j} over
     # the pair table's rows; pair (i, j) sits at j n + i of the flat w.
+    # r0 holds R0's entry of every row, exp(rows @ -theta): the gemv that
+    # R's build left in its scratch.  It is overwritten with the weights.
     pairs, n_pairs = data.pair_table, len(data.pair_table.index)
     w = factor.inverse()
     alpha = w @ (factor.y - mu)
     w -= np.outer(alpha, alpha / s2)
-    weight = np.exp(pairs.rows @ -theta)
+    weight = r0
     weight[:n_pairs] *= w.reshape(-1)[pairs.index]
     weight[n_pairs:] = 0.0
     return -(weight @ pairs.rows)
 
 
-def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGET, grad=False):
+def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGET, grad=False, out=None):
     """(1/2)[n log sigma2_hat(theta) + log det R(theta)], up to a constant.
 
     With grad=True returns (value, gradient in theta), both from one
-    factorization.  Raises IllConditionedError when R(theta) cannot be
+    factorization.  R is built in `out`, a linalg._Scratch of the data's
+    pair table (one made here when omitted; mle_fit passes its own to every
+    evaluation).  Raises IllConditionedError when R(theta) cannot be
     factored even at the maximum nugget.
     """
     theta = np.asarray(theta, dtype=float)
-    factor, mu, s2 = _profile(theta, data, nugget)
+    if out is None:
+        out = linalg._scratch(data.pair_table)
+    factor, mu, s2 = _profile(theta, data, nugget, out)
     value = 0.5 * (data.n * np.log(s2) + factor.log_det)
     if not grad:
         return value
-    return value, _profile_gradient(factor, mu, s2, theta, data)
+    return value, _profile_gradient(factor, mu, s2, data, out.gemv)
 
 
 def mle_fit(data: Dataset, opts: FitOptions | None = None, start=None) -> GpParams:
@@ -285,10 +299,13 @@ def mle_fit(data: Dataset, opts: FitOptions | None = None, start=None) -> GpPara
             raise ValueError("start entries must be finite and positive")
         starts = np.clip(np.log(start), LOG_THETA_LO, LOG_THETA_HI)[None, :]
 
+    # One buffer that every evaluation builds and factors R in.
+    scratch = linalg._scratch(data.pair_table)
+
     def objective(logtheta):
         theta = np.exp(logtheta)
         try:
-            value, g = neg_log_profile_likelihood(theta, data, nugget=opts.nugget, grad=True)
+            value, g = neg_log_profile_likelihood(theta, data, nugget=opts.nugget, grad=True, out=scratch)
         except IllConditionedError:
             return np.inf, np.zeros(d)
         # Chain rule to log theta.
@@ -311,7 +328,7 @@ def mle_fit(data: Dataset, opts: FitOptions | None = None, start=None) -> GpPara
         raise OptimizerFailedError("all likelihood-optimization starts failed")
 
     theta_hat = np.exp(best_x)
-    _, mu_hat, s2_hat = _profile(theta_hat, data, opts.nugget)
+    _, mu_hat, s2_hat = _profile(theta_hat, data, opts.nugget, scratch)
     return GpParams(mu=mu_hat, sigma2=s2_hat, phi=np.sqrt(theta_hat))
 
 

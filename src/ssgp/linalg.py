@@ -4,9 +4,11 @@ Correlation matrices here always have unit diagonal before the nugget is
 added.  Everything downstream works with the lower Cholesky factor: the
 log-determinant comes from its diagonal and solves are forward/backward
 substitutions.  The one explicit inverse is the likelihood gradient's,
-which reads every entry of R^-1.  CorrFactor holds one factor together
-with what the likelihood, the sampler and the predictor reuse: log det R,
-1'R^-1 1 and the GLS mean, each computed the first time it is read.
+which reads every entry of R^-1; it and testbed's leave-one-out means
+share one L^-1 (CorrFactor.lower_inverse).  CorrFactor holds one factor
+together with what the likelihood, the sampler and the predictor reuse:
+log det R, 1'R^-1 1 and the GLS mean, each computed the first time it is
+read.
 
 How R is built.  Every matrix that is factored here (each Gibbs proposal,
 each nugget attempt of corr_cholesky) is built from its strict lower
@@ -16,13 +18,22 @@ give the off-diagonal correlations, which are scattered into a
 Fortran-order n x n buffer with 1 + nugget on the diagonal.  _cholesky
 factors that buffer in place, reading only its lower triangle, so R's
 upper triangle is never formed.  The buffer is a _Scratch: its matrix,
-flat column view and GEMV output, made once.  corr_cholesky makes one per
-nugget attempt; a Gibbs chain makes two when it starts (the two slots of
-its sampler.SamplerState) and reuses them for every proposal.  The matrix
-is zero when it is made, and neither the build nor potrf (which reads and
-writes the lower triangle only) ever writes above the diagonal, so its
-upper triangle stays zero for the buffer's life and potrf's `clean` pass,
-which zeroes it, is skipped.
+flat column view and GEMV output, made once.  Which buffer each caller
+builds in:
+- corr_cholesky builds every nugget attempt of one call in the same
+  scratch: its `out`, or one it makes when `out` is omitted;
+- gp.mle_fit makes one scratch and passes it as `out`, through
+  neg_log_profile_likelihood, to every evaluation and nugget attempt of
+  the fit, and the gradient reads R0's pair values off its GEMV output;
+- gp's prediction memo and a neg_log_profile_likelihood called on its
+  own make one per call;
+- a Gibbs chain makes two when it starts (the two slots of its
+  sampler.SamplerState) and reuses them for every proposal.
+A factor built in a scratch is the scratch's matrix, so it lasts until the
+next build there.  The matrix is zero when it is made, and neither the
+build nor potrf (which reads and writes the lower triangle only) ever
+writes above the diagonal, so its upper triangle stays zero for the
+buffer's life and potrf's `clean` pass, which zeroes it, is skipped.
 
 Where arguments are checked.  pair_table checks design points,
 corr_cholesky theta and the nugget, and solve_with_chol its operands.
@@ -126,8 +137,9 @@ def _scratch(pairs: PairTable, gemv=None) -> _Scratch:
 
 def _corr_lower(pairs: PairTable, theta, nugget, out: _Scratch | None = None) -> np.ndarray:
     # R(theta) + nugget I, lower triangle and diagonal only, in out's matrix
-    # (a new scratch when omitted), whose upper triangle stays zero; nothing
-    # is checked here.
+    # (a new scratch when omitted), whose upper triangle stays zero; out's
+    # gemv is left holding R0's entry exp(-D_p theta) of every pair p (1 on
+    # the zero rows).  Nothing is checked here.
     m, flat, diag, r, r_pairs = _scratch(pairs) if out is None else out
     np.matmul(pairs.rows, -theta, out=r)
     np.exp(r, out=r)
@@ -173,6 +185,8 @@ class CorrFactor:
     """One Cholesky factorization R = L L' and what its readers reuse.
 
     CorrFactor(lower, y) wraps a factor that _cholesky has made and passed.
+    y is the responses, or the table [1, y] of gls_rhs(y) when the caller
+    keeps one (gp.Dataset does), so that it is not made again per factor.
     log det R is computed from L's diagonal when the factor is made: every
     Gibbs proposal and likelihood value reads it.  w1 = L^-1 1, 1'R^-1 1 and
     the GLS mean (1'R^-1 1)^-1 1'R^-1 y are computed the first time each is
@@ -184,15 +198,21 @@ class CorrFactor:
     """
 
     def __init__(self, lower: np.ndarray, y: np.ndarray):
+        if y.ndim == 2:
+            self._rhs, y = y, y[:, 1]
         self.lower, self.y = lower, y
         self.log_det = float(2.0 * np.log(lower.diagonal()).sum())
         # mu and the value of the last quad(mu) call.
         self._quad_mu = self._quad = None
 
     @cached_property
+    def _rhs(self) -> np.ndarray:
+        # The Fortran-order (n, 2) right-hand side [1, y] (its transpose).
+        return gls_rhs(self.y)
+
+    @cached_property
     def _ones_y(self) -> np.ndarray:
-        # The transpose is the Fortran-order (n, 2) right-hand side [1, y].
-        return dtrtrs(self.lower, np.array([np.ones(len(self.y)), self.y]).T, lower=1)[0]
+        return dtrtrs(self.lower, self._rhs, lower=1)[0]
 
     @cached_property
     def w1(self) -> np.ndarray:
@@ -206,10 +226,13 @@ class CorrFactor:
     def gls_mean(self) -> float:
         return float(self.w1 @ self._ones_y[:, 1]) / self.one_rinv_one
 
-    def quad(self, mu) -> float:
-        """(y - mu)'R^-1(y - mu); non-negative by construction."""
+    def quad(self, mu, resid=None) -> float:
+        """(y - mu)'R^-1(y - mu); non-negative by construction.
+
+        resid, when given, is y - mu already formed (the Gibbs scan forms
+        one per mu for all its factors); it is not checked."""
         if mu != self._quad_mu:
-            v = dtrtrs(self.lower, self.y - mu, lower=1)[0]
+            v = dtrtrs(self.lower, self.y - mu if resid is None else resid, lower=1)[0]
             self._quad_mu, self._quad = mu, float(v @ v)
         return self._quad
 
@@ -217,10 +240,20 @@ class CorrFactor:
         """L^-1 b by one triangular solve; b is not checked."""
         return dtrtrs(self.lower, b, lower=1)[0]
 
+    def lower_inverse(self) -> np.ndarray:
+        """V = L^-1, Fortran-order, by one triangular solve of an identity
+        made in Fortran order and overwritten in place."""
+        return dtrtrs(self.lower, np.eye(len(self.y), order="F"), lower=1, overwrite_b=1)[0]
+
     def inverse(self) -> np.ndarray:
-        """R^-1 = V'V with V = L^-1 from one triangular solve."""
-        v = self.whiten(np.eye(len(self.y)))
+        """R^-1 = V'V with V = L^-1 (lower_inverse)."""
+        v = self.lower_inverse()
         return v.T @ v
+
+
+def gls_rhs(y) -> np.ndarray:
+    """The Fortran-order (n, 2) table [1, y] that CorrFactor solves against."""
+    return np.array([np.ones(len(y)), y]).T
 
 
 def _corr_factor(pairs: PairTable, theta, nugget, y, out: _Scratch | None = None) -> CorrFactor:
@@ -230,15 +263,18 @@ def _corr_factor(pairs: PairTable, theta, nugget, y, out: _Scratch | None = None
     return CorrFactor(_cholesky(_corr_lower(pairs, theta, nugget, out)), y)
 
 
-def corr_cholesky(points, theta, nugget: float = DEFAULT_NUGGET, pairs: PairTable | None = None):
+def corr_cholesky(points, theta, nugget: float = DEFAULT_NUGGET, pairs: PairTable | None = None,
+                  out: _Scratch | None = None):
     """Correlation matrix Cholesky with automatic nugget escalation.
 
     Tries `nugget` first and multiplies by 10 after each positive-definiteness
-    failure, up to MAX_NUGGET.  Each attempt factors R built from `pairs`
-    (the PairTable of `points`, made here when omitted).  theta needs one
-    finite, non-negative entry per input and the nugget must be finite and
-    non-negative.  Returns (lower, nugget_used); raises IllConditionedError
-    when even the maximum nugget fails.
+    failure, up to MAX_NUGGET.  Each attempt builds and factors R from
+    `pairs` (the PairTable of `points`, made here when omitted) in `out`, a
+    _Scratch of that table (one made here when omitted), so the factor
+    returned is out's matrix.  theta needs one finite, non-negative entry
+    per input and the nugget must be finite and non-negative.  Returns
+    (lower, nugget_used); raises IllConditionedError when even the maximum
+    nugget fails.
     """
     if pairs is None:
         pairs = pair_table(points)
@@ -252,10 +288,12 @@ def corr_cholesky(points, theta, nugget: float = DEFAULT_NUGGET, pairs: PairTabl
     # A NaN nugget would fail every attempt and never stop the escalation.
     if not 0 <= nugget < np.inf:
         raise ValueError("nugget must be finite and non-negative")
+    if out is None:
+        out = _scratch(pairs)
     attempt = nugget
     while True:
         try:
-            lower = _cholesky(_corr_lower(pairs, theta, attempt))
+            lower = _cholesky(_corr_lower(pairs, theta, attempt, out))
             return lower, attempt
         except NotPositiveDefiniteError:
             if attempt >= MAX_NUGGET:

@@ -15,8 +15,9 @@ the data and the settings (the design's PairTable, the responses, prop_sd
 and the mixture prior's table: the spike and slab variances, their
 log(2 pi var) terms and log P(gamma_k = g)); the factor of the current phi
 (log det R, 1'R^-1 1, the GLS mean and the quadratic form are read off
-this linalg.CorrFactor) with its inclusion probabilities; and the accepted
-and failed proposal counts.
+this linalg.CorrFactor) with its inclusion probabilities; the residual
+y - mu, formed once per mu for the sigma2 step and the proposal; and the
+accepted and failed proposal counts.
 
 The state also owns the chain's scratch memory, allocated once: two slots,
 each an n x n buffer that R is built and factored in (a linalg._Scratch)
@@ -176,6 +177,7 @@ class SamplerState:
     - of `data`, the design's PairTable (pairs) and the responses (y);
     - of `hyper`, prop_sd and the mixture prior's table (var, log_norm and
       log_weight, each (2, d) with row g for gamma_k = g);
+    - the residual y - mu, formed once per (y, mu) by residual();
     - two slots: slot k is scratch[k], a linalg._Scratch that R is built
       and factored in (the two share one GEMV output), and priors[k], the
       prior rows of its phi;
@@ -199,17 +201,27 @@ class SamplerState:
             self.log_weight = np.stack([np.log1p(-hyper.p), np.log(hyper.p)])
         gemv = np.empty(len(self.pairs.rows))
         self.scratch = (linalg._scratch(self.pairs, gemv), linalg._scratch(self.pairs, gemv))
-        self.priors = np.empty((2, 2, len(phi)))
+        self.priors = np.zeros((2, 2, len(phi)))
+        self._resid = (None, None, None)
         self.current = 0
         self.factor = _factor(self, phi, 0)
-        self.inclusion = self.inclusion_of(self.prior_rows(phi, 0))
+        self.inclusion = self.inclusion_of(self.priors[0])
         self.accepted = self.failures = 0
 
-    def prior_rows(self, phi, slot: int) -> np.ndarray:
-        """log N(phi_k; 0, var[g, k]) for both components, shape (2, d),
-        written into priors[slot] and returned."""
+    def residual(self) -> np.ndarray:
+        """y - mu at the state's y and mu, kept until either changes."""
+        y, mu = self.y, self.mu
+        key_y, key_mu, resid = self._resid
+        if key_y is not y or key_mu != mu:
+            resid = y - mu
+            self._resid = (y, mu, resid)
+        return resid
+
+    def prior_rows(self, theta, slot: int) -> np.ndarray:
+        """log N(phi_k; 0, var[g, k]) for both components, shape (2, d), of
+        the phi with phi^2 = theta, written into priors[slot] and returned."""
         rows = self.priors[slot]
-        np.divide(phi * phi, self.var, out=rows)
+        np.divide(theta, self.var, out=rows)
         np.add(self.log_norm, rows, out=rows)
         np.multiply(-0.5, rows, out=rows)
         return rows
@@ -223,9 +235,17 @@ class SamplerState:
 
 def _factor(state: SamplerState, phi, slot: int) -> linalg.CorrFactor:
     # R(phi) at exactly SAMPLER_NUGGET, built and factored in the state's
-    # scratch[slot]; raises NotPositiveDefiniteError.  Unchecked: phi is
-    # finite, so theta = phi^2 passes (see linalg).
-    return linalg._corr_factor(state.pairs, phi * phi, SAMPLER_NUGGET, state.y, state.scratch[slot])
+    # scratch[slot], and phi's prior rows in priors[slot], both from one
+    # theta = phi^2; a proposal's quadratic form at the state's mu is made
+    # from the state's residual, which the sigma2 step formed.  Raises
+    # NotPositiveDefiniteError.  Unchecked: phi is finite, so theta passes
+    # (see linalg).
+    theta = phi * phi
+    factor = linalg._corr_factor(state.pairs, theta, SAMPLER_NUGGET, state.y, state.scratch[slot])
+    state.prior_rows(theta, slot)
+    if slot != state.current:
+        factor.quad(state.mu, state.residual())
+    return factor
 
 
 def _log_priors(priors, gamma) -> np.ndarray:
@@ -255,9 +275,10 @@ def update_sigma2(state: SamplerState) -> None:
 
     Sampled as the reciprocal of a Gamma(n/2, rate=quad/2) draw.  The
     quadratic form comes from the state's factor, which keeps it for the
-    phi step of the same scan.
+    phi step of the same scan, and the state's residual, which the phi
+    step's proposal shares.
     """
-    quad = state.factor.quad(state.mu)
+    quad = state.factor.quad(state.mu, state.residual())
     if quad <= 0:
         raise ValueError("non-positive quadratic form in sigma2 update (degenerate residual)")
     state.sigma2 = float(1.0 / state.rng.gamma(len(state.y) / 2.0, 2.0 / quad))
@@ -268,11 +289,11 @@ def update_phi(state: SamplerState) -> None:
 
     Proposes phi~ ~ N(phi, diag(prop_sd^2)) and accepts with probability
     min(1, g(phi~)/g(phi)).  The proposal is the scan's one factorization
-    and prior evaluation, both in the slot that is not current; an accepted
-    proposal makes that slot current, with its factor and (computed only
-    then) its inclusion probabilities, and is counted.  A proposal that does
-    not factor at exactly SAMPLER_NUGGET is rejected and counted as failed
-    instead of aborting the chain.
+    and prior evaluation (_factor), both in the slot that is not current;
+    an accepted proposal makes that slot current, with its factor and
+    (computed only then) its inclusion probabilities, and is counted.  A
+    proposal that does not factor at exactly SAMPLER_NUGGET is rejected and
+    counted as failed instead of aborting the chain.
     """
     rng = state.rng
     cur = state.current
@@ -286,20 +307,19 @@ def update_phi(state: SamplerState) -> None:
     except NotPositiveDefiniteError:
         state.failures += 1
         return
-    rows = state.prior_rows(prop, new)
     log_prior = _log_priors(state.priors, state.gamma).tolist()
     logp_cur = _kernel_value(state.factor, log_prior[cur], state.mu, state.sigma2)
     logp_prop = _kernel_value(prop_factor, log_prior[new], state.mu, state.sigma2)
     if log_u < logp_prop - logp_cur:
         state.phi, state.factor, state.current = prop, prop_factor, new
-        state.inclusion = state.inclusion_of(rows)
+        state.inclusion = state.inclusion_of(state.priors[new])
         state.accepted += 1
 
 
 def update_gamma(state: SamplerState) -> None:
     """Componentwise Bernoulli draws of gamma, P(gamma_k = 1) = state.inclusion[k]."""
     probs = state.inclusion
-    state.gamma = (state.rng.random(len(probs)) < probs).astype(np.int64)
+    state.gamma = state.rng.random(len(probs)) < probs
 
 
 def _float_list(v):
@@ -353,7 +373,7 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
     # in any realistic number of scans.  Start within one slab sd instead.
     phi0 = np.minimum(np.abs(params.phi), hyper.c * hyper.tau)
     try:
-        state = SamplerState(data, hyper, params.mu, params.sigma2, phi0, np.ones(d, dtype=np.int64),
+        state = SamplerState(data, hyper, params.mu, params.sigma2, phi0, np.ones(d, dtype=bool),
                              np.random.default_rng(hyper.seed))
     except NotPositiveDefiniteError as exc:
         raise SamplerError(0, f"initial correlation matrix at nugget {SAMPLER_NUGGET:g}: {exc}") from exc
@@ -364,7 +384,10 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
     phi_draws = np.empty((len(kept), d))
     gamma_draws = np.empty((len(kept), d), dtype=np.int64)
 
+    accepted_burnin = 0
     for scan in range(1, hyper.iters + 1):
+        if scan == hyper.burnin + 1:
+            accepted_burnin = state.accepted
         try:
             update_mu(state)
             update_sigma2(state)
@@ -394,6 +417,8 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
         "dataset_fingerprint": data.fingerprint(),
         "init": {"mu": params.mu, "sigma2": params.sigma2, "phi": _float_list(phi0)},
         "mh_proposal_failures": state.failures,
+        "accept_rate_burnin": accepted_burnin / hyper.burnin if hyper.burnin else None,
+        "accept_rate_kept": (state.accepted - accepted_burnin) / (hyper.iters - hyper.burnin),
     }
     return Chain(mu_draws, sigma2_draws, phi_draws, gamma_draws, np.array(kept, dtype=np.int64), rate, meta)
 

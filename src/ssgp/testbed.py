@@ -295,7 +295,7 @@ def _loo_means(params, data: Dataset) -> np.ndarray:
     factor, rinv_resid = data._prediction_factor(params.theta, DEFAULT_NUGGET, params.mu)
     # diag R^-1 = column sums of squares of V = L^-1, by predict_batch's
     # einsum rather than a GEMM, so no bit depends on the BLAS thread count.
-    v = factor.whiten(np.eye(data.n))
+    v = factor.lower_inverse()
     return data.responses - rinv_resid / np.einsum("ij,ij->j", v, v)
 
 

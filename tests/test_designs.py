@@ -159,6 +159,107 @@ class TestMaximinLhd:
             assert maximin_lhd(n, d, seed).points.tobytes() == design.tobytes()
 
 
+
+def _same_state(a, b) -> bool:
+    # Bit generator states are dicts of ints, strings and (MT19937's key,
+    # Philox's counter and buffer) arrays.  The generator's class name is
+    # left out, so a test subclass of PCG64 compares with PCG64.
+    if isinstance(a, dict):
+        keys = a.keys() - {"bit_generator"}
+        return keys == b.keys() - {"bit_generator"} and all(_same_state(a[k], b[k]) for k in keys)
+    return np.array_equal(a, b)
+
+
+class _CountingPCG64(np.random.PCG64):
+    # A PCG64 that counts its random_raw calls.
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.raw_calls = 0
+
+    def random_raw(self, size=None, output=True):
+        self.raw_calls += 1
+        return super().random_raw(size, output)
+
+
+class _ZeroWordPCG64(np.random.PCG64):
+    # A PCG64 whose raw blocks have word 1 set to zero, a 32-bit half that
+    # Lemire's method rejects for a range of 3; its other draws are untouched.
+    def random_raw(self, size=None, output=True):
+        words = super().random_raw(size, output)
+        words[1] = 0
+        return words
+
+
+class TestDecodedDraws:
+    """maximin_lhd decodes a PCG64 stream's sweep draws from one block of
+    raw words.  Each case must give the design and the full generator
+    state of the per-call search, so a numpy release that changed either
+    transform fails here instead of moving a design."""
+
+    def test_pcg64_search_makes_one_random_raw_call(self):
+        rng = np.random.Generator(_CountingPCG64(3))
+        got = maximin_lhd(12, 3, rng).points
+        assert rng.bit_generator.raw_calls == 1
+        ref = np.random.default_rng(3)
+        assert got.tobytes() == reference_maximin_lhd(12, 3, ref).points.tobytes()
+        assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+    @pytest.mark.parametrize("n,d", [(12, 3), (20, 5), (2, 3), (10, 1)])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_same_design_and_state_as_per_call_draws(self, bitgen, n, d, buffered, monkeypatch):
+        # One int32 draw first leaves PCG64 with a buffered 32-bit half when
+        # the search starts, which the decode must use first and leave as
+        # the per-call draws leave it.  n = 2 and d = 1 are one-value ranges,
+        # for which numpy draws nothing.
+        carries = []
+        real = designs._decode_sweeps
+
+        def recorded(words, carry, n, d):
+            carries.append(carry)
+            return real(words, carry, n, d)
+
+        monkeypatch.setattr(designs, "_decode_sweeps", recorded)
+        for seed in range(3):
+            ours, ref = np.random.Generator(bitgen(seed)), np.random.Generator(bitgen(seed))
+            if buffered:
+                ours.integers(7, dtype=np.int32), ref.integers(7, dtype=np.int32)
+            got = maximin_lhd(n, d, ours).points
+            assert got.tobytes() == reference_maximin_lhd(n, d, ref).points.tobytes()
+            assert _same_state(ours.bit_generator.state, ref.bit_generator.state)
+        decoded = bitgen is np.random.PCG64 and n >= 3 and d >= 2
+        assert len(carries) == (3 if decoded else 0)
+
+    def test_decode_starts_with_and_without_a_buffered_half(self, monkeypatch):
+        # The random_lhd start can leave PCG64's 32-bit buffer full or
+        # empty; both occur among these seeds, and each matches.
+        carries = []
+        real = designs._decode_sweeps
+
+        def recorded(words, carry, n, d):
+            carries.append(carry)
+            return real(words, carry, n, d)
+
+        monkeypatch.setattr(designs, "_decode_sweeps", recorded)
+        for seed in range(8):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = maximin_lhd(7, 2, ours, sweeps=40).points
+            assert got.tobytes() == reference_maximin_lhd(7, 2, ref, sweeps=40).points.tobytes()
+            assert _same_state(ours.bit_generator.state, ref.bit_generator.state)
+        assert None in carries and any(c is not None for c in carries)
+
+    def test_rejected_word_falls_back_to_per_call_draws(self):
+        # A rejected word means numpy would have drawn again, so the decode
+        # gives up, the saved state comes back, and the per-call search
+        # draws from it: the design and the state are the unmodified
+        # stream's.
+        assert designs._decode_sweeps(np.zeros(4, dtype=np.uint64), None, 4, 3) is None
+        assert designs._decode_sweeps(np.full(4, 2**32 + 1, dtype=np.uint64), None, 4, 3) is not None
+        ours, ref = np.random.Generator(_ZeroWordPCG64(5)), np.random.default_rng(5)
+        got = maximin_lhd(4, 3, ours).points
+        assert got.tobytes() == reference_maximin_lhd(4, 3, ref).points.tobytes()
+        assert _same_state(ours.bit_generator.state, ref.bit_generator.state)
+
 class TestIntegerArguments:
     # Unchecked, a bool seed or sweeps runs as 0 or 1, a None seed draws
     # fresh entropy, and a float fails deep inside with a TypeError.

@@ -18,7 +18,7 @@ from conftest import (
     two_point_dataset,
 )
 from ssgp import gp, linalg
-from ssgp.designs import scale_points
+from ssgp.designs import maximin_lhd, scale_points
 from ssgp.gp import (
     LOG_THETA_HI,
     LOG_THETA_LO,
@@ -445,11 +445,61 @@ class TestLikelihoodGradient:
         rng = np.random.default_rng(29)
         for _ in range(5):
             theta = np.exp(rng.uniform(np.log(0.1), np.log(2.0), data.dim)) ** 2
-            factor, mu, s2 = gp._profile(theta, data, nugget)
-            got = gp._profile_gradient(factor, mu, s2, theta, data)
+            out = linalg._scratch(data.pair_table)
+            factor, mu, s2 = gp._profile(theta, data, nugget, out)
+            got = gp._profile_gradient(factor, mu, s2, data, out.gemv)
             expect = profile_gradient_full(factor, mu, s2, theta, data)
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
+
+
+def _near_duplicate_dataset() -> Dataset:
+    # Nine runs, two of them 1e-5 apart: at nugget 0 every theta below
+    # about 1e-2 leaves R with a pivot under PIVOT_TOL, so a fit from the
+    # log-theta box escalates the nugget on many evaluations.
+    x = maximin_lhd(8, 2, 0).points
+    x = np.vstack([x, x[0] + 1e-5])
+    return Dataset.from_arrays(x, np.sin(5 * x[:, 0]) + x[:, 1])
+
+
+class TestOneBuildPerEvaluation:
+    """mle_fit builds every evaluation's R in one buffer, and the gradient
+    reads R0 from that build instead of forming exp(-D theta) again."""
+
+    def test_one_scratch_per_fit(self, monkeypatch):
+        data = _near_duplicate_dataset()
+        counts = {"scratch": 0, "evals": 0, "attempts": 0}
+        real_scratch, real_chol, real_nll = linalg._scratch, linalg._cholesky, gp.neg_log_profile_likelihood
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(linalg, "_scratch", counted("scratch", real_scratch))
+        monkeypatch.setattr(linalg, "_cholesky", counted("attempts", real_chol))
+        monkeypatch.setattr(gp, "neg_log_profile_likelihood", counted("evals", real_nll))
+        mle_fit(data, FitOptions(nugget=0.0, seed=0))
+        # Every evaluation and the final profile factor at least once, and
+        # some escalate: more attempts than factorizations.
+        assert counts["evals"] > 100
+        assert counts["attempts"] > counts["evals"] + 1
+        assert counts["scratch"] == 1
+
+    def test_gradient_from_the_build_is_the_fresh_one(self):
+        # At a theta whose factor escalates, the build runs twice in one
+        # buffer; the R0 it leaves must be the bits of exp(rows @ -theta).
+        data = _near_duplicate_dataset()
+        theta = np.array([1e-3, 2e-3])
+        assert linalg.corr_cholesky(data.points, theta, 0.0)[1] > 0.0
+        out = linalg._scratch(data.pair_table)
+        factor, mu, s2 = gp._profile(theta, data, 0.0, out)
+        got = gp._profile_gradient(factor, mu, s2, data, out.gemv)
+        fresh = gp._profile_gradient(factor, mu, s2, data, np.exp(data.pair_table.rows @ -theta))
+        assert got.tobytes() == fresh.tobytes()
+        _, public = neg_log_profile_likelihood(theta, data, nugget=0.0, grad=True)
+        assert public.tobytes() == got.tobytes()
 
 class TestPrediction:
     def test_symmetric_midpoint(self):

@@ -415,6 +415,18 @@ class TestCorrFactor:
                 assert np.max(np.abs(f.inverse() - rinv)) <= 1e-8 * np.max(np.abs(rinv))
                 assert np.array_equal(f.lower, chol_decompose(r))
 
+    def test_lower_inverse_is_the_whitened_identity(self):
+        # One Fortran-order identity solved in place: the bits of whitening
+        # a C-order one, which f2py copies first, so R^-1 and the LOO
+        # diagonal built on it do not move.
+        data = make_dataset("linear", 54)
+        f = fixed_nugget_factor(data.pair_table, np.full(data.dim, 0.3), 1e-8, data.responses)
+        v = f.lower_inverse()
+        assert v.flags.f_contiguous
+        assert v.tobytes(order="F") == f.whiten(np.eye(data.n)).tobytes(order="F")
+        expect = f.whiten(np.eye(data.n))
+        assert f.inverse().tobytes() == (expect.T @ expect).tobytes()
+
     def test_solve_formed_only_when_read(self):
         # log det and the quadratic form, all a rejected Gibbs proposal
         # reads, leave the two-column solve unformed.

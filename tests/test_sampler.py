@@ -217,7 +217,7 @@ class TestInclusionProbabilities:
             expected = np.exp(log_a - np.logaddexp(log_a, log_b))
             state = chain_state(h, phi)
             assert np.array_equal(state.inclusion, expected)
-            assert np.array_equal(state.inclusion_of(state.prior_rows(phi, 1)), expected)
+            assert np.array_equal(state.inclusion_of(state.prior_rows(phi * phi, 1)), expected)
 
     def test_monotone_in_abs_phi(self):
         h = Hyperparams.for_dim(1, tau=0.3, c=25.0)
@@ -234,7 +234,8 @@ class TestInclusionProbabilities:
             return state.gamma
 
         draws = np.array([draw() for _ in range(20000)])
-        assert draws.dtype == np.int64
+        # The state keeps gamma boolean; a Chain stores it as int64.
+        assert draws.dtype == bool
         assert set(np.unique(draws)) <= {0, 1}
         freq = draws.mean(axis=0)
         se = np.sqrt(probs * (1 - probs) / 20000)
@@ -293,7 +294,7 @@ class TestPhiLogKernel:
             gamma = rng.integers(0, 2, size=d)
             phis = rng.normal(scale=2.0, size=(2, d))
             state = chain_state(Hyperparams.for_dim(d, tau=tau, c=c, p=rng.uniform(0.01, 1.0, d)), phis[0])
-            state.prior_rows(phis[0], 0), state.prior_rows(phis[1], 1)
+            state.prior_rows(phis[0] ** 2, 0), state.prior_rows(phis[1] ** 2, 1)
             log_priors = sampler._log_priors(state.priors, gamma).tolist()
             for phi, log_prior in zip(phis, log_priors):
                 expected = float(np.sum(normal_logpdf(phi, (tau * np.power(c, gamma)) ** 2)))
@@ -426,7 +427,7 @@ class TestUpdatePhi:
                 factor = state.factor
                 factor.quad(mu)
                 # The scan sums phi's prior rows beside a proposal's.
-                state.prior_rows(phi, 0), state.prior_rows(2.0 * phi, 1)
+                state.prior_rows(phi * phi, 0), state.prior_rows((2.0 * phi) ** 2, 1)
                 scan = sampler._kernel_value(factor, sampler._log_priors(state.priors, gamma).tolist()[0], mu, sigma2)
                 public = phi_log_kernel(phi, mu, sigma2, gamma, d, hyper)
                 assert scan == public
@@ -702,7 +703,7 @@ class TestExactPosteriorOracle:
         edge = w.reshape(grid, grid)
         assert edge[[0, -1]].sum() + edge[1:-1, [0, -1]].sum() < 1e-4
         state = chain_state(hyper, phi[0], data)
-        incl = np.array([state.inclusion_of(state.prior_rows(point, 1)) for point in phi])
+        incl = np.array([state.inclusion_of(state.prior_rows(point * point, 1)) for point in phi])
         mean_mu = w @ gls_mean
         exact = [*(w @ incl), *(w @ phi**2), mean_mu,
                  w @ (s2 / ((n - 3) * q) + (gls_mean - mean_mu) ** 2), w @ s2 / (n - 3)]
@@ -764,6 +765,35 @@ class TestRunChain:
         assert meta["hyperparams"]["iters"] == 30
         assert meta["hyperparams"]["tau"] == [0.3, 0.3, 0.3]
         assert meta["mh_proposal_failures"] >= 0
+
+    @pytest.mark.parametrize("burnin,thin", [(50, 1), (73, 3), (0, 2)])
+    def test_acceptance_per_phase(self, toy10, burnin, thin, monkeypatch):
+        # The burn-in scans' rate and the later scans' rate, weighted by
+        # their scan counts, give back the pooled count, which accept_rate
+        # still divides by iters; thinning does not enter either rate.
+        counts = []
+        real = sampler.update_phi
+
+        def recorded(state):
+            real(state)
+            counts.append(state.accepted)
+
+        monkeypatch.setattr(sampler, "update_phi", recorded)
+        hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.3, iters=200, burnin=burnin, thin=thin, seed=5)
+        init = GpParams(mu=float(toy10.responses.mean()), sigma2=1.0, phi=np.full(3, 0.5))
+        chain = run_chain(toy10, hyper, init=init)
+        meta, pooled = chain.meta, counts[-1]
+        assert chain.accept_rate == pooled / hyper.iters
+        in_burnin = counts[burnin - 1] if burnin else 0
+        kept_scans = hyper.iters - burnin
+        assert meta["accept_rate_kept"] == (pooled - in_burnin) / kept_scans
+        if burnin:
+            assert meta["accept_rate_burnin"] == in_burnin / burnin
+            assert 0 < in_burnin < pooled
+        else:
+            assert meta["accept_rate_burnin"] is None
+        weighted = (meta["accept_rate_burnin"] or 0.0) * burnin + meta["accept_rate_kept"] * kept_scans
+        assert weighted == pytest.approx(pooled, abs=1e-9)
 
     def test_init_clamped_to_slab_scale(self, toy10):
         # A decorrelation-plateau MLE can land far outside the prior; the
