@@ -57,6 +57,21 @@ def test_integer_rule_written_once():
     assert owners == {"errors.integer"}
 
 
+def test_streams_advance_only_through_public_draws():
+    # A draw decoded from a bit generator's raw words or private state
+    # would copy numpy's transforms and drift from them in a later release.
+    readers = set()
+    for path in sorted((ROOT / "src" / "ssgp").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr in ("bit_generator", "random_raw"):
+                    readers.add(f"{path.stem}.{func.name}")
+    assert readers == set()
+
+
 class TestBenchmarkSeams:
     """What bench/ calls and traces in src/, pinned so that a cleanup
     cannot silently blind the tracer: it finds corr_cholesky's requested
