@@ -230,33 +230,15 @@ def _profile(theta, data: Dataset, nugget, out: linalg._Scratch):
     return factor, mu, max(factor.quad(mu) / data.n, SIGMA2_FLOOR)
 
 
-def _profile_gradient(factor, mu, s2, data: Dataset, r0) -> np.ndarray:
-    # d/dtheta_k = -1/2 sum_ij [(R^-1 - a a'/s2) o R0 o D_k]_ij with
-    # a = R^-1 (y - mu), R0 = R(theta) without the nugget and D_k the squared
-    # coordinate-k differences (R&W 2006, 5.4.1).  mu drops out because it
-    # maximizes the likelihood at every theta, the nugget because D_k has a
-    # zero diagonal.  W and D_k are symmetric, so this is -sum_{i>j} over
-    # the pair table's rows; pair (i, j) sits at j n + i of the flat w.
-    # r0 holds R0's entry of every row, exp(rows @ -theta): the gemv that
-    # R's build left in its scratch.  It is overwritten with the weights.
-    pairs, n_pairs = data.pair_table, len(data.pair_table.index)
-    w = factor.inverse()
-    alpha = w @ (factor.y - mu)
-    w -= np.outer(alpha, alpha / s2)
-    weight = r0
-    weight[:n_pairs] *= w.reshape(-1)[pairs.index]
-    weight[n_pairs:] = 0.0
-    return -(weight @ pairs.rows)
-
-
 def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGET, grad=False, out=None):
     """(1/2)[n log sigma2_hat(theta) + log det R(theta)], up to a constant.
 
     With grad=True returns (value, gradient in theta), both from one
-    factorization.  R is built in `out`, a linalg._Scratch of the data's
-    pair table (one made here when omitted; mle_fit passes its own to every
-    evaluation).  Raises IllConditionedError when R(theta) cannot be
-    factored even at the maximum nugget.
+    factorization, which the gradient uses up.  R is built in `out`, a
+    linalg._Scratch of the data's pair table (one made here when omitted;
+    mle_fit passes its own to every evaluation).  Raises
+    IllConditionedError when R(theta) cannot be factored even at the
+    maximum nugget.
     """
     theta = np.asarray(theta, dtype=float)
     if out is None:
@@ -265,7 +247,7 @@ def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGE
     value = 0.5 * (data.n * np.log(s2) + factor.log_det)
     if not grad:
         return value
-    return value, _profile_gradient(factor, mu, s2, data, out.gemv)
+    return value, linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, factor.y - mu, s2)
 
 
 def mle_fit(data: Dataset, opts: FitOptions | None = None, start=None) -> GpParams:

@@ -2,13 +2,12 @@
 
 Correlation matrices here always have unit diagonal before the nugget is
 added.  Everything downstream works with the lower Cholesky factor: the
-log-determinant comes from its diagonal and solves are forward/backward
-substitutions.  The one explicit inverse is the likelihood gradient's,
-which reads every entry of R^-1; it and testbed's leave-one-out means
-share one L^-1 (CorrFactor.lower_inverse).  CorrFactor holds one factor
-together with what the likelihood, the sampler and the predictor reuse:
-log det R, 1'R^-1 1 and the GLS mean, each computed the first time it is
-read.
+log-determinant comes from its diagonal, solves are forward/backward
+substitutions, and R^-1 = V'V with V = L^-1 from LAPACK trtri; potri is
+not used, as its lauum half changes last bits with the OpenBLAS thread
+count at every n.  CorrFactor holds one factor together with what the
+likelihood, the sampler and the predictor reuse: log det R, 1'R^-1 1 and
+the GLS mean, each computed the first time it is read.
 
 How R is built.  Every matrix that is factored here (each Gibbs proposal,
 each nugget attempt of corr_cholesky) is built from its strict lower
@@ -30,10 +29,10 @@ builds in:
 - a Gibbs chain makes two when it starts (the two slots of its
   sampler.SamplerState) and reuses them for every proposal.
 A factor built in a scratch is the scratch's matrix, so it lasts until the
-next build there.  The matrix is zero when it is made, and neither the
-build nor potrf (which reads and writes the lower triangle only) ever
-writes above the diagonal, so its upper triangle stays zero for the
-buffer's life and potrf's `clean` pass, which zeroes it, is skipped.
+next build there, or until likelihood_gradient overwrites it with L^-1.
+The matrix is zero when it is made, and the build, potrf and trtri read
+and write the lower triangle only, so its upper triangle stays zero for
+the buffer's life and potrf's `clean` pass, which zeroes it, is skipped.
 
 Where arguments are checked.  pair_table checks design points,
 corr_cholesky theta and the nugget, and solve_with_chol its operands.
@@ -60,7 +59,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 
 from .errors import IllConditionedError, NotPositiveDefiniteError
 
@@ -86,12 +86,14 @@ class PairTable(NamedTuple):
     rows[p] holds the d squared coordinate differences of pair p = (i, j),
     i > j, column by column (j outer, i inner), followed by zero rows up to
     a multiple of _GEMV_BLOCK; index[p] = j n + i is that pair's position
-    in a Fortran-order n x n buffer.
+    in a Fortran-order n x n buffer, row i[p] and column j[p].
     """
 
     rows: np.ndarray
     index: np.ndarray
     n: int
+    i: np.ndarray
+    j: np.ndarray
 
 
 def pair_table(points) -> PairTable:
@@ -106,7 +108,7 @@ def pair_table(points) -> PairTable:
     rows = np.zeros((-(-len(i) // _GEMV_BLOCK) * _GEMV_BLOCK, d))
     diff = x[i] - x[j]
     np.multiply(diff, diff, out=rows[: len(i)])
-    return PairTable(rows, j * n + i, n)
+    return PairTable(rows, j * n + i, n, i, j)
 
 
 class _Scratch(NamedTuple):
@@ -240,20 +242,33 @@ class CorrFactor:
         """L^-1 b by one triangular solve; b is not checked."""
         return dtrtrs(self.lower, b, lower=1)[0]
 
-    def lower_inverse(self) -> np.ndarray:
-        """V = L^-1, Fortran-order, by one triangular solve of an identity
-        made in Fortran order and overwritten in place."""
-        return dtrtrs(self.lower, np.eye(len(self.y), order="F"), lower=1, overwrite_b=1)[0]
-
-    def inverse(self) -> np.ndarray:
-        """R^-1 = V'V with V = L^-1 (lower_inverse)."""
-        v = self.lower_inverse()
-        return v.T @ v
+    def inverse_diagonal(self) -> np.ndarray:
+        """diag R^-1, the column sums of squares of L^-1 (trtri on a copy)."""
+        v = dtrtri(self.lower, lower=1)[0]
+        return np.einsum("ij,ij->j", v, v)
 
 
 def gls_rhs(y) -> np.ndarray:
     """The Fortran-order (n, 2) table [1, y] that CorrFactor solves against."""
     return np.array([np.ones(len(y)), y]).T
+
+
+def likelihood_gradient(lower, pairs: PairTable, r0, resid, scale) -> np.ndarray:
+    """-sum_{i>j} (R^-1 - a a'/scale)_ij R0_ij D_ij with a = R^-1 resid.
+
+    lower factors R = R0 + nugget I, r0 holds R0 at each pair-table row (a
+    build's gemv) and D_ij is pair (i, j)'s row.  At the profile mu (resid
+    = y - mu) and sigma2 (scale) this is the profile likelihood's gradient
+    in theta (R&W 2006, 5.4.1; mu maximizes it, and D_ii = 0 drops the
+    nugget).  trtri overwrites lower with V = L^-1 (pass a copy to keep the
+    factor) and syrk makes V'V's lower triangle; r0 is overwritten too.
+    """
+    alpha = dpotrs(lower, resid, lower=1)[0]
+    rinv = dsyrk(1.0, dtrtri(lower, lower=1, overwrite_c=1)[0], trans=1, lower=1)
+    n_pairs = len(pairs.index)
+    r0[:n_pairs] *= rinv.T.reshape(-1)[pairs.index] - alpha[pairs.i] * (alpha / scale)[pairs.j]
+    r0[n_pairs:] = 0.0
+    return -(r0 @ pairs.rows)
 
 
 def _corr_factor(pairs: PairTable, theta, nugget, y, out: _Scratch | None = None) -> CorrFactor:

@@ -347,7 +347,8 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
     min(|phi_k|, c_k tau_k), i.e. +sqrt(theta_hat_k) capped at one slab sd,
     with gamma all ones.  It then iterates mu -> sigma2 -> phi -> gamma for
     `iters` scans, storing draws after `burnin`.  Deterministic given (data,
-    hyper, init): the chain owns a generator seeded by hyper.seed.
+    hyper, init): the chain owns a generator seeded by hyper.seed.  Warns
+    when meta["accept_rate_kept"] lies outside [0.1, 0.6].
     """
     if hyper is None:
         hyper = default_hyperparams(data)
@@ -402,13 +403,10 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
             phi_draws[row] = state.phi
             gamma_draws[row] = state.gamma
 
-    rate = state.accepted / hyper.iters
-    if not 0.1 <= rate <= 0.6:
-        warnings.warn(
-            f"MH acceptance rate {rate:.3f} outside [0.1, 0.6]; consider retuning prop_sd",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    kept_rate = (state.accepted - accepted_burnin) / (hyper.iters - hyper.burnin)
+    if not 0.1 <= kept_rate <= 0.6:
+        warnings.warn(f"MH acceptance rate {kept_rate:.3f} after burn-in outside [0.1, 0.6]; consider retuning prop_sd",
+                      RuntimeWarning, stacklevel=2)
     meta = {
         "hyperparams": {k: _float_list(getattr(hyper, k)) if k in _VECTOR_FIELDS else getattr(hyper, k)
                         for k in CHAIN_FIELDS},
@@ -418,9 +416,10 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
         "init": {"mu": params.mu, "sigma2": params.sigma2, "phi": _float_list(phi0)},
         "mh_proposal_failures": state.failures,
         "accept_rate_burnin": accepted_burnin / hyper.burnin if hyper.burnin else None,
-        "accept_rate_kept": (state.accepted - accepted_burnin) / (hyper.iters - hyper.burnin),
+        "accept_rate_kept": kept_rate,
     }
-    return Chain(mu_draws, sigma2_draws, phi_draws, gamma_draws, np.array(kept, dtype=np.int64), rate, meta)
+    return Chain(mu_draws, sigma2_draws, phi_draws, gamma_draws, np.array(kept, dtype=np.int64),
+                 state.accepted / hyper.iters, meta)
 
 
 def posterior_params(chain: Chain) -> GpParams:

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import pdist
 
 import ssgp.sampler as sampler
@@ -102,13 +103,21 @@ def corr_matrix_from_sqdiffs(sqdiffs, theta, nugget: float = DEFAULT_NUGGET) -> 
     return r.reshape(n, n)
 
 
-def profile_gradient_full(factor, mu, s2, theta, data: Dataset) -> np.ndarray:
+def profile_gradient_full(factor, mu, s2, theta, data: Dataset, rinv=None, alpha=None) -> np.ndarray:
     """The profile likelihood's gradient in theta over the full matrices:
-    -1/2 sum_ij [(R^-1 - a a'/s2) o R0 o D_k]_ij with a = R^-1 (y - mu)."""
+    -1/2 sum_ij [(R^-1 - a a'/s2) o R0 o D_k]_ij with a = R^-1 (y - mu).
+    R^-1 is `rinv` when given, else V'V from V = L^-1, one triangular
+    solve of an identity; a is `alpha` when given, else R^-1 (y - mu) from
+    that matrix.  Reads the factor, so call it before
+    linalg.likelihood_gradient uses the factor up."""
     sqdiffs = pairwise_sqdiffs(data.points)
     n, _, d = sqdiffs.shape
-    w = factor.inverse()
-    alpha = w @ (factor.y - mu)
+    if rinv is None:
+        v = dtrtrs(factor.lower, np.eye(n, order="F"), lower=1)[0]
+        rinv = v.T @ v
+    w = rinv.copy()
+    if alpha is None:
+        alpha = w @ (factor.y - mu)
     w -= np.outer(alpha, alpha / s2)
     w *= corr_matrix_from_sqdiffs(sqdiffs, theta, 0.0)
     return -0.5 * (w.reshape(n * n) @ sqdiffs.reshape(n * n, d))

@@ -72,6 +72,24 @@ def test_streams_advance_only_through_public_draws():
     assert readers == set()
 
 
+def test_no_explicit_inverse():
+    # R^-1 is read off V = L^-1 from trtri (linalg.likelihood_gradient,
+    # CorrFactor.inverse_diagonal); an identity solved or inverted, or an
+    # inverse method, would bring back the n x n work they replaced.
+    found = set()
+    for path in sorted((ROOT / "src" / "ssgp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "eye" or (
+                    node.func.attr == "inv" and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "linalg"
+                ):
+                    found.add(f"{path.stem}:{node.lineno} {node.func.attr}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in ("inverse", "lower_inverse"):
+                found.add(f"{path.stem}:{node.lineno} def {node.name}")
+    assert found == set()
+
+
 class TestBenchmarkSeams:
     """What bench/ calls and traces in src/, pinned so that a cleanup
     cannot silently blind the tracer: it finds corr_cholesky's requested

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrs, dtrtri
 
 from conftest import (
     build_corr_matrix,
@@ -440,15 +442,22 @@ class TestLikelihoodGradient:
     @pytest.mark.parametrize("nugget", [1e-8, 1e-5])
     def test_pair_table_matches_full_matrices(self, name, nugget, request):
         # The gradient over the pairs i > j against the same formula over
-        # the full (n, n, d) squared differences and R0, from one factor.
+        # the full (n, n, d) squared differences and R0, from one factor
+        # and the same R^-1 and a = R^-1 (y - mu): syrk's triangle of V'V
+        # from trtri's V = L^-1, mirrored, and potrs.  (Against V'V from an
+        # identity solve, see test_linalg's TestLikelihoodGradient: two
+        # inverses of one factor differ by about cond(R) eps, and these
+        # theta reach cond(R) ~ 7e6 on toy10.)
         data = request.getfixturevalue(name)
         rng = np.random.default_rng(29)
         for _ in range(5):
             theta = np.exp(rng.uniform(np.log(0.1), np.log(2.0), data.dim)) ** 2
             out = linalg._scratch(data.pair_table)
             factor, mu, s2 = gp._profile(theta, data, nugget, out)
-            got = gp._profile_gradient(factor, mu, s2, data, out.gemv)
-            expect = profile_gradient_full(factor, mu, s2, theta, data)
+            low = dsyrk(1.0, dtrtri(factor.lower, lower=1)[0], trans=1, lower=1)
+            alpha = dpotrs(factor.lower, factor.y - mu, lower=1)[0]
+            expect = profile_gradient_full(factor, mu, s2, theta, data, low + np.tril(low, -1).T, alpha)
+            got = linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, factor.y - mu, s2)
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
@@ -495,8 +504,11 @@ class TestOneBuildPerEvaluation:
         assert linalg.corr_cholesky(data.points, theta, 0.0)[1] > 0.0
         out = linalg._scratch(data.pair_table)
         factor, mu, s2 = gp._profile(theta, data, 0.0, out)
-        got = gp._profile_gradient(factor, mu, s2, data, out.gemv)
-        fresh = gp._profile_gradient(factor, mu, s2, data, np.exp(data.pair_table.rows @ -theta))
+        # The gradient uses its factor up, so the second one reads a copy.
+        copy = linalg.CorrFactor(factor.lower.copy(order="F"), data.gls_rhs)
+        got = linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, factor.y - mu, s2)
+        fresh = linalg.likelihood_gradient(copy.lower, data.pair_table, np.exp(data.pair_table.rows @ -theta),
+                                           data.responses - mu, s2)
         assert got.tobytes() == fresh.tobytes()
         _, public = neg_log_profile_likelihood(theta, data, nugget=0.0, grad=True)
         assert public.tobytes() == got.tobytes()

@@ -1,5 +1,10 @@
 """Kernel and Cholesky layer: hand-checked values, error taxonomy, escalation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -13,8 +18,9 @@ from conftest import (
     gaussian_corr,
     make_dataset,
     pairwise_sqdiffs,
+    profile_gradient_full,
 )
-from ssgp import linalg
+from ssgp import gp, linalg
 from ssgp.errors import IllConditionedError, NotPositiveDefiniteError
 
 
@@ -410,22 +416,21 @@ class TestCorrFactor:
                 assert f.gls_mean * f.one_rinv_one == pytest.approx(ones @ rinv @ y, rel=1e-10)
                 assert f.gls_mean == pytest.approx((ones @ rinv @ y) / (ones @ rinv @ ones), rel=1e-10)
                 assert f.quad(mu) == pytest.approx((y - mu) @ rinv @ (y - mu), rel=1e-10)
-                # Entrywise, relative to the largest entry: at condition
+                # Relative to the largest entry of R^-1: at condition
                 # numbers near 1e6 both inverses carry ~1e-10 of it.
-                assert np.max(np.abs(f.inverse() - rinv)) <= 1e-8 * np.max(np.abs(rinv))
+                assert np.max(np.abs(f.inverse_diagonal() - np.diag(rinv))) <= 1e-8 * np.max(np.abs(rinv))
                 assert np.array_equal(f.lower, chol_decompose(r))
 
-    def test_lower_inverse_is_the_whitened_identity(self):
-        # One Fortran-order identity solved in place: the bits of whitening
-        # a C-order one, which f2py copies first, so R^-1 and the LOO
-        # diagonal built on it do not move.
+    def test_inverse_diagonal_leaves_the_factor(self):
+        # trtri runs on a copy: the factor keeps its bits, so predictions
+        # that read it after testbed's leave-one-out do not move.
         data = make_dataset("linear", 54)
         f = fixed_nugget_factor(data.pair_table, np.full(data.dim, 0.3), 1e-8, data.responses)
-        v = f.lower_inverse()
-        assert v.flags.f_contiguous
-        assert v.tobytes(order="F") == f.whiten(np.eye(data.n)).tobytes(order="F")
-        expect = f.whiten(np.eye(data.n))
-        assert f.inverse().tobytes() == (expect.T @ expect).tobytes()
+        before = f.lower.tobytes(order="F")
+        diag = f.inverse_diagonal()
+        assert f.lower.tobytes(order="F") == before
+        v = f.whiten(np.eye(data.n))
+        assert np.max(np.abs(diag - np.einsum("ij,ij->j", v, v))) <= 1e-12 * np.max(diag)
 
     def test_solve_formed_only_when_read(self):
         # log det and the quadratic form, all a rejected Gibbs proposal
@@ -453,3 +458,130 @@ class TestCorrFactor:
         pts = np.array([[0.3, 0.3], [0.3, 0.3], [0.7, 0.1]])
         with pytest.raises(NotPositiveDefiniteError):
             linalg._corr_factor(linalg.pair_table(pts), np.array([1.0, 1.0]), 0.0, np.zeros(3))
+
+
+LD = np.longdouble
+
+
+def _nll_extended(logtheta, data, nugget):
+    # The profile negative log-likelihood in x87 extended precision
+    # (eps ~1e-19), from a column Cholesky and forward substitutions.
+    x, y = data.points.astype(LD), data.responses.astype(LD)
+    d2 = (x[:, None, :] - x[None, :, :]) ** 2
+    r = np.exp(-(d2 * np.exp(logtheta)).sum(-1))
+    r[np.diag_indices(data.n)] += LD(nugget)
+    low = np.zeros_like(r)
+    for j in range(data.n):
+        col = r[j:, j] - low[j:, :j] @ low[j, :j]
+        low[j, j] = np.sqrt(col[0])
+        low[j + 1:, j] = col[1:] / low[j, j]
+    w = np.zeros((data.n, 2), dtype=LD)
+    rhs = np.stack([np.ones(data.n, dtype=LD), y], axis=1)
+    for i in range(data.n):
+        w[i] = (rhs[i] - low[i, :i] @ w[:i]) / low[i, i]
+    mu = (w[:, 0] @ w[:, 1]) / (w[:, 0] @ w[:, 0])
+    q = w[:, 1] - mu * w[:, 0]
+    return (data.n * np.log(q @ q / data.n)) / 2 + np.log(np.diag(low)).sum()
+
+
+def _central_differences(logtheta, data, nugget, h=3e-3):
+    # d/dlog theta by central differences at h, 2h and 4h, Richardson-
+    # extrapolated to sixth order, all in extended precision.
+    lt = logtheta.astype(LD)
+    steps = np.eye(len(lt), dtype=LD)
+
+    def central(step):
+        return np.array([(_nll_extended(lt + step * e, data, nugget) - _nll_extended(lt - step * e, data, nugget))
+                         / (2 * step) for e in steps])
+
+    d1, d2, d4 = central(LD(h)), central(LD(2 * h)), central(LD(4 * h))
+    r1, r2 = (4 * d1 - d2) / 3, (4 * d2 - d4) / 3
+    return ((16 * r1 - r2) / 15).astype(float)
+
+
+class TestLikelihoodGradient:
+    """linalg.likelihood_gradient at the profile mu and sigma2, against
+    extended-precision central differences of the likelihood and against
+    the full-matrix formula with R^-1 = V'V.
+
+    log theta is drawn from [-1, 2], where cond(R) stays below 1e4 on these
+    designs (7.4e3 at most over 50 draws each).  Both forms carry about
+    cond(R) eps of error, so 1e-12 cannot hold for both everywhere: on
+    toy10 at cond(R) ~ 7e6 each was ~1e-10 from the differences."""
+
+    CASES = [("toy", 12, 3), ("linear", 54, 3), ("borehole", 200, 1)]
+
+    @staticmethod
+    def _gradient(data, theta, nugget):
+        out = linalg._scratch(data.pair_table)
+        factor, mu, s2 = gp._profile(theta, data, nugget, out)
+        expect = profile_gradient_full(factor, mu, s2, theta, data)
+        got = linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, data.responses - mu, s2)
+        return got, expect, out
+
+    @pytest.mark.parametrize("name,n,draws", CASES)
+    def test_matches_central_differences(self, name, n, draws):
+        data = make_dataset(name, n)
+        rng = np.random.default_rng(5)
+        for _ in range(draws):
+            logtheta = rng.uniform(-1.0, 2.0, data.dim)
+            theta = np.exp(logtheta)
+            got, _, _ = self._gradient(data, theta, 1e-8)
+            fd = _central_differences(logtheta, data, 1e-8)
+            assert np.max(np.abs(got * theta - fd)) <= 1e-12 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("name,n,draws", CASES)
+    def test_matches_inverse_formula(self, name, n, draws):
+        data = make_dataset(name, n)
+        rng = np.random.default_rng(29)
+        for _ in range(4 * draws):
+            theta = np.exp(rng.uniform(-1.0, 2.0, data.dim))
+            for nugget in (1e-8, 1e-5):
+                got, expect, _ = self._gradient(data, theta, nugget)
+                assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_next_build_in_the_scratch_is_unchanged(self):
+        # trtri writes L^-1 over the factor's lower triangle: the upper
+        # triangle stays zero, so the next factor built in the same
+        # scratch has the bits of one built in a new buffer.
+        data = make_dataset("linear", 54)
+        theta, other = np.full(data.dim, 0.3), np.full(data.dim, 0.7)
+        _, _, out = self._gradient(data, theta, 1e-8)
+        assert not np.triu(out.matrix, 1).any()
+        reused, _ = linalg.corr_cholesky(data.points, other, 1e-8, pairs=data.pair_table, out=out)
+        fresh, _ = linalg.corr_cholesky(data.points, other, 1e-8, pairs=data.pair_table)
+        assert reused.tobytes(order="F") == fresh.tobytes(order="F")
+
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from conftest import make_dataset
+from ssgp import gp, linalg
+data = make_dataset("linear", 54)
+h = hashlib.sha256()
+for scale in (0.3, 1.0, 3.0):
+    theta = np.full(data.dim, scale)
+    out = linalg._scratch(data.pair_table)
+    factor, mu, s2 = gp._profile(theta, data, 1e-8, out)
+    h.update(factor.inverse_diagonal().tobytes())
+    h.update(linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, data.responses - mu, s2).tobytes())
+h.update(gp.mle_fit(data, start=np.full(data.dim, 0.5)).theta.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_same_bits_on_one_and_two_blas_threads():
+    # diag R^-1, the likelihood gradient and a fit at n = 54 (the largest
+    # shipped study), each thread count in its own process: OpenBLAS reads
+    # its thread count once, when it loads.
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]

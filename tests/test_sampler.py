@@ -882,6 +882,19 @@ class TestRunChain:
         with pytest.warns(RuntimeWarning, match="acceptance rate"):
             run_chain(toy10, hyper, init=self._init(toy10))
 
+    def test_warning_states_the_kept_rate(self, toy10):
+        # Over all 200 scans this chain accepts 0.105 of its proposals,
+        # inside the band; over the 50 after burn-in, 0.020.
+        hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.3, iters=200, burnin=150, seed=5)
+        init = GpParams(mu=float(toy10.responses.mean()), sigma2=1.0, phi=np.full(3, 0.5))
+        with pytest.warns(RuntimeWarning, match="MH acceptance rate") as record:
+            chain = run_chain(toy10, hyper, init=init)
+        kept = chain.meta["accept_rate_kept"]
+        assert 0.1 <= chain.accept_rate <= 0.6 and not 0.1 <= kept <= 0.6
+        assert [str(w.message) for w in record] == [
+            f"MH acceptance rate {kept:.3f} after burn-in outside [0.1, 0.6]; consider retuning prop_sd"
+        ]
+
     def test_smoke_self_init(self):
         # Full path including the internal MLE init fit.
         data = make_dataset("toy", 15, seed=1)
