@@ -15,6 +15,7 @@ Prediction keeps the last model's factor and R^-1 (y - mu) on the Dataset.
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -203,8 +204,10 @@ class GpParams:
         return self.phi**2
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
+    """One kriging prediction: mean, mean squared error, and whether a
+    negative round-off MSE was clamped to zero."""
+
     mean: float
     mse: float
     clamped: bool = False
@@ -315,13 +318,23 @@ def mle_fit(data: Dataset, opts: FitOptions | None = None, start=None) -> GpPara
 
 
 # Test-point count from which _cross_corr sums its exponent one coordinate
-# at a time rather than in one einsum.  A cost choice only: both paths sum
-# the same terms in the same order.  The loop pays four numpy calls per
-# coordinate; the einsum builds an (m, n, d) difference tensor.  At n = 54,
-# d = 10 on a shared 2-vCPU x86-64 machine the loop takes ~34 us to the
-# einsum's ~10 us at m = 1, about the same at m = 32 (72 and 68 us), and
-# ~1.4 ms to ~1.9 ms at m = 1000.
+# at a time, in row blocks, rather than in one einsum.  A cost choice only:
+# both paths sum the same terms in the same order.  The loop pays four numpy
+# calls per coordinate and block; the einsum builds an (m, n, d) difference
+# tensor.  At n = 54, d = 10 on a shared 2-vCPU x86-64 machine (one BLAS
+# thread; the ranges are three runs on a machine whose speed varies) the
+# loop takes 50-65 us to the einsum's 8-13 us at m = 1, about the same at
+# m = 32 (80-125 and 90-105 us), and 1.2-2.0 ms to 2.1-3.2 ms at m = 1000.
 _LOOP_MIN_WIDTH = 32
+
+# Bytes of one row block of the loop's exponent, so a block has
+# _BLOCK_BYTES // (8 n) rows.  The block and its term buffer (512 KiB
+# together) stay in a core's L2 cache (2 MiB on the machine measured) while
+# all d coordinates pass over them; two whole (m, n) buffers leave it from
+# m n ~ 10^5 on.  Measured with d = 10 and one thread, at n = 54, m = 1000
+# and at n = 200, m = 10^4: 64 KiB blocks paid more per-call overhead, and
+# 512 KiB blocks were no faster at either size.
+_BLOCK_BYTES = 256 * 1024
 
 
 def _cross_corr(train_pts, test_pts, theta) -> np.ndarray:
@@ -331,33 +344,49 @@ def _cross_corr(train_pts, test_pts, theta) -> np.ndarray:
     coordinate, k = 0 to d-1, starting from zero, on both paths: the einsum
     below _LOOP_MIN_WIDTH test points and the per-coordinate loop from it.
     So its value does not depend on m or on the path, and the width at which
-    the path changes is only a cost choice.  The loop keeps two (m, n)
-    buffers in place of the einsum's (m, n, d) tensor.  A BLAS contraction
-    here (tensordot over the flattened (n*m, d) array) sums in an order that
-    changes with m.
+    the path changes is only a cost choice.  The loop reads coordinate-major
+    copies of the points and fills the output in row blocks of
+    _BLOCK_BYTES, each with one term buffer of its size: coordinate 0's term
+    goes in negated and each later term is subtracted, which in
+    round-to-nearest gives bitwise the negated sum, and the block's exp is
+    taken in place.  A BLAS contraction here (tensordot over the flattened
+    (n*m, d) array) sums in an order that changes with m.
     """
-    m = len(test_pts)
+    m, n = len(test_pts), len(train_pts)
     if m < _LOOP_MIN_WIDTH:
         diff = test_pts[:, None, :] - train_pts[None, :, :]
         return np.exp(-np.einsum("mnd,mnd,d->mn", diff, diff, theta))
-    acc = np.zeros((m, len(train_pts)))
-    term = np.empty_like(acc)
-    for k, theta_k in enumerate(theta.tolist()):
-        np.subtract(test_pts[:, k, None], train_pts[:, k], out=term)
-        term *= term
-        term *= theta_k
-        acc += term
-    np.negative(acc, out=acc)
-    return np.exp(acc, out=acc)
+    train_cols = np.ascontiguousarray(train_pts.T)
+    test_cols = np.ascontiguousarray(test_pts.T)[:, :, None]
+    first, *rest = theta.tolist()
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    out = np.empty((m, n))
+    term = np.empty((min(rows, m), n))
+    for start in range(0, m, rows):
+        acc = out[start : start + rows]
+        tmp = term[: len(acc)]
+        cols = test_cols[:, start : start + rows]
+        np.subtract(cols[0], train_cols[0], out=acc)
+        acc *= acc
+        acc *= -first
+        for k, theta_k in enumerate(rest, 1):
+            np.subtract(cols[k], train_cols[k], out=tmp)
+            tmp *= tmp
+            tmp *= theta_k
+            acc -= tmp
+        np.exp(acc, out=acc)
+    return out
 
 
 def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT_NUGGET):
     """Kriging predictions at original-scale test points.
 
     `xstars` is an (m, d) array of points or one 1-D point of length d;
-    either way the result is a list of Prediction, so the prediction at a
-    single point x is predict_batch(params, data, x)[0].  A test point with
-    a non-finite coordinate is rejected with ValueError.
+    either way the result is a list of Prediction named tuples (mean, mse,
+    clamped), so the prediction at a single point x is
+    predict_batch(params, data, x)[0].  An input of more than two
+    dimensions, or a test point with a non-finite coordinate, is rejected
+    with ValueError.
 
     The mean is mu + r' R^-1 (y - 1 mu); the mean squared error includes
     the mean-estimation correction term (1 - 1' R^-1 r)^2 / (1' R^-1 1).
@@ -368,11 +397,12 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     BLAS or runs in an order that depends on the number of points.  Its
     correlations are summed coordinate by coordinate at any width; the
     width from which _cross_corr loops over coordinates instead of building
-    an (m, n, d) tensor is only a cost choice.  The MSE goes through a
-    multi-right-hand-side solve and a GEMV, so it agrees across batches
-    only to rounding, and `clamped` can differ between batches for an MSE
-    at round-off level.  (With OpenBLAS, batches of two or more points
-    agree bitwise: their GEMV runs over whole blocks of test points.)
+    an (m, n, d) tensor, and the row blocks it loops in, are only cost
+    choices.  The MSE goes through a multi-right-hand-side solve and a
+    GEMV, so it agrees across batches only to rounding, and `clamped` can
+    differ between batches for an MSE at round-off level.  (With OpenBLAS,
+    batches of two or more points agree bitwise: their GEMV runs over whole
+    blocks of test points.)
 
     The factor of R(theta), with its nugget escalation and 1'R^-1 1, and
     the solve R^-1 (y - mu) are kept on `data` for the last (theta,
@@ -381,6 +411,8 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     still checks its own test points.
     """
     xs = np.atleast_2d(np.asarray(xstars, dtype=float))
+    if xs.ndim > 2:
+        raise ValueError(f"test points must be one point or an (m, d) array, got shape {xs.shape}")
     if xs.shape[1] != data.dim:
         raise ValueError(
             f"test points have {xs.shape[1]} columns, expected {data.dim}"
@@ -411,5 +443,8 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
         padded[:, :m] = v
         v = padded
     corr_term = (1.0 - factor.w1 @ v) ** 2 / factor.one_rinv_one
-    mses = params.sigma2 * (1.0 - np.einsum("ij,ij->j", v, v) + corr_term)
-    return [Prediction(mean, max(s, 0.0), s < 0) for mean, s in zip(means.tolist(), mses[:m].tolist())]
+    mses = params.sigma2 * (1.0 - np.einsum("ij,ij->j", v, v) + corr_term)[:m]
+    # Bitwise max(s, 0.0): only s < 0 becomes +0.0; -0.0 and NaN pass through.
+    clamped = mses < 0
+    mses[clamped] = 0.0
+    return list(map(Prediction, means.tolist(), mses.tolist(), clamped.tolist()))

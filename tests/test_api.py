@@ -24,6 +24,16 @@ def test_every_exported_name_resolves():
         assert getattr(ssgp, name, None) is not None, name
 
 
+def test_prediction_contract():
+    # Callers read a prediction by field name, and may unpack it in this order.
+    pred = ssgp.Prediction(1.5, 0.25)
+    assert ssgp.Prediction is gp.Prediction
+    assert ssgp.Prediction._fields == ("mean", "mse", "clamped")
+    assert pred == (1.5, 0.25, False) and pred.clamped is False
+    with pytest.raises(AttributeError):
+        pred.mse = 0.0
+
+
 @pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
 def test_readme_library_quickstart_runs(capsys):
     text = README.read_text(encoding="utf-8")

@@ -48,6 +48,11 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _block_rows(n):
+    # Rows in one of _cross_corr's row blocks at n training points.
+    return gp._BLOCK_BYTES // (8 * n)
+
+
 def _bits(preds):
     # Every field of every prediction, as exact bit patterns.
     return [(np.float64(p.mean).tobytes(), np.float64(p.mse).tobytes(), p.clamped) for p in preds]
@@ -552,13 +557,15 @@ class TestPrediction:
         data = make_dataset("linear", 54)
         params = GpParams(mu=0.3, sigma2=2.0, phi=np.linspace(0.2, 1.5, data.dim))
         lo, hi = data.ranges.T
-        xs = lo + np.random.default_rng(7).random((300, data.dim)) * (hi - lo)
+        b = _block_rows(data.n)
+        xs = lo + np.random.default_rng(7).random((2 * b + 1, data.dim)) * (hi - lo)
         batch = [p.mean for p in predict_batch(params, data, xs)]
         single = [predict_batch(params, data, x)[0].mean for x in xs]
-        # Width 2, and widths either side of where _cross_corr switches from
-        # its einsum to its per-coordinate loop.
+        # Width 2, widths either side of where _cross_corr switches from its
+        # einsum to its per-coordinate loop, and either side of its row
+        # blocks' edges.
         t = gp._LOOP_MIN_WIDTH
-        for width in (2, t - 1, t, t + 1):
+        for width in (2, t - 1, t, t + 1, b - 1, b, b + 1):
             chunked = [
                 p.mean
                 for i in range(0, len(xs), width)
@@ -569,8 +576,13 @@ class TestPrediction:
 
     def test_dimension_checked(self, toy10):
         params = mle_fit(toy10, FitOptions(seed=0))
-        with pytest.raises(ValueError, match="columns"):
-            predict_batch(params, toy10, [[0.5, 0.5]])
+        for xs, match in [
+            ([[0.5, 0.5]], "columns"),
+            # A 3-D input whose second axis happens to equal d.
+            (np.full((2, 3, 3), 0.5), r"got shape \(2, 3, 3\)"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                predict_batch(params, toy10, xs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_nugget_rejected(self, toy10, bad):
@@ -596,10 +608,12 @@ class TestPrediction:
         huge, plain = predict_batch(params, data, [[1e308, 0.5], [0.3, 0.5]])
         assert np.isfinite([huge.mean, huge.mse]).all()
         assert _bits([huge]) == _bits([plain])
-        # The same inside a batch wide enough for the per-coordinate loop.
-        wide = np.tile([0.3, 0.5], (gp._LOOP_MIN_WIDTH, 1))
-        wide[0, 0] = 1e308
-        huge, plain_in_wide = predict_batch(params, data, wide)[:2]
+        # The same in the second row block of the per-coordinate loop.
+        b = _block_rows(data.n)
+        wide = np.tile([0.3, 0.5], (b + 1, 1))
+        wide[b, 0] = 1e308
+        wide_preds = predict_batch(params, data, wide)
+        plain_in_wide, huge = wide_preds[0], wide_preds[b]
         assert np.isfinite([huge.mean, huge.mse]).all()
         assert _bits([huge]) == _bits([plain_in_wide])
         assert huge.mean == plain.mean
@@ -632,17 +646,20 @@ class TestPrediction:
 
     def test_mse_bits_do_not_depend_on_batch_width(self, linear54):
         # From two points up, each point's prediction is bitwise the same at
-        # every width and on either side of the loop width.
+        # every width, on either side of the loop width and of the row
+        # blocks' edges.
         rng = np.random.default_rng(17)
         params = GpParams(mu=0.3, sigma2=2.0, phi=rng.uniform(0.3, 1.5, linear54.dim))
-        xs = rng.uniform(size=(2 * gp._LOOP_MIN_WIDTH, linear54.dim))
+        b = _block_rows(linear54.n)
+        xs = rng.uniform(size=(2 * b + 1, linear54.dim))
         widest = _bits(predict_batch(params, linear54, xs))
-        for m in range(2, len(xs)):
+        for m in [*range(2, 2 * gp._LOOP_MIN_WIDTH), b - 1, b, b + 1]:
             assert _bits(predict_batch(params, linear54, xs[:m])) == widest[:m], m
 
     def test_wide_batch_peak_memory(self, linear54):
-        # The exponent is built in two (m, n) buffers; the einsum's (m, n, d)
-        # difference tensor alone would take m n d 8 bytes.
+        # The exponent is built in the (m, n) output and one row block's term
+        # buffer; the einsum's (m, n, d) difference tensor alone would take
+        # m n d 8 bytes.
         params = GpParams(mu=0.3, sigma2=2.0, phi=np.linspace(0.2, 1.5, linear54.dim))
         lo, hi = linear54.ranges.T
         xs = lo + np.random.default_rng(3).random((2000, linear54.dim)) * (hi - lo)
