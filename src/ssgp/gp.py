@@ -142,6 +142,12 @@ class Dataset:
         lo = self.ranges[:, 0]
         return lo, self.ranges[:, 1] - lo
 
+    def _factor(self, theta, nugget, out=None) -> linalg.CorrFactor:
+        # The one place a factor of this data is made: R(theta) by
+        # corr_cholesky, built in `out` when given, on the [1, y] table.
+        lower, _ = linalg.corr_cholesky(self.points, theta, nugget, pairs=self.pair_table, out=out)
+        return linalg.CorrFactor(lower, self.gls_rhs)
+
     def _prediction_factor(self, theta, nugget, mu):
         # (CorrFactor of R(theta), R^-1 (y - mu)) for predict_batch and
         # testbed's closed-form leave-one-out.
@@ -154,9 +160,8 @@ class Dataset:
         memo = self.__dict__.get("_prediction_memo")
         if memo is not None and memo[0] == key:
             return memo[1:]
-        lower, _ = linalg.corr_cholesky(self.points, theta, nugget, pairs=self.pair_table)
-        factor = linalg.CorrFactor(lower, self.gls_rhs)
-        rinv_resid = linalg.solve_with_chol(lower, self.responses - mu)
+        factor = self._factor(theta, nugget)
+        rinv_resid = linalg.solve_with_chol(factor.lower, self.responses - mu)
         memo = (key, factor, rinv_resid)
         object.__setattr__(self, "_prediction_memo", memo)
         return memo[1:]
@@ -225,12 +230,13 @@ class FitOptions:
 
 
 def _profile(theta, data: Dataset, nugget, out: linalg._Scratch):
-    # One factorization of R(theta), escalating the nugget, built in `out`,
-    # and the profile MLEs of mu and sigma2 read from it.
-    lower, _ = linalg.corr_cholesky(data.points, theta, nugget, pairs=data.pair_table, out=out)
-    factor = linalg.CorrFactor(lower, data.gls_rhs)
+    # One factorization of R(theta), escalating the nugget, built in `out`;
+    # the profile mu read from it, and the residual y - mu that the profile
+    # sigma2 and the gradient share.
+    factor = data._factor(theta, nugget, out)
     mu = factor.gls_mean
-    return factor, mu, max(factor.quad(mu) / data.n, SIGMA2_FLOOR)
+    resid = data.responses - mu
+    return factor, mu, resid, max(factor.quad(mu, resid) / data.n, SIGMA2_FLOOR)
 
 
 def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGET, grad=False, out=None):
@@ -246,11 +252,11 @@ def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGE
     theta = np.asarray(theta, dtype=float)
     if out is None:
         out = linalg._scratch(data.pair_table)
-    factor, mu, s2 = _profile(theta, data, nugget, out)
+    factor, _, resid, s2 = _profile(theta, data, nugget, out)
     value = 0.5 * (data.n * np.log(s2) + factor.log_det)
     if not grad:
         return value
-    return value, linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, factor.y - mu, s2)
+    return value, linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, resid, s2)
 
 
 def mle_fit(data: Dataset, opts: FitOptions | None = None, start=None) -> GpParams:
@@ -313,7 +319,7 @@ def mle_fit(data: Dataset, opts: FitOptions | None = None, start=None) -> GpPara
         raise OptimizerFailedError("all likelihood-optimization starts failed")
 
     theta_hat = np.exp(best_x)
-    _, mu_hat, s2_hat = _profile(theta_hat, data, opts.nugget, scratch)
+    _, mu_hat, _, s2_hat = _profile(theta_hat, data, opts.nugget, scratch)
     return GpParams(mu=mu_hat, sigma2=s2_hat, phi=np.sqrt(theta_hat))
 
 

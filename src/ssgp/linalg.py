@@ -17,8 +17,8 @@ give the off-diagonal correlations, which are scattered into a
 Fortran-order n x n buffer with 1 + nugget on the diagonal.  _cholesky
 factors that buffer in place, reading only its lower triangle, so R's
 upper triangle is never formed.  The buffer is a _Scratch: its matrix,
-flat column view and GEMV output, made once.  Which buffer each caller
-builds in:
+flat column view and GEMV output, made once and owned by that buffer
+alone.  Which buffer each caller builds in:
 - corr_cholesky builds every nugget attempt of one call in the same
   scratch: its `out`, or one it makes when `out` is omitted;
 - gp.mle_fit makes one scratch and passes it as `out`, through
@@ -27,7 +27,8 @@ builds in:
 - gp's prediction memo and a neg_log_profile_likelihood called on its
   own make one per call;
 - a Gibbs chain makes two when it starts (the two slots of its
-  sampler.SamplerState) and reuses them for every proposal.
+  sampler.SamplerState) and reuses them for every proposal, so a proposal
+  leaves the current slot's factor and R0 values as its build left them.
 A factor built in a scratch is the scratch's matrix, so it lasts until the
 next build there, or until likelihood_gradient overwrites it with L^-1.
 The matrix is zero when it is made, and the build, potrf and trtri read
@@ -36,7 +37,7 @@ the buffer's life and potrf's `clean` pass, which zeroes it, is skipped.
 
 Where arguments are checked.  pair_table checks design points,
 corr_cholesky theta and the nugget, and solve_with_chol its operands.
-CorrFactor(lower, y) wraps a factor that _cholesky has just made and
+CorrFactor(lower, rhs) wraps a factor that _cholesky has just made and
 passed, without a second scan: with theta and the nugget finite, every
 entry of R is finite and every row of L has norm sqrt(R_ii) <=
 sqrt(1 + nugget), so _cholesky's one diagonal test, PIVOT_TOL < L_ii^2 <
@@ -116,8 +117,7 @@ class _Scratch(NamedTuple):
 
     matrix is Fortran-order n x n and zero when made; flat is its column-order
     flat view and diag that view's diagonal; gemv takes the PairTable
-    product, and pairs is its first n(n-1)/2 entries.  Two scratches may
-    share one gemv, since R is built before it is factored.
+    product, and pairs is its first n(n-1)/2 entries.
     """
 
     matrix: np.ndarray
@@ -127,22 +127,21 @@ class _Scratch(NamedTuple):
     pairs: np.ndarray
 
 
-def _scratch(pairs: PairTable, gemv=None) -> _Scratch:
+def _scratch(pairs: PairTable) -> _Scratch:
     n = pairs.n
     m = np.zeros((n, n), order="F")
     # m.T is C-contiguous, so this is a flat view of m in column order.
     flat = m.T.reshape(-1)
-    if gemv is None:
-        gemv = np.empty(len(pairs.rows))
+    gemv = np.empty(len(pairs.rows))
     return _Scratch(m, flat, flat[:: n + 1], gemv, gemv[: len(pairs.index)])
 
 
-def _corr_lower(pairs: PairTable, theta, nugget, out: _Scratch | None = None) -> np.ndarray:
-    # R(theta) + nugget I, lower triangle and diagonal only, in out's matrix
-    # (a new scratch when omitted), whose upper triangle stays zero; out's
-    # gemv is left holding R0's entry exp(-D_p theta) of every pair p (1 on
-    # the zero rows).  Nothing is checked here.
-    m, flat, diag, r, r_pairs = _scratch(pairs) if out is None else out
+def _corr_lower(pairs: PairTable, theta, nugget, out: _Scratch) -> np.ndarray:
+    # R(theta) + nugget I, lower triangle and diagonal only, in out's matrix,
+    # whose upper triangle stays zero; out's gemv is left holding R0's entry
+    # exp(-D_p theta) of every pair p (1 on the zero rows).  Nothing is
+    # checked here.
+    m, flat, diag, r, r_pairs = out
     np.matmul(pairs.rows, -theta, out=r)
     np.exp(r, out=r)
     flat[pairs.index] = r_pairs
@@ -186,12 +185,12 @@ def solve_with_chol(lower, b) -> np.ndarray:
 class CorrFactor:
     """One Cholesky factorization R = L L' and what its readers reuse.
 
-    CorrFactor(lower, y) wraps a factor that _cholesky has made and passed.
-    y is the responses, or the table [1, y] of gls_rhs(y) when the caller
-    keeps one (gp.Dataset does), so that it is not made again per factor.
-    log det R is computed from L's diagonal when the factor is made: every
-    Gibbs proposal and likelihood value reads it.  w1 = L^-1 1, 1'R^-1 1 and
-    the GLS mean (1'R^-1 1)^-1 1'R^-1 y are computed the first time each is
+    CorrFactor(lower, rhs) wraps a factor that _cholesky has made and
+    passed; rhs is the table [1, y] of gls_rhs(y), made once per data set
+    (gp.Dataset keeps it) and read by every factor on that data.  log det R
+    is computed from L's diagonal when the factor is made: every Gibbs
+    proposal and likelihood value reads it.  w1 = L^-1 1, 1'R^-1 1 and the
+    GLS mean (1'R^-1 1)^-1 1'R^-1 y are computed the first time each is
     read, from one two-column triangular solve [L^-1 1, L^-1 y].  A
     quadratic form (y - mu)'R^-1(y - mu) is |L^-1 (y - mu)|^2 from one
     triangular solve of the residual; the last one is kept, so the Gibbs
@@ -199,18 +198,11 @@ class CorrFactor:
     Gibbs scan makes one per proposal.
     """
 
-    def __init__(self, lower: np.ndarray, y: np.ndarray):
-        if y.ndim == 2:
-            self._rhs, y = y, y[:, 1]
-        self.lower, self.y = lower, y
+    def __init__(self, lower: np.ndarray, rhs: np.ndarray):
+        self.lower, self._rhs = lower, rhs
         self.log_det = float(2.0 * np.log(lower.diagonal()).sum())
         # mu and the value of the last quad(mu) call.
         self._quad_mu = self._quad = None
-
-    @cached_property
-    def _rhs(self) -> np.ndarray:
-        # The Fortran-order (n, 2) right-hand side [1, y] (its transpose).
-        return gls_rhs(self.y)
 
     @cached_property
     def _ones_y(self) -> np.ndarray:
@@ -232,9 +224,10 @@ class CorrFactor:
         """(y - mu)'R^-1(y - mu); non-negative by construction.
 
         resid, when given, is y - mu already formed (the Gibbs scan forms
-        one per mu for all its factors); it is not checked."""
+        one per mu for all its factors, a likelihood evaluation one for its
+        value and gradient); it is not checked."""
         if mu != self._quad_mu:
-            v = dtrtrs(self.lower, self.y - mu if resid is None else resid, lower=1)[0]
+            v = dtrtrs(self.lower, self._rhs[:, 1] - mu if resid is None else resid, lower=1)[0]
             self._quad_mu, self._quad = mu, float(v @ v)
         return self._quad
 
@@ -271,11 +264,11 @@ def likelihood_gradient(lower, pairs: PairTable, r0, resid, scale) -> np.ndarray
     return -(r0 @ pairs.rows)
 
 
-def _corr_factor(pairs: PairTable, theta, nugget, y, out: _Scratch | None = None) -> CorrFactor:
+def _corr_factor(pairs: PairTable, theta, nugget, rhs, out: _Scratch) -> CorrFactor:
     # Unchecked factor of R(theta) + nugget I at exactly `nugget`, built and
-    # factored in `out` (a new scratch when omitted), raising
+    # factored in `out`, on the [1, y] table `rhs`, raising
     # NotPositiveDefiniteError instead of escalating (the sampler's target).
-    return CorrFactor(_cholesky(_corr_lower(pairs, theta, nugget, out)), y)
+    return CorrFactor(_cholesky(_corr_lower(pairs, theta, nugget, out)), rhs)
 
 
 def corr_cholesky(points, theta, nugget: float = DEFAULT_NUGGET, pairs: PairTable | None = None,

@@ -11,20 +11,20 @@ componentwise Bernoulli draws.
 
 A chain has one state, SamplerState, and the four steps only read and
 mutate it.  It holds the draws and the generator; what the steps read of
-the data and the settings (the design's PairTable, the responses, prop_sd
-and the mixture prior's table: the spike and slab variances, their
-log(2 pi var) terms and log P(gamma_k = g)); the factor of the current phi
-(log det R, 1'R^-1 1, the GLS mean and the quadratic form are read off
-this linalg.CorrFactor) with its inclusion probabilities; the residual
-y - mu, formed once per mu for the sigma2 step and the proposal; and the
-accepted and failed proposal counts.
+the data and the settings (the design's PairTable, the responses and
+their [1, y] table, prop_sd and the mixture prior's table: the spike and
+slab variances, their log(2 pi var) terms and log P(gamma_k = g)); the
+factor of the current phi (log det R, 1'R^-1 1, the GLS mean and the
+quadratic form are read off this linalg.CorrFactor) with its inclusion
+probabilities; the residual y - mu, formed once per mu for the sigma2 step
+and the proposal; and the accepted and failed proposal counts.
 
 The state also owns the chain's scratch memory, allocated once: two slots,
-each an n x n buffer that R is built and factored in (a linalg._Scratch)
-and a pair of prior rows.  The slot `current` holds the current phi's
-factor and rows; each proposal is built in the other, and an accepted
-proposal swaps their roles.  So a proposal never writes over the factor
-the scan carries, whether it is accepted, rejected or fails to factor.
+each a linalg._Scratch (R's buffer and its own GEMV output) and a pair of
+prior rows.  The slot `current` holds the current phi's factor, R0 values
+and rows; each proposal is built in the other, and an accepted proposal
+swaps their roles.  So a proposal never writes over what the current slot
+holds, whether it is accepted, rejected or fails to factor.
 """
 
 import hashlib
@@ -174,13 +174,13 @@ class SamplerState:
 
     SamplerState(data, hyper, mu, sigma2, phi, gamma, rng) holds:
     - the draws mu, sigma2, phi and gamma, and the generator rng;
-    - of `data`, the design's PairTable (pairs) and the responses (y);
+    - of `data`, the design's PairTable (pairs), the responses (y) and
+      their [1, y] table (rhs), which every factor of the chain reads;
     - of `hyper`, prop_sd and the mixture prior's table (var, log_norm and
       log_weight, each (2, d) with row g for gamma_k = g);
     - the residual y - mu, formed once per (y, mu) by residual();
     - two slots: slot k is scratch[k], a linalg._Scratch that R is built
-      and factored in (the two share one GEMV output), and priors[k], the
-      prior rows of its phi;
+      and factored in, and priors[k], the prior rows of its phi;
     - `current`, the slot of the current phi, whose factor and inclusion
       probabilities are `factor` and `inclusion`;
     - `accepted` and `failures`, the counts of accepted proposals and of
@@ -192,15 +192,14 @@ class SamplerState:
 
     def __init__(self, data: Dataset, hyper: Hyperparams, mu, sigma2, phi, gamma, rng: np.random.Generator):
         self.mu, self.sigma2, self.phi, self.gamma, self.rng = mu, sigma2, phi, gamma, rng
-        self.pairs, self.y, self.prop_sd = data.pair_table, data.responses, hyper.prop_sd
+        self.pairs, self.rhs, self.y, self.prop_sd = data.pair_table, data.gls_rhs, data.responses, hyper.prop_sd
         # The variances tau^2 and (c tau)^2, their log(2 pi var) terms, and
         # log P(gamma_k = g): log(1 - p) (-inf at p = 1) and log p.
         self.var = np.stack([hyper.tau**2, (hyper.c * hyper.tau) ** 2])
         self.log_norm = np.log(2.0 * np.pi * self.var)
         with np.errstate(divide="ignore"):
             self.log_weight = np.stack([np.log1p(-hyper.p), np.log(hyper.p)])
-        gemv = np.empty(len(self.pairs.rows))
-        self.scratch = (linalg._scratch(self.pairs, gemv), linalg._scratch(self.pairs, gemv))
+        self.scratch = (linalg._scratch(self.pairs), linalg._scratch(self.pairs))
         self.priors = np.zeros((2, 2, len(phi)))
         self._resid = (None, None, None)
         self.current = 0
@@ -241,7 +240,7 @@ def _factor(state: SamplerState, phi, slot: int) -> linalg.CorrFactor:
     # NotPositiveDefiniteError.  Unchecked: phi is finite, so theta passes
     # (see linalg).
     theta = phi * phi
-    factor = linalg._corr_factor(state.pairs, theta, SAMPLER_NUGGET, state.y, state.scratch[slot])
+    factor = linalg._corr_factor(state.pairs, theta, SAMPLER_NUGGET, state.rhs, state.scratch[slot])
     state.prior_rows(theta, slot)
     if slot != state.current:
         factor.quad(state.mu, state.residual())

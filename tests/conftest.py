@@ -86,10 +86,12 @@ def checked_theta(theta, nugget, d) -> np.ndarray:
 
 def fixed_nugget_factor(pairs, theta, nugget, y) -> linalg.CorrFactor:
     """CorrFactor of R(theta) + nugget I at exactly `nugget`, as the sampler
-    factors it (linalg._corr_factor), with theta and the nugget checked
-    first.  NotPositiveDefiniteError instead of escalating the nugget."""
+    factors it (linalg._corr_factor), on the [1, y] table of y and in a new
+    scratch, with theta and the nugget checked first.
+    NotPositiveDefiniteError instead of escalating the nugget."""
     theta = checked_theta(theta, nugget, pairs.rows.shape[1])
-    return linalg._corr_factor(pairs, theta, nugget, np.asarray(y, dtype=float))
+    rhs = linalg.gls_rhs(np.asarray(y, dtype=float))
+    return linalg._corr_factor(pairs, theta, nugget, rhs, linalg._scratch(pairs))
 
 
 def corr_matrix_from_sqdiffs(sqdiffs, theta, nugget: float = DEFAULT_NUGGET) -> np.ndarray:
@@ -117,7 +119,7 @@ def profile_gradient_full(factor, mu, s2, theta, data: Dataset, rinv=None, alpha
         rinv = v.T @ v
     w = rinv.copy()
     if alpha is None:
-        alpha = w @ (factor.y - mu)
+        alpha = w @ (data.responses - mu)
     w -= np.outer(alpha, alpha / s2)
     w *= corr_matrix_from_sqdiffs(sqdiffs, theta, 0.0)
     return -0.5 * (w.reshape(n * n) @ sqdiffs.reshape(n * n, d))

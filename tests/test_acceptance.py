@@ -145,9 +145,12 @@ def test_criterion5_piston_screening_and_loo():
     )
     if not ok:
         pytest.xfail(
-            msg + "; twelve runs over six inputs leave the inclusion posterior "
-            "diffuse (no stable modal set) and the selection-shrunken scales "
-            "cost leave-one-out accuracy"
+            msg + "; the random-walk chain is unconverged, not only diffuse: "
+            "a second chain seed on the same twelve runs and init selects "
+            "another set at 4 of the 5 master seeds, with marginals up to 0.93 "
+            "apart (x1 1.00 and 0.07 at master seed 4), so the modal set and "
+            "the posterior-mean scales scored by leave-one-out are where one "
+            "stuck chain stopped"
         )
 
 
@@ -280,7 +283,7 @@ class TestCriterion6Properties:
                 worst = max(
                     worst,
                     float(np.max(np.abs(linalg.solve_with_chol(chol, rhs) - inv @ rhs))),
-                    abs(linalg.CorrFactor(chol, rhs).log_det - np.linalg.slogdet(mat)[1]),
+                    abs(linalg.CorrFactor(chol, linalg.gls_rhs(rhs)).log_det - np.linalg.slogdet(mat)[1]),
                 )
         ok = worst < 1e-8
         msg = _line(

@@ -100,6 +100,35 @@ def test_no_explicit_inverse():
     assert found == set()
 
 
+def test_factors_are_made_in_one_place():
+    # A correlation factor is made in two places: linalg._corr_factor (the
+    # Gibbs scan's fixed nugget) and gp.Dataset._factor (corr_cholesky's
+    # escalation, on the data's [1, y] table); every scratch owns its GEMV
+    # output, so _scratch takes the pair table alone.
+    owners = {"CorrFactor": set(), "corr_cholesky": set()}
+    scratch_calls = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in owners:
+                    owners[name].add(owner)
+                elif name == "_scratch" and (len(child.args) != 1 or child.keywords):
+                    scratch_calls.append(f"{owner}:{child.lineno}")
+            visit(child, owner)
+
+    for path in sorted((ROOT / "src" / "ssgp").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert owners == {"CorrFactor": {"linalg._corr_factor", "gp.Dataset._factor"},
+                      "corr_cholesky": {"gp.Dataset._factor"}}
+    assert scratch_calls == []
+
+
 class TestBenchmarkSeams:
     """What bench/ calls and traces in src/, pinned so that a cleanup
     cannot silently blind the tracer: it finds corr_cholesky's requested

@@ -194,6 +194,7 @@ class TestSelectCommand:
         doc = io.load_json(report_path)
         assert doc["kind"] == "selection-report"
         assert len(doc["marginal_inclusion"]) == 3
+        assert doc["meta"] == {"accept_rate": chain.accept_rate, "seed": 2}
         assert trace_path.exists()
         out = capsys.readouterr().out
         assert "selected" in out and "acceptance rate" in out

@@ -243,7 +243,7 @@ class TestProfileEstimates:
         # variance the mean squared residual: 2 and 2/3 for y = (1,2,3).
         chol = np.eye(3)
         y = np.array([1.0, 2.0, 3.0])
-        factor = linalg.CorrFactor(chol, y)
+        factor = linalg.CorrFactor(chol, linalg.gls_rhs(y))
         mu = factor.gls_mean
         assert mu == pytest.approx(2.0, abs=1e-15)
         assert factor.quad(mu) / 3 == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -258,7 +258,7 @@ class TestProfileEstimates:
         rinv = np.linalg.inv(r)
         ones = np.ones(6)
         mu_direct = (ones @ rinv @ y) / (ones @ rinv @ ones)
-        factor = linalg.CorrFactor(chol, y)
+        factor = linalg.CorrFactor(chol, linalg.gls_rhs(y))
         mu = factor.gls_mean
         assert mu == pytest.approx(mu_direct, abs=1e-10)
         s2_direct = (y - mu_direct) @ rinv @ (y - mu_direct) / 6
@@ -458,11 +458,11 @@ class TestLikelihoodGradient:
         for _ in range(5):
             theta = np.exp(rng.uniform(np.log(0.1), np.log(2.0), data.dim)) ** 2
             out = linalg._scratch(data.pair_table)
-            factor, mu, s2 = gp._profile(theta, data, nugget, out)
+            factor, mu, resid, s2 = gp._profile(theta, data, nugget, out)
             low = dsyrk(1.0, dtrtri(factor.lower, lower=1)[0], trans=1, lower=1)
-            alpha = dpotrs(factor.lower, factor.y - mu, lower=1)[0]
+            alpha = dpotrs(factor.lower, resid, lower=1)[0]
             expect = profile_gradient_full(factor, mu, s2, theta, data, low + np.tril(low, -1).T, alpha)
-            got = linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, factor.y - mu, s2)
+            got = linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, resid, s2)
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
@@ -508,10 +508,10 @@ class TestOneBuildPerEvaluation:
         theta = np.array([1e-3, 2e-3])
         assert linalg.corr_cholesky(data.points, theta, 0.0)[1] > 0.0
         out = linalg._scratch(data.pair_table)
-        factor, mu, s2 = gp._profile(theta, data, 0.0, out)
+        factor, mu, resid, s2 = gp._profile(theta, data, 0.0, out)
         # The gradient uses its factor up, so the second one reads a copy.
         copy = linalg.CorrFactor(factor.lower.copy(order="F"), data.gls_rhs)
-        got = linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, factor.y - mu, s2)
+        got = linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, resid, s2)
         fresh = linalg.likelihood_gradient(copy.lower, data.pair_table, np.exp(data.pair_table.rows @ -theta),
                                            data.responses - mu, s2)
         assert got.tobytes() == fresh.tobytes()
@@ -626,7 +626,7 @@ class TestPrediction:
         # one in predict_batch.
         params = mle_fit(toy20, FitOptions(seed=0))
         lower, _ = linalg.corr_cholesky(toy20.points, params.theta, 0.0)
-        factor = linalg.CorrFactor(lower, toy20.responses)
+        factor = linalg.CorrFactor(lower, toy20.gls_rhs)
         t = gp._LOOP_MIN_WIDTH
         xs = np.resize(scale_points(toy20.points, toy20.ranges, "from_unit"), (t + 1, toy20.dim))
         xs_unit = scale_points(xs, toy20.ranges, "to_unit")

@@ -134,11 +134,11 @@ class TestCholesky:
     def test_log_det_hand_values(self):
         lower = chol_decompose(np.array([[1.0, 0.5], [0.5, 1.0]]))
         # det = 0.75, frozen log.
-        assert linalg.CorrFactor(lower, np.zeros(2)).log_det == pytest.approx(
+        assert linalg.CorrFactor(lower, linalg.gls_rhs(np.zeros(2))).log_det == pytest.approx(
             -0.2876820724517809, abs=1e-14
         )
         lower = chol_decompose(np.diag([4.0, 9.0]))
-        assert linalg.CorrFactor(lower, np.zeros(2)).log_det == pytest.approx(
+        assert linalg.CorrFactor(lower, linalg.gls_rhs(np.zeros(2))).log_det == pytest.approx(
             3.58351893845611, abs=1e-13
         )
 
@@ -236,7 +236,7 @@ class TestAgainstExplicitInverse:
             assert np.max(np.abs(x - np.linalg.inv(m) @ b)) < 1e-8
             sign, logdet = np.linalg.slogdet(m)
             assert sign == 1.0
-            assert abs(linalg.CorrFactor(lower, b).log_det - logdet) < 1e-8
+            assert abs(linalg.CorrFactor(lower, linalg.gls_rhs(b)).log_det - logdet) < 1e-8
 
     def test_matrix_rhs(self):
         rng = np.random.default_rng(7)
@@ -343,7 +343,7 @@ class TestPairTable:
                 theta[rng.uniform(size=d) < 0.1] *= 1e4
                 for nugget in (0.0, 1e-8, 1e-5):
                     full = corr_matrix_from_sqdiffs(sqd, theta, nugget)
-                    built = linalg._corr_lower(pairs, theta, nugget)
+                    built = linalg._corr_lower(pairs, theta, nugget, linalg._scratch(pairs))
                     low = np.tril_indices(n)
                     assert built[low].tobytes() == full[low].tobytes()
                     assert not np.triu(built, 1).any()
@@ -369,6 +369,7 @@ class TestScratch:
             pts = rng.uniform(size=(n, d))
             pairs = linalg.pair_table(pts)
             out = linalg._scratch(pairs)
+            rhs = linalg.gls_rhs(np.zeros(n))
             failed = 0
             for k in range(30):
                 theta = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), d))
@@ -377,13 +378,13 @@ class TestScratch:
                     # R is all ones to the last bit: singular.
                     theta, nugget = theta * 1e-20, 0.0
                 try:
-                    fresh = linalg._corr_factor(pairs, theta, nugget, np.zeros(n)).lower
+                    fresh = linalg._corr_factor(pairs, theta, nugget, rhs, linalg._scratch(pairs)).lower
                 except NotPositiveDefiniteError:
                     failed += 1
                     with pytest.raises(NotPositiveDefiniteError):
-                        linalg._corr_factor(pairs, theta, nugget, np.zeros(n), out)
+                        linalg._corr_factor(pairs, theta, nugget, rhs, out)
                     continue
-                reused = linalg._corr_factor(pairs, theta, nugget, np.zeros(n), out).lower
+                reused = linalg._corr_factor(pairs, theta, nugget, rhs, out).lower
                 assert np.shares_memory(reused, out.matrix)
                 assert reused.tobytes(order="F") == fresh.tobytes(order="F")
                 assert not np.triu(out.matrix, 1).any()
@@ -457,7 +458,7 @@ class TestCorrFactor:
         # sampler's fixed-nugget factor raises.
         pts = np.array([[0.3, 0.3], [0.3, 0.3], [0.7, 0.1]])
         with pytest.raises(NotPositiveDefiniteError):
-            linalg._corr_factor(linalg.pair_table(pts), np.array([1.0, 1.0]), 0.0, np.zeros(3))
+            fixed_nugget_factor(linalg.pair_table(pts), [1.0, 1.0], 0.0, np.zeros(3))
 
 
 LD = np.longdouble
@@ -514,9 +515,9 @@ class TestLikelihoodGradient:
     @staticmethod
     def _gradient(data, theta, nugget):
         out = linalg._scratch(data.pair_table)
-        factor, mu, s2 = gp._profile(theta, data, nugget, out)
+        factor, mu, resid, s2 = gp._profile(theta, data, nugget, out)
         expect = profile_gradient_full(factor, mu, s2, theta, data)
-        got = linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, data.responses - mu, s2)
+        got = linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, resid, s2)
         return got, expect, out
 
     @pytest.mark.parametrize("name,n,draws", CASES)
@@ -564,9 +565,9 @@ h = hashlib.sha256()
 for scale in (0.3, 1.0, 3.0):
     theta = np.full(data.dim, scale)
     out = linalg._scratch(data.pair_table)
-    factor, mu, s2 = gp._profile(theta, data, 1e-8, out)
+    factor, _, resid, s2 = gp._profile(theta, data, 1e-8, out)
     h.update(factor.inverse_diagonal().tobytes())
-    h.update(linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, data.responses - mu, s2).tobytes())
+    h.update(linalg.likelihood_gradient(factor.lower, data.pair_table, out.gemv, resid, s2).tobytes())
 h.update(gp.mle_fit(data, start=np.full(data.dim, 0.5)).theta.tobytes())
 print(h.hexdigest())
 """

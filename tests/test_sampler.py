@@ -358,7 +358,7 @@ class TestConditionalUpdates:
         phi = np.array([0.9, 1.1, 0.2])
         chol, _ = linalg.corr_cholesky(toy10.points, phi**2, nugget=SAMPLER_NUGGET)
         y = toy10.responses
-        mu_gls = linalg.CorrFactor(chol, y).gls_mean
+        mu_gls = linalg.CorrFactor(chol, toy10.gls_rhs).gls_mean
         v = solve_triangular(chol, y - mu_gls, lower=True)
         quad_gls = float(v @ v)
         target = quad_gls / (toy10.n - 3)
@@ -572,12 +572,13 @@ class TestLeanScanParity:
 class TestChainOwnsItsBuffers:
     """run_chain builds and factors each proposal in whichever of its two
     buffers the current factor does not hold, so no proposal writes over
-    the factor the scan carries."""
+    the factor the scan carries or the R0 values its build left."""
 
     def test_rejected_and_failed_proposals_leave_the_current_factor(self, toy10, monkeypatch):
         # Every third dpotrf writes its factor into the proposal's buffer in
         # full and then reports a breakdown, so _cholesky raises
-        # NotPositiveDefiniteError after potrf has run.
+        # NotPositiveDefiniteError after potrf has run.  Each slot owns its
+        # GEMV output, so the current one keeps exp(-D theta) of its phi.
         real_potrf = linalg.dpotrf
         calls = [0]
 
@@ -591,15 +592,17 @@ class TestChainOwnsItsBuffers:
 
         def checked(state):
             factor, accepted, failures = state.factor, state.accepted, state.failures
-            before = factor.lower.tobytes(order="A")
+            before = factor.lower.tobytes(order="A"), state.scratch[state.current].gemv.tobytes()
             real_step(state)
+            gemv = state.scratch[state.current].gemv
             if state.accepted > accepted:
                 seen["accepted"] += 1
                 assert not np.shares_memory(state.factor.lower, factor.lower)
             else:
                 seen["failed" if state.failures > failures else "rejected"] += 1
                 assert state.factor is factor
-                assert factor.lower.tobytes(order="A") == before
+                assert (factor.lower.tobytes(order="A"), gemv.tobytes()) == before
+            assert gemv.tobytes() == np.exp(state.pairs.rows @ -(state.phi * state.phi)).tobytes()
 
         monkeypatch.setattr(linalg, "dpotrf", breaks_every_third)
         monkeypatch.setattr(sampler, "update_phi", checked)
@@ -649,7 +652,8 @@ class TestGewekeJointDistribution:
             # update_phi reads the responses from the state, with the
             # current factor's.
             state.y = mu + np.sqrt(sigma2) * (state.factor.lower @ rng.normal(size=n))
-            state.factor = linalg.CorrFactor(state.factor.lower, state.y)
+            state.rhs = linalg.gls_rhs(state.y)
+            state.factor = linalg.CorrFactor(state.factor.lower, state.rhs)
             update_phi(state)
             update_gamma(state)
             stats[t] = [*state.phi, *state.phi**2, *state.gamma, state.factor.quad(mu) / (n * sigma2)]
