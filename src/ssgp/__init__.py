@@ -19,7 +19,7 @@ from .errors import (
 )
 from .gp import Dataset, FitOptions, GpParams, Prediction, mle_fit, predict_batch
 from .report import select_variables
-from .sampler import Chain, Hyperparams, default_hyperparams, posterior_params, run_chain
+from .sampler import Chain, Hyperparams, default_hyperparams, run_chain
 from .testbed import BenchmarkSpec, run_benchmark
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "default_hyperparams",
     "maximin_lhd",
     "mle_fit",
-    "posterior_params",
     "predict_batch",
     "random_lhd",
     "run_benchmark",

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gp import Dataset, FitOptions, mle_fit, predict_batch
 from .report import RULES, select_variables
-from .sampler import CHAIN_FIELDS, default_hyperparams, posterior_params, run_chain
+from .sampler import CHAIN_FIELDS, default_hyperparams, run_chain
 from .testbed import BenchmarkSpec, rmspe, mar, run_benchmark
 
 EXIT_OK = 0
@@ -110,19 +110,20 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _print_selection(report, var_names):
-    print("gamma".ljust(4 + 3 * len(report.modal_gamma)) + "freq")
-    for vec, freq in report.table[:5]:
+def _print_selection(post, var_names):
+    print("gamma".ljust(4 + 3 * len(post.modal_gamma)) + "freq")
+    for vec, freq in post.table[:5]:
         label = "(" + ",".join(str(g) for g in vec) + ")"
         print(label.ljust(4 + 3 * len(vec)) + f"{freq:.4f}")
-    names = [var_names[k - 1] for k in sorted(report.selected)]
-    print(f"selected ({report.rule} rule): " + (", ".join(names) if names else "none"))
+    names = [var_names[k - 1] for k in sorted(post.selected)]
+    print(f"selected ({post.rule} rule): " + (", ".join(names) if names else "none"))
     print(
         "marginal inclusion: "
-        + "  ".join(f"{n} {v:.3f}" for n, v in zip(var_names, report.marginal))
+        + "  ".join(f"{n} {v:.3f}" for n, v in zip(var_names, post.marginal))
     )
-    if report.tie:
+    if post.tie:
         print("note: modal frequency tie broken lexicographically")
+    print(f"acceptance rate {post.accept_rate:.3f} (after burn-in {post.accept_rate_kept:.3f})")
 
 
 def _check_output_dirs(*paths) -> None:
@@ -140,15 +141,11 @@ def _cmd_select(args) -> int:
     # Flags left out are None and keep the sampler defaults.
     hyper = default_hyperparams(data, args.seed, **{k: getattr(args, k) for k in CHAIN_FIELDS})
     chain = run_chain(data, hyper)
-    report = select_variables(chain, args.rule)
+    post = select_variables(chain, args.rule)
     io.save_chain(args.chain, chain, data)
-    io.save_selection(
-        args.report, report, extra={"accept_rate": chain.accept_rate, "seed": args.seed}
-    )
+    io.save_selection(args.report, post, args.seed)
     io.export_trace(chain, args.trace)
-    var_names = [f"x{k + 1}" for k in range(data.dim)]
-    _print_selection(report, var_names)
-    print(f"acceptance rate {chain.accept_rate:.3f}")
+    _print_selection(post, [f"x{k + 1}" for k in range(data.dim)])
     print(f"wrote {args.chain}, {args.report}, {args.trace}")
     return EXIT_OK
 
@@ -158,7 +155,7 @@ def _cmd_predict(args) -> int:
         params, data = io.load_model(args.model)
     else:
         chain, data = io.load_chain(args.chain)
-        params = posterior_params(chain)
+        params = select_variables(chain).params
     header = io.peek_header(args.test)
     if header and header[-1] == "y":
         x_test, truth = io.read_data_csv(args.test)

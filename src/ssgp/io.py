@@ -260,12 +260,15 @@ def load_chain(path):
     for name in ("mu", "sigma2", "phi", "gamma"):
         if len(draws[name]) != len(draws["scan"]):
             raise ValueError(f"{path}: draws.{name} has {len(draws[name])} entries, draws.scan {len(draws['scan'])}")
+    meta = _field(path, doc, "meta")
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: field meta must be a JSON object")
     chain = Chain(
         mu=draws["mu"], sigma2=draws["sigma2"], phi=draws["phi"],
         gamma=_indicators(path, "draws.gamma", draws["gamma"]),
         scans=_scan_indices(path, "draws.scan", draws["scan"]),
         accept_rate=float(_field(path, doc, "accept_rate", 0)),
-        meta=_field(path, doc, "meta"),
+        meta=meta,
     )
     data = _dataset(path, doc)
     _expect_width(path, "phi", chain.phi, data)
@@ -273,22 +276,19 @@ def load_chain(path):
     return chain, data
 
 
-def save_selection(path, report, extra=None) -> None:
+def save_selection(path, post, seed) -> None:
+    """report.json: a chain's Posterior record and the seed that drew the chain."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "selection-report",
-        "modal_gamma": [int(g) for g in report.modal_gamma],
-        "modal_freq": float(report.modal_freq),
-        "marginal_inclusion": [float(v) for v in report.marginal],
-        "selected": sorted(int(k) for k in report.selected),
-        "rule": report.rule,
-        "tie": bool(report.tie),
+        **post.selection_fields(),
+        "rule": post.rule,
+        "tie": bool(post.tie),
         "gamma_table": [
-            {"gamma": [int(g) for g in vec], "freq": float(freq)} for vec, freq in report.table
+            {"gamma": [int(g) for g in vec], "freq": float(freq)} for vec, freq in post.table
         ],
+        "meta": {"accept_rate": post.accept_rate, "accept_rate_kept": post.accept_rate_kept, "seed": seed},
     }
-    if extra:
-        doc["meta"] = extra
     save_json(path, doc)
 
 

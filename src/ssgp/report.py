@@ -1,30 +1,35 @@
-"""Selection summaries and convergence diagnostics for stored chains.
+"""One chain's posterior: the selection, the plug-in and the acceptance.
 
 The selection rule of record is the modal gamma vector: the configuration
 visited most often after burn-in.  Marginal inclusion rates back a secondary
 median-threshold rule, which stays useful when the mode gets diffuse in
-higher dimensions.  select_variables builds the whole SelectionReport,
-frequency table included; nothing else constructs one.  Convergence is
-checked by hand from the trace CSV that io.export_trace writes, never by
-automatic reruns.
+higher dimensions.  select_variables builds the whole Posterior record,
+frequency table, plug-in and acceptance included; nothing else constructs
+one, and the benchmark row, report.json and the `ssgp select` printout are
+each made from it.  Convergence is checked by hand from the trace CSV that
+io.export_trace writes, never by automatic reruns.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .gp import GpParams
 from .sampler import Chain
 
 RULES = ("modal", "median")
 
 
 @dataclass(frozen=True)
-class SelectionReport:
-    """The selection read from a chain; select_variables builds it.
+class Posterior:
+    """What a chain reports; select_variables builds it.
 
     `table` holds the distinct gamma vectors as (gamma tuple, frequency)
     rows, most frequent first, rows of equal frequency in lexicographic
-    order.  `selected` holds 1-based variable indices.
+    order.  `selected` holds 1-based variable indices.  `params` is the
+    plug-in of posterior means of mu, sigma2 and phi.  `accept_rate` is the
+    chain's MH acceptance over every scan and `accept_rate_kept` over the
+    scans after burn-in, None for a chain with no meta (a loaded trace).
     """
 
     modal_gamma: tuple
@@ -32,12 +37,25 @@ class SelectionReport:
     marginal: np.ndarray
     selected: frozenset
     table: tuple
-    rule: str = "modal"
-    tie: bool = False
+    rule: str
+    tie: bool
+    params: GpParams
+    accept_rate: float
+    accept_rate_kept: float | None
+
+    def selection_fields(self) -> dict:
+        """The selection as the JSON fields a benchmark row and report.json share."""
+        return {
+            "modal_gamma": [int(g) for g in self.modal_gamma],
+            "modal_freq": float(self.modal_freq),
+            "marginal_inclusion": [float(v) for v in self.marginal],
+            "selected": sorted(int(k) for k in self.selected),
+        }
 
 
-def select_variables(chain: Chain, rule: str = "modal") -> SelectionReport:
-    """Tabulate a chain's gamma draws and apply a selection rule.
+def select_variables(chain: Chain, rule: str = "modal") -> Posterior:
+    """Tabulate a chain's gamma draws, apply a selection rule, and average
+    its draws into the plug-in.
 
     "modal" selects the variables flagged in the most frequent gamma vector;
     a frequency tie is broken toward the lexicographically smaller vector
@@ -65,4 +83,6 @@ def select_variables(chain: Chain, rule: str = "modal") -> SelectionReport:
         selected = frozenset(k + 1 for k, g in enumerate(modal_gamma) if g == 1)
     else:
         selected = frozenset(int(k) + 1 for k in np.nonzero(marginal > 0.5)[0])
-    return SelectionReport(modal_gamma, modal_freq, marginal, selected, table, rule, tie)
+    params = GpParams(float(chain.mu.mean()), float(chain.sigma2.mean()), chain.phi.mean(axis=0))
+    return Posterior(modal_gamma, modal_freq, marginal, selected, table, rule, tie, params,
+                     float(chain.accept_rate), chain.meta.get("accept_rate_kept"))

@@ -419,14 +419,3 @@ def run_chain(data: Dataset, hyper: Hyperparams | None = None, init: GpParams | 
     }
     return Chain(mu_draws, sigma2_draws, phi_draws, gamma_draws, np.array(kept, dtype=np.int64),
                  state.accepted / hyper.iters, meta)
-
-
-def posterior_params(chain: Chain) -> GpParams:
-    """Posterior means of mu, sigma2 and phi as a plug-in parameter set."""
-    if chain.size == 0:
-        raise ValueError("empty chain")
-    return GpParams(
-        mu=float(chain.mu.mean()),
-        sigma2=float(chain.sigma2.mean()),
-        phi=chain.phi.mean(axis=0),
-    )

@@ -21,7 +21,7 @@ from .gp import Dataset, FitOptions, mle_fit, predict_batch
 from .io import read_data_csv
 from .linalg import DEFAULT_NUGGET
 from .report import RULES, select_variables
-from .sampler import CHAIN_FIELDS, SAMPLER_NUGGET, Hyperparams, default_hyperparams, derive_seed, posterior_params, run_chain
+from .sampler import CHAIN_FIELDS, SAMPLER_NUGGET, Hyperparams, default_hyperparams, derive_seed, run_chain
 
 UNIT = (0.0, 1.0)
 
@@ -319,30 +319,22 @@ def _one_replicate(spec: BenchmarkSpec, rep: int, test_set) -> dict:
         data = Dataset(design.points, y, f.domain())
 
     params_mle, chain = _fit_and_sample(spec, data, rep_seed)
-    params_post = posterior_params(chain)
-    sel = select_variables(chain, spec.rule)
-    row = {
-        "rep": rep,
-        "seed": rep_seed,
-        "selected": sorted(sel.selected),
-        "modal_gamma": list(sel.modal_gamma),
-        "modal_freq": sel.modal_freq,
-        "marginal_inclusion": [float(v) for v in sel.marginal],
-        "accept_rate": chain.accept_rate,
-    }
+    post = select_variables(chain, spec.rule)
+    row = {"rep": rep, "seed": rep_seed, **post.selection_fields(),
+           "accept_rate": post.accept_rate, "accept_rate_kept": post.accept_rate_kept}
     if f is None:
         # No known active set: score leave-one-out prediction, and an
         # external test set when one is given.
-        row.update(_errors(data.responses, _loo_means(params_post, data), _loo_means(params_mle, data)))
+        row.update(_errors(data.responses, _loo_means(post.params, data), _loo_means(params_mle, data)))
         if test_set is not None:
             x_test, y_test = test_set
-            pred_ssgp, pred_mle = _means(params_post, data, x_test), _means(params_mle, data, x_test)
+            pred_ssgp, pred_mle = _means(post.params, data, x_test), _means(params_mle, data, x_test)
             row.update(_errors(y_test, pred_ssgp, pred_mle, "_external"))
     else:
-        row.update(asdict(screening_score(sel.selected, f)))
+        row.update(asdict(screening_score(post.selected, f)))
         rng = np.random.default_rng(derive_seed(rep_seed, "test"))
         x_test = scale_points(rng.uniform(size=(spec.n_test, f.dim)), f.domain(), "from_unit")
-        pred_ssgp, pred_mle = _means(params_post, data, x_test), _means(params_mle, data, x_test)
+        pred_ssgp, pred_mle = _means(post.params, data, x_test), _means(params_mle, data, x_test)
         row.update(_errors(eval_batch(f, x_test), pred_ssgp, pred_mle))
     return row
 
@@ -364,7 +356,7 @@ def _aggregate(rows: list) -> dict:
     if not rows:
         return agg
     for key in ("aci", "ami", "aci_rate", "ami_rate", "rmspe_ssgp", "rmspe_mle",
-                "mar_ssgp", "mar_mle", "modal_freq", "accept_rate"):
+                "mar_ssgp", "mar_mle", "modal_freq", "accept_rate", "accept_rate_kept"):
         vals = [r[key] for r in rows if key in r]
         if vals:
             agg[f"mean_{key}"] = float(np.mean(vals))

@@ -55,6 +55,12 @@ def _master_seed_rows(name, n_seeds=5):
     return rows
 
 
+def _kept_range(rows):
+    # Printed only: the acceptance after burn-in says how far each chain moved.
+    rates = [r["accept_rate_kept"] for r in rows]
+    return f"acceptance after burn-in {min(rates):.3f}-{max(rates):.3f}"
+
+
 def test_criterion1_toy_screening_and_prediction():
     t0 = time.perf_counter()
     rows = _master_seed_rows("toy")
@@ -71,7 +77,7 @@ def test_criterion1_toy_screening_and_prediction():
         ok,
         f"modal (1,1,0) at freq >= 0.4 in {modal_hits}/5 (target >= 4), "
         f"rmspe < 0.05 and ssgp < mle in {pred_hits}/5 (target >= 4), "
-        f"{per_chain:.1f} s/chain (limit 120)",
+        f"{per_chain:.1f} s/chain (limit 120), {_kept_range(rows)}",
     )
     assert ok, msg
 
@@ -83,7 +89,8 @@ def test_criterion2_linear_screening():
     msg = _line(
         "criterion 2",
         ok,
-        f"mean ACI {aci:.2f} of 4 (target >= 3.8), mean AMI {ami:.2f} of 6 (target <= 1.0)",
+        f"mean ACI {aci:.2f} of 4 (target >= 3.8), mean AMI {ami:.2f} of 6 (target <= 1.0), "
+        f"mean acceptance after burn-in {agg['mean_accept_rate_kept']:.3f}",
     )
     if not ok:
         pytest.xfail(
@@ -99,7 +106,8 @@ def test_criterion3_sinusoidal_screening():
     msg = _line(
         "criterion 3",
         ok,
-        f"mean ACI {aci:.2f} of 2 (target >= 1.3), mean AMI {ami:.2f} of 8 (target <= 0.5)",
+        f"mean ACI {aci:.2f} of 2 (target >= 1.3), mean AMI {ami:.2f} of 8 (target <= 0.5), "
+        f"mean acceptance after burn-in {agg['mean_accept_rate_kept']:.3f}",
     )
     if not ok:
         pytest.xfail(
@@ -124,7 +132,7 @@ def test_criterion4_borehole_screening_and_prediction():
         ok,
         f"r_w top marginal in {rw_top}/5 (target >= 4), K_w top-two in {kw_top2}/5 "
         f"(target >= 3), rmspe ssgp < mle in {beats}/5 (target >= 4), "
-        f"max rmspe {worst:.2f} (target < 4.0)",
+        f"max rmspe {worst:.2f} (target < 4.0), {_kept_range(rows)}",
     )
     assert ok, msg
 
@@ -140,8 +148,8 @@ def test_criterion5_piston_screening_and_loo():
         ok,
         f"modal set contains x1,x5,x6 in {incl}/5 (target >= 3), mean LOO rmspe "
         f"ratio ssgp/mle {mean_ratio:.2f} (target <= 1.1, per-seed "
-        f"{min(ratios):.2f}-{max(ratios):.2f}); no external test file bundled, "
-        f"so the external-RMSPE clause is skipped",
+        f"{min(ratios):.2f}-{max(ratios):.2f}), {_kept_range(rows)}; no external test "
+        f"file bundled, so the external-RMSPE clause is skipped",
     )
     if not ok:
         pytest.xfail(

@@ -12,7 +12,7 @@ import pytest
 
 import ssgp
 from conftest import make_dataset
-from ssgp import designs, gp, linalg, sampler, testbed
+from ssgp import designs, gp, linalg, report, sampler, testbed
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -100,6 +100,26 @@ def test_no_explicit_inverse():
     assert found == set()
 
 
+def _owned_nodes():
+    # Every AST node under src/ssgp with the name of the function or class
+    # that holds it: module, module.function or module.Class.method.
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, f"{owner}.{child.name}")
+                continue
+            yield owner, child
+            yield from visit(child, owner)
+
+    for path in sorted((ROOT / "src" / "ssgp").glob("*.py")):
+        yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
+def _called_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def test_factors_are_made_in_one_place():
     # A correlation factor is made in two places: linalg._corr_factor (the
     # Gibbs scan's fixed nugget) and gp.Dataset._factor (corr_cholesky's
@@ -107,26 +127,33 @@ def test_factors_are_made_in_one_place():
     # output, so _scratch takes the pair table alone.
     owners = {"CorrFactor": set(), "corr_cholesky": set()}
     scratch_calls = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{owner}.{child.name}")
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in owners:
-                    owners[name].add(owner)
-                elif name == "_scratch" and (len(child.args) != 1 or child.keywords):
-                    scratch_calls.append(f"{owner}:{child.lineno}")
-            visit(child, owner)
-
-    for path in sorted((ROOT / "src" / "ssgp").glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    for owner, node in _owned_nodes():
+        if isinstance(node, ast.Call):
+            name = _called_name(node)
+            if name in owners:
+                owners[name].add(owner)
+            elif name == "_scratch" and (len(node.args) != 1 or node.keywords):
+                scratch_calls.append(f"{owner}:{node.lineno}")
     assert owners == {"CorrFactor": {"linalg._corr_factor", "gp.Dataset._factor"},
                       "corr_cholesky": {"gp.Dataset._factor"}}
     assert scratch_calls == []
+
+
+def test_posterior_is_read_in_one_place():
+    # report.select_variables makes the one Posterior record of a chain, and
+    # outside io's save and load it is the one reader of a chain's fields:
+    # cli and testbed take the plug-in, the selection and the acceptance
+    # from the record, so a second summary of the draws (a plug-in of
+    # posterior means kept in sampler or testbed) cannot drift from it.
+    makers, readers = set(), set()
+    for owner, node in _owned_nodes():
+        if isinstance(node, ast.Call) and _called_name(node) == "Posterior":
+            makers.add(owner)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "chain":
+            readers.add(owner)
+    assert makers == {"report.select_variables"}
+    # No cli.* or testbed.* reader: they pass a chain on, and read its record.
+    assert readers == {"report.select_variables", "io.save_chain", "io.load_chain", "io.export_trace"}
 
 
 class TestBenchmarkSeams:
@@ -148,11 +175,10 @@ class TestBenchmarkSeams:
         again, used_again = linalg.corr_cholesky(pts, [1.0, 2.0, 0.5], 1e-8, pairs=linalg.pair_table(pts))
         assert again.tobytes() == lower.tobytes() and used_again == used
 
-    @pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
-    def test_every_design_attribute_sees_each_replicate(self, monkeypatch):
-        # bench/tracer.py wraps maximin_lhd at every ssgp.* attribute that
-        # holds it; a replicate must reach the design through one of them.
-        real = designs.maximin_lhd
+    @staticmethod
+    def _count_calls(monkeypatch, real):
+        # The calls made through any ssgp.* attribute that holds `real`, as
+        # bench/tracer.py wraps each of them.
         calls = []
 
         def counting(*args, **kwargs):
@@ -164,9 +190,23 @@ class TestBenchmarkSeams:
                 for key, value in list(vars(mod).items()):
                     if value is real:
                         monkeypatch.setattr(mod, key, counting)
+        return calls
+
+    @pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
+    def test_every_design_attribute_sees_each_replicate(self, monkeypatch):
+        # A replicate must reach the design through an attribute the tracer wraps.
+        calls = self._count_calls(monkeypatch, designs.maximin_lhd)
         spec = testbed.BenchmarkSpec(function="toy", n=10, reps=2, iters=60, burnin=20, seed=0)
         assert spec.design == "maximin-lhd"
         testbed.run_benchmark(spec)
+        assert len(calls) == 2
+
+    @pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")
+    def test_every_summary_attribute_sees_each_replicate(self, monkeypatch):
+        # A replicate that summarized its chain without select_variables
+        # would blank the tracer's report.select_variables span.
+        calls = self._count_calls(monkeypatch, report.select_variables)
+        testbed.run_benchmark(testbed.BenchmarkSpec(function="toy", n=10, reps=2, iters=60, burnin=20, seed=0))
         assert len(calls) == 2
 
     @pytest.mark.filterwarnings("ignore:MH acceptance rate:RuntimeWarning")

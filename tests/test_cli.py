@@ -194,10 +194,13 @@ class TestSelectCommand:
         doc = io.load_json(report_path)
         assert doc["kind"] == "selection-report"
         assert len(doc["marginal_inclusion"]) == 3
-        assert doc["meta"] == {"accept_rate": chain.accept_rate, "seed": 2}
+        assert doc["meta"] == {"accept_rate": chain.accept_rate, "accept_rate_kept": chain.meta["accept_rate_kept"],
+                               "seed": 2}
         assert trace_path.exists()
         out = capsys.readouterr().out
-        assert "selected" in out and "acceptance rate" in out
+        assert "selected" in out
+        assert (f"acceptance rate {chain.accept_rate:.3f} (after burn-in {chain.meta['accept_rate_kept']:.3f})\n"
+                in out)
 
     def test_byte_identical_reruns(self, toy_csv, tmp_path):
         _, chain_a, report_a, trace_a = self._run(toy_csv, tmp_path, "a")
@@ -501,6 +504,7 @@ class TestMalformedSavedFiles:
          ("chain", lambda doc: {**doc, "draws": {**doc["draws"], "phi": [["a"] * 3] * len(doc["draws"]["phi"])}},
           "field draws.phi must be a list of lists of numbers"),
          ("chain", lambda doc: {**doc, "accept_rate": None}, "field accept_rate must be a number"),
+         ("chain", lambda doc: {**doc, "meta": [1]}, "field meta must be a JSON object"),
          # Values the loaders read and GpParams or Dataset then reject.
          ("model", lambda doc: {**doc, "mu": float("nan")}, "mu must be finite, got nan"),
          ("model", lambda doc: {**doc, "dataset": {**doc["dataset"], "ranges": [[0, 1]]}},
@@ -509,7 +513,7 @@ class TestMalformedSavedFiles:
           "ranges must have shape (3, 2), got (1, 2)")],
         ids=["model-array", "model-no-mu", "model-null-mu", "model-text-phi", "model-ragged-points",
              "chain-array", "chain-no-draws", "chain-no-mu", "chain-text-phi", "chain-null-accept-rate",
-             "model-nan-mu", "model-short-ranges", "chain-short-ranges"],
+             "chain-meta-array", "model-nan-mu", "model-short-ranges", "chain-short-ranges"],
     )
     def test_exit_2_names_file_and_field(self, model_path, chain_path, tmp_path, capsys, source, edit, named):
         bad = tmp_path / f"{source}.json"

@@ -231,8 +231,10 @@ class TestSelectionDocuments:
         chain, _ = small_chain
         report = select_variables(chain)
         path = tmp_path / "selection.json"
-        io.save_selection(path, report, extra={"accept_rate": chain.accept_rate})
+        io.save_selection(path, report, 4)
         doc = io.load_json(path)
+        assert doc["meta"] == {"accept_rate": chain.accept_rate, "accept_rate_kept": chain.meta["accept_rate_kept"],
+                               "seed": 4}
         assert doc["kind"] == "selection-report"
         assert doc["selected"] == sorted(report.selected)
         assert doc["modal_gamma"] == list(report.modal_gamma)

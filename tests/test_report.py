@@ -139,6 +139,43 @@ class TestDecideSelection:
         assert select_variables(chain).selected == frozenset()
 
 
+class TestPosteriorParams:
+    def test_averages(self):
+        chain = Chain(
+            mu=np.array([1.0, 2.0]),
+            sigma2=np.array([2.0, 4.0]),
+            phi=np.array([[1.0, 2.0], [3.0, 4.0]]),
+            gamma=np.ones((2, 2), dtype=np.int64),
+            scans=np.array([1, 2]),
+            accept_rate=0.5,
+            meta={},
+        )
+        params = select_variables(chain).params
+        assert params.mu == 1.5
+        assert params.sigma2 == 3.0
+        assert np.array_equal(params.phi, [2.0, 3.0])
+
+    def test_empty_chain(self):
+        chain = Chain(
+            mu=np.empty(0),
+            sigma2=np.empty(0),
+            phi=np.empty((0, 2)),
+            gamma=np.empty((0, 2), dtype=np.int64),
+            scans=np.empty(0, dtype=np.int64),
+            accept_rate=0.0,
+            meta={},
+        )
+        with pytest.raises(ValueError, match="empty"):
+            select_variables(chain).params
+
+
+class TestAcceptance:
+    def test_kept_rate_unknown_without_meta(self):
+        # A chain rebuilt from a trace CSV carries no meta.
+        post = select_variables(chain_from_gammas([[1, 0], [0, 1]]))
+        assert post.accept_rate == 0.5 and post.accept_rate_kept is None
+
+
 class TestTraceExport:
     def test_round_trip_is_exact(self, tmp_path):
         data = make_dataset("toy", 10)

@@ -26,12 +26,10 @@ from ssgp.errors import NotPositiveDefiniteError, OptimizerFailedError, SamplerE
 from ssgp.gp import Dataset, FitOptions, GpParams, mle_fit
 from ssgp.sampler import (
     SAMPLER_NUGGET,
-    Chain,
     Hyperparams,
     SamplerState,
     default_hyperparams,
     derive_seed,
-    posterior_params,
     run_chain,
     update_gamma,
     update_mu,
@@ -907,33 +905,3 @@ class TestRunChain:
         assert chain.size == 300
         assert chain.meta["mh_proposal_failures"] == 0
         assert np.isfinite(chain.phi).all()
-
-
-class TestPosteriorParams:
-    def test_averages(self):
-        chain = Chain(
-            mu=np.array([1.0, 2.0]),
-            sigma2=np.array([2.0, 4.0]),
-            phi=np.array([[1.0, 2.0], [3.0, 4.0]]),
-            gamma=np.ones((2, 2), dtype=np.int64),
-            scans=np.array([1, 2]),
-            accept_rate=0.5,
-            meta={},
-        )
-        params = posterior_params(chain)
-        assert params.mu == 1.5
-        assert params.sigma2 == 3.0
-        assert np.array_equal(params.phi, [2.0, 3.0])
-
-    def test_empty_chain(self):
-        chain = Chain(
-            mu=np.empty(0),
-            sigma2=np.empty(0),
-            phi=np.empty((0, 2)),
-            gamma=np.empty((0, 2), dtype=np.int64),
-            scans=np.empty(0, dtype=np.int64),
-            accept_rate=0.0,
-            meta={},
-        )
-        with pytest.raises(ValueError, match="empty"):
-            posterior_params(chain)

@@ -14,7 +14,8 @@ from ssgp.designs import scale_points
 from ssgp.errors import BenchmarkError, SamplerError
 from ssgp.gp import Dataset, FitOptions, mle_fit
 from ssgp.io import canonical_json
-from ssgp.sampler import SAMPLER_NUGGET, derive_seed, posterior_params
+from ssgp.report import select_variables
+from ssgp.sampler import SAMPLER_NUGGET, derive_seed
 from ssgp.testbed import (
     BenchmarkSpec,
     eval_batch,
@@ -169,7 +170,7 @@ def loo_cases():
     )
     return {
         "piston-mle": (params_mle, piston_dataset()),
-        "piston-posterior": (posterior_params(chain), piston_dataset()),
+        "piston-posterior": (select_variables(chain).params, piston_dataset()),
         "duplicated-runs": (mle_fit(base, FitOptions(seed=1)), duplicated),
     }
 
@@ -273,11 +274,12 @@ class TestRunBenchmark:
         row = report["replicates"][0]
         for key in ("rep", "seed", "selected", "modal_gamma", "modal_freq",
                     "marginal_inclusion", "aci", "ami", "rmspe_ssgp",
-                    "rmspe_mle", "mar_ssgp", "mar_mle", "accept_rate"):
+                    "rmspe_mle", "mar_ssgp", "mar_mle", "accept_rate", "accept_rate_kept"):
             assert key in row
         agg = report["aggregate"]
         assert agg["n_ok"] == 2
         assert "mean_aci" in agg and "ssgp_beats_mle" in agg
+        assert agg["mean_accept_rate_kept"] == np.mean([r["accept_rate_kept"] for r in report["replicates"]])
 
     def test_deterministic_given_seed(self):
         a = run_benchmark(tiny_spec())
