@@ -100,7 +100,7 @@ def _load_dataset(args) -> Dataset:
 def _cmd_fit(args) -> int:
     data = _load_dataset(args)
     params = mle_fit(data, FitOptions(seed=args.seed))
-    io.save_model(args.out, params, data, extra={"seed": args.seed})
+    io.save_model(args.out, params, data, args.seed)
     print(f"fitted {data.n} runs in {data.dim} dimensions")
     print(f"mu {params.mu:.6g}  sigma2 {params.sigma2:.6g}")
     print("theta " + " ".join(f"{t:.6g}" for t in params.theta))

@@ -236,7 +236,7 @@ def _profile(theta, data: Dataset, nugget, out: linalg._Scratch):
     factor = data._factor(theta, nugget, out)
     mu = factor.gls_mean
     resid = data.responses - mu
-    return factor, mu, resid, max(factor.quad(mu, resid) / data.n, SIGMA2_FLOOR)
+    return factor, mu, resid, max(factor.quad(resid) / data.n, SIGMA2_FLOOR)
 
 
 def neg_log_profile_likelihood(theta, data: Dataset, nugget=linalg.DEFAULT_NUGGET, grad=False, out=None):

@@ -201,8 +201,9 @@ def _scan_indices(path, name, s) -> np.ndarray:
     return s.astype(np.int64)
 
 
-def save_model(path, params: GpParams, data: Dataset, extra=None) -> None:
-    """Fitted parameters plus the training data they condition on."""
+def save_model(path, params: GpParams, data: Dataset, seed) -> None:
+    """Fitted parameters plus the training data they condition on, and the
+    seed of the fit."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "gp-model",
@@ -212,9 +213,8 @@ def save_model(path, params: GpParams, data: Dataset, extra=None) -> None:
         "theta": [float(v) for v in params.theta],
         "dataset": _dataset_block(data),
         "dataset_fingerprint": data.fingerprint(),
+        "meta": {"seed": seed},
     }
-    if extra:
-        doc["meta"] = extra
     save_json(path, doc)
 
 
@@ -234,6 +234,10 @@ def load_model(path):
 
 
 def save_chain(path, chain: Chain, data: Dataset) -> None:
+    """chain.json; raises ValueError for a chain with no acceptance rate (a
+    loaded trace), which the document requires."""
+    if chain.accept_rate is None:
+        raise ValueError("chain has no acceptance rate (a loaded trace); chain.json requires one")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "chain",
@@ -327,6 +331,6 @@ def load_trace(path) -> Chain:
         phi=table[:, 3 : 3 + d],
         gamma=_indicators(path, "gamma", table[:, 3 + d :]),
         scans=_scan_indices(path, "scan", table[:, 0]),
-        accept_rate=float("nan"),
+        accept_rate=None,
         meta={},
     )

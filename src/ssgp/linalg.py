@@ -7,7 +7,9 @@ substitutions, and R^-1 = V'V with V = L^-1 from LAPACK trtri; potri is
 not used, as its lauum half changes last bits with the OpenBLAS thread
 count at every n.  CorrFactor holds one factor together with what the
 likelihood, the sampler and the predictor reuse: log det R, 1'R^-1 1 and
-the GLS mean, each computed the first time it is read.
+the GLS mean, each computed the first time it is read.  Its quadratic
+form is a pure solve of the residual it is given; it keeps no value from
+one call to the next.
 
 How R is built.  Every matrix that is factored here (each Gibbs proposal,
 each nugget attempt of corr_cholesky) is built from its strict lower
@@ -191,18 +193,16 @@ class CorrFactor:
     is computed from L's diagonal when the factor is made: every Gibbs
     proposal and likelihood value reads it.  w1 = L^-1 1, 1'R^-1 1 and the
     GLS mean (1'R^-1 1)^-1 1'R^-1 y are computed the first time each is
-    read, from one two-column triangular solve [L^-1 1, L^-1 y].  A
-    quadratic form (y - mu)'R^-1(y - mu) is |L^-1 (y - mu)|^2 from one
-    triangular solve of the residual; the last one is kept, so the Gibbs
-    scan's sigma2 and phi steps share it.  It is a plain class because the
-    Gibbs scan makes one per proposal.
+    read, from one two-column triangular solve [L^-1 1, L^-1 y].  Nothing
+    else is kept: quad solves afresh on every call, and the caller keeps
+    the value (the Gibbs chain in its state, for the scan's sigma2 and phi
+    steps).  It is a plain class because the Gibbs scan makes one per
+    proposal.
     """
 
     def __init__(self, lower: np.ndarray, rhs: np.ndarray):
         self.lower, self._rhs = lower, rhs
         self.log_det = float(2.0 * np.log(lower.diagonal()).sum())
-        # mu and the value of the last quad(mu) call.
-        self._quad_mu = self._quad = None
 
     @cached_property
     def _ones_y(self) -> np.ndarray:
@@ -220,16 +220,11 @@ class CorrFactor:
     def gls_mean(self) -> float:
         return float(self.w1 @ self._ones_y[:, 1]) / self.one_rinv_one
 
-    def quad(self, mu, resid=None) -> float:
-        """(y - mu)'R^-1(y - mu); non-negative by construction.
-
-        resid, when given, is y - mu already formed (the Gibbs scan forms
-        one per mu for all its factors, a likelihood evaluation one for its
-        value and gradient); it is not checked."""
-        if mu != self._quad_mu:
-            v = dtrtrs(self.lower, self._rhs[:, 1] - mu if resid is None else resid, lower=1)[0]
-            self._quad_mu, self._quad = mu, float(v @ v)
-        return self._quad
+    def quad(self, resid) -> float:
+        """resid'R^-1 resid = |L^-1 resid|^2 by one triangular solve, for a
+        residual such as y - mu; non-negative by construction, not checked."""
+        v = self.whiten(resid)
+        return float(v @ v)
 
     def whiten(self, b) -> np.ndarray:
         """L^-1 b by one triangular solve; b is not checked."""

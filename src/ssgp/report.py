@@ -29,7 +29,7 @@ class Posterior:
     order.  `selected` holds 1-based variable indices.  `params` is the
     plug-in of posterior means of mu, sigma2 and phi.  `accept_rate` is the
     chain's MH acceptance over every scan and `accept_rate_kept` over the
-    scans after burn-in, None for a chain with no meta (a loaded trace).
+    scans after burn-in, each None for a loaded trace, which records neither.
     """
 
     modal_gamma: tuple
@@ -40,7 +40,7 @@ class Posterior:
     rule: str
     tie: bool
     params: GpParams
-    accept_rate: float
+    accept_rate: float | None
     accept_rate_kept: float | None
 
     def selection_fields(self) -> dict:
@@ -85,4 +85,4 @@ def select_variables(chain: Chain, rule: str = "modal") -> Posterior:
         selected = frozenset(int(k) + 1 for k in np.nonzero(marginal > 0.5)[0])
     params = GpParams(float(chain.mu.mean()), float(chain.sigma2.mean()), chain.phi.mean(axis=0))
     return Posterior(modal_gamma, modal_freq, marginal, selected, table, rule, tie, params,
-                     float(chain.accept_rate), chain.meta.get("accept_rate_kept"))
+                     chain.accept_rate, chain.meta.get("accept_rate_kept"))

@@ -14,10 +14,11 @@ mutate it.  It holds the draws and the generator; what the steps read of
 the data and the settings (the design's PairTable, the responses and
 their [1, y] table, prop_sd and the mixture prior's table: the spike and
 slab variances, their log(2 pi var) terms and log P(gamma_k = g)); the
-factor of the current phi (log det R, 1'R^-1 1, the GLS mean and the
-quadratic form are read off this linalg.CorrFactor) with its inclusion
-probabilities; the residual y - mu, formed once per mu for the sigma2 step
-and the proposal; and the accepted and failed proposal counts.
+factor of the current phi (log det R, 1'R^-1 1 and the GLS mean are read
+off this linalg.CorrFactor) with its inclusion probabilities; the residual
+y - mu and the quadratic form (y - mu)'R^-1(y - mu) of the current phi,
+plain fields that the sigma2 step sets once per scan and the phi step
+reads; and the accepted and failed proposal counts.
 
 The state also owns the chain's scratch memory, allocated once: two slots,
 each a linalg._Scratch (R's buffer and its own GEMV output) and a pair of
@@ -150,14 +151,16 @@ def default_hyperparams(data: Dataset, seed: int = 0, **overrides) -> Hyperparam
 
 @dataclass(frozen=True)
 class Chain:
-    """Stored post-burn-in draws, columnar, plus acceptance bookkeeping."""
+    """Stored post-burn-in draws, columnar, plus acceptance bookkeeping
+    (accept_rate is None for a chain loaded from a trace, which records no
+    rate)."""
 
     mu: np.ndarray
     sigma2: np.ndarray
     phi: np.ndarray
     gamma: np.ndarray
     scans: np.ndarray
-    accept_rate: float
+    accept_rate: float | None
     meta: dict
 
     @property
@@ -178,7 +181,9 @@ class SamplerState:
       their [1, y] table (rhs), which every factor of the chain reads;
     - of `hyper`, prop_sd and the mixture prior's table (var, log_norm and
       log_weight, each (2, d) with row g for gamma_k = g);
-    - the residual y - mu, formed once per (y, mu) by residual();
+    - resid = y - mu and quad = resid'R^-1 resid at the current phi, set
+      here and by update_sigma2 after each mu draw, and quad again by an
+      accepted update_phi;
     - two slots: slot k is scratch[k], a linalg._Scratch that R is built
       and factored in, and priors[k], the prior rows of its phi;
     - `current`, the slot of the current phi, whose factor and inclusion
@@ -201,20 +206,11 @@ class SamplerState:
             self.log_weight = np.stack([np.log1p(-hyper.p), np.log(hyper.p)])
         self.scratch = (linalg._scratch(self.pairs), linalg._scratch(self.pairs))
         self.priors = np.zeros((2, 2, len(phi)))
-        self._resid = (None, None, None)
+        self.resid = self.y - mu
         self.current = 0
-        self.factor = _factor(self, phi, 0)
+        self.factor, self.quad = _factor(self, phi, 0)
         self.inclusion = self.inclusion_of(self.priors[0])
         self.accepted = self.failures = 0
-
-    def residual(self) -> np.ndarray:
-        """y - mu at the state's y and mu, kept until either changes."""
-        y, mu = self.y, self.mu
-        key_y, key_mu, resid = self._resid
-        if key_y is not y or key_mu != mu:
-            resid = y - mu
-            self._resid = (y, mu, resid)
-        return resid
 
     def prior_rows(self, theta, slot: int) -> np.ndarray:
         """log N(phi_k; 0, var[g, k]) for both components, shape (2, d), of
@@ -232,19 +228,16 @@ class SamplerState:
         return np.exp(log_a - np.logaddexp(log_a, log_b))
 
 
-def _factor(state: SamplerState, phi, slot: int) -> linalg.CorrFactor:
-    # R(phi) at exactly SAMPLER_NUGGET, built and factored in the state's
-    # scratch[slot], and phi's prior rows in priors[slot], both from one
-    # theta = phi^2; a proposal's quadratic form at the state's mu is made
-    # from the state's residual, which the sigma2 step formed.  Raises
-    # NotPositiveDefiniteError.  Unchecked: phi is finite, so theta passes
-    # (see linalg).
+def _factor(state: SamplerState, phi, slot: int):
+    # (factor, quad): R(phi) at exactly SAMPLER_NUGGET, built and factored
+    # in the state's scratch[slot], and its quadratic form of the state's
+    # residual; phi's prior rows go in priors[slot], from the same theta =
+    # phi^2.  Raises NotPositiveDefiniteError.  Unchecked: phi is finite,
+    # so theta passes (see linalg).
     theta = phi * phi
     factor = linalg._corr_factor(state.pairs, theta, SAMPLER_NUGGET, state.rhs, state.scratch[slot])
     state.prior_rows(theta, slot)
-    if slot != state.current:
-        factor.quad(state.mu, state.residual())
-    return factor
+    return factor, factor.quad(state.resid)
 
 
 def _log_priors(priors, gamma) -> np.ndarray:
@@ -253,11 +246,11 @@ def _log_priors(priors, gamma) -> np.ndarray:
     return np.where(gamma, priors[:, 1], priors[:, 0]).sum(axis=1)
 
 
-def _kernel_value(factor, log_prior, mu, sigma2) -> float:
+def _kernel_value(factor, quad, log_prior, sigma2) -> float:
     # Log full-conditional kernel of phi, up to an additive constant:
-    # -1/2 log det R(phi) - (y-mu)'R^-1(y-mu)/(2 sigma2) + log_prior, with
-    # R(phi) from `factor` and log_prior from _log_priors.
-    return -0.5 * factor.log_det - factor.quad(mu) / (2.0 * sigma2) + log_prior
+    # -1/2 log det R(phi) - quad/(2 sigma2) + log_prior, with R(phi) from
+    # `factor`, quad = (y-mu)'R(phi)^-1(y-mu) and log_prior from _log_priors.
+    return -0.5 * factor.log_det - quad / (2.0 * sigma2) + log_prior
 
 
 def update_mu(state: SamplerState) -> None:
@@ -272,12 +265,12 @@ def update_mu(state: SamplerState) -> None:
 def update_sigma2(state: SamplerState) -> None:
     """Draw sigma2 from InverseGamma(n/2, (y-mu)'R^-1(y-mu)/2).
 
-    Sampled as the reciprocal of a Gamma(n/2, rate=quad/2) draw.  The
-    quadratic form comes from the state's factor, which keeps it for the
-    phi step of the same scan, and the state's residual, which the phi
-    step's proposal shares.
+    Sampled as the reciprocal of a Gamma(n/2, rate=quad/2) draw.  Sets
+    state.resid = y - mu at the mu just drawn and state.quad from it and
+    the state's factor; the phi step of the same scan reads both.
     """
-    quad = state.factor.quad(state.mu, state.residual())
+    state.resid = state.y - state.mu
+    state.quad = quad = state.factor.quad(state.resid)
     if quad <= 0:
         raise ValueError("non-positive quadratic form in sigma2 update (degenerate residual)")
     state.sigma2 = float(1.0 / state.rng.gamma(len(state.y) / 2.0, 2.0 / quad))
@@ -288,11 +281,12 @@ def update_phi(state: SamplerState) -> None:
 
     Proposes phi~ ~ N(phi, diag(prop_sd^2)) and accepts with probability
     min(1, g(phi~)/g(phi)).  The proposal is the scan's one factorization
-    and prior evaluation (_factor), both in the slot that is not current;
-    an accepted proposal makes that slot current, with its factor and
-    (computed only then) its inclusion probabilities, and is counted.  A
-    proposal that does not factor at exactly SAMPLER_NUGGET is rejected and
-    counted as failed instead of aborting the chain.
+    and prior evaluation (_factor), both in the slot that is not current,
+    with its quadratic form of state.resid; an accepted proposal makes that
+    slot current, with its factor, quadratic form and (computed only then)
+    its inclusion probabilities, and is counted.  A proposal that does not
+    factor at exactly SAMPLER_NUGGET is rejected and counted as failed
+    instead of aborting the chain.
     """
     rng = state.rng
     cur = state.current
@@ -302,15 +296,15 @@ def update_phi(state: SamplerState) -> None:
     prop = state.phi + rng.standard_normal(len(state.phi)) * state.prop_sd
     log_u = float(np.log(rng.random()))
     try:
-        prop_factor = _factor(state, prop, new)
+        prop_factor, prop_quad = _factor(state, prop, new)
     except NotPositiveDefiniteError:
         state.failures += 1
         return
     log_prior = _log_priors(state.priors, state.gamma).tolist()
-    logp_cur = _kernel_value(state.factor, log_prior[cur], state.mu, state.sigma2)
-    logp_prop = _kernel_value(prop_factor, log_prior[new], state.mu, state.sigma2)
+    logp_cur = _kernel_value(state.factor, state.quad, log_prior[cur], state.sigma2)
+    logp_prop = _kernel_value(prop_factor, prop_quad, log_prior[new], state.sigma2)
     if log_u < logp_prop - logp_cur:
-        state.phi, state.factor, state.current = prop, prop_factor, new
+        state.phi, state.factor, state.quad, state.current = prop, prop_factor, prop_quad, new
         state.inclusion = state.inclusion_of(state.priors[new])
         state.accepted += 1
 

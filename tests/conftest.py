@@ -207,9 +207,10 @@ def use_phi_target(monkeypatch, log_kernel):
     """Make sampler.update_phi target exp(log_kernel(phi)) instead of the
     posterior: no correlation matrix is factored, and the real proposal and
     accept/reject step run against the synthetic kernel.  The stand-in
-    factor of a phi is phi itself and the prior rows are not read.  Build
-    the state after this call, so that its factor is its phi too."""
-    monkeypatch.setattr(sampler, "_factor", lambda state, phi, slot: phi)
+    factor of a phi is phi itself, its quadratic form 0.0, and the prior
+    rows are not read.  Build the state after this call, so that its factor
+    is its phi too."""
+    monkeypatch.setattr(sampler, "_factor", lambda state, phi, slot: (phi, 0.0))
     monkeypatch.setattr(sampler, "_kernel_value", lambda factor, *rest: log_kernel(factor))
 
 
@@ -234,7 +235,8 @@ def phi_log_kernel(phi, mu, sigma2, gamma, data: Dataset, hyper) -> float:
     not factor there.  The prior is each normal_logpdf in full.
     """
     phi = np.asarray(phi, dtype=float)
-    return sampler._kernel_value(_checked_factor(phi, data), _log_prior(phi, gamma, hyper), mu, sigma2)
+    factor = _checked_factor(phi, data)
+    return sampler._kernel_value(factor, factor.quad(data.responses - mu), _log_prior(phi, gamma, hyper), sigma2)
 
 
 def reference_run_chain(data: Dataset, hyper, init):
@@ -255,7 +257,8 @@ def reference_run_chain(data: Dataset, hyper, init):
         log_p, log_q = np.log(hyper.p), np.log1p(-hyper.p)
 
     def log_kernel(factor, phi):
-        return -0.5 * factor.log_det - factor.quad(mu) / (2.0 * sigma2) + _log_prior(phi, gamma, hyper)
+        quad = factor.quad(data.responses - mu)
+        return -0.5 * factor.log_det - quad / (2.0 * sigma2) + _log_prior(phi, gamma, hyper)
 
     factor = _checked_factor(phi, data)
     kept = range(hyper.burnin + 1, hyper.iters + 1, hyper.thin)
@@ -263,7 +266,7 @@ def reference_run_chain(data: Dataset, hyper, init):
     accepted = failures = 0
     for scan in range(1, hyper.iters + 1):
         mu = float(rng.normal(factor.gls_mean, np.sqrt(sigma2 / factor.one_rinv_one)))
-        sigma2 = float(1.0 / rng.gamma(n / 2.0, 2.0 / factor.quad(mu)))
+        sigma2 = float(1.0 / rng.gamma(n / 2.0, 2.0 / factor.quad(data.responses - mu)))
         logp_cur = log_kernel(factor, phi)
         prop = phi + rng.normal(size=phi.shape) * hyper.prop_sd
         log_u = float(np.log(rng.uniform()))

@@ -139,6 +139,28 @@ def test_factors_are_made_in_one_place():
     assert scratch_calls == []
 
 
+def test_corr_factor_keeps_no_per_call_state():
+    # After __init__ a CorrFactor holds its factor and the values its
+    # cached_property methods return; no method stores what one call was
+    # given or gave, so a value never depends on an earlier call.
+    tree = ast.parse((ROOT / "src" / "ssgp" / "linalg.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "CorrFactor")
+    stores = []
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+            continue
+        for node in ast.walk(method):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                obj = node.value
+            elif isinstance(node, ast.Call) and _called_name(node) in ("setattr", "__setattr__") and node.args:
+                obj = node.args[0]
+            else:
+                continue
+            if isinstance(obj, ast.Name) and obj.id == "self":
+                stores.append(f"{method.name}:{node.lineno}")
+    assert stores == []
+
+
 def test_posterior_is_read_in_one_place():
     # report.select_variables makes the one Posterior record of a chain, and
     # outside io's save and load it is the one reader of a chain's fields:

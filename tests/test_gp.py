@@ -246,7 +246,7 @@ class TestProfileEstimates:
         factor = linalg.CorrFactor(chol, linalg.gls_rhs(y))
         mu = factor.gls_mean
         assert mu == pytest.approx(2.0, abs=1e-15)
-        assert factor.quad(mu) / 3 == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert factor.quad(y - mu) / 3 == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_against_explicit_gls(self):
         rng = np.random.default_rng(11)
@@ -262,7 +262,7 @@ class TestProfileEstimates:
         mu = factor.gls_mean
         assert mu == pytest.approx(mu_direct, abs=1e-10)
         s2_direct = (y - mu_direct) @ rinv @ (y - mu_direct) / 6
-        assert factor.quad(mu) / 6 == pytest.approx(s2_direct, abs=1e-10)
+        assert factor.quad(y - mu) / 6 == pytest.approx(s2_direct, abs=1e-10)
 
     def test_objective_against_brute_force(self):
         rng = np.random.default_rng(5)

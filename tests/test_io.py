@@ -1,5 +1,6 @@
 """Persistence: canonical JSON, CSV readers/writers, document round trips."""
 
+import json
 import re
 
 import numpy as np
@@ -119,7 +120,7 @@ class TestModelDocuments:
         data = Dataset.from_arrays([[0.2, 0.1], [0.8, 0.9]], [1.0, 2.0])
         params = GpParams(mu=1.5, sigma2=0.25, phi=[0.7, 1.3])
         path = tmp_path / "model.json"
-        io.save_model(path, params, data, extra={"seed": 7})
+        io.save_model(path, params, data, 7)
         loaded, data_back = io.load_model(path)
         assert loaded.mu == params.mu
         assert loaded.sigma2 == params.sigma2
@@ -129,8 +130,12 @@ class TestModelDocuments:
         assert data_back.fingerprint() == data.fingerprint()
         doc = io.load_json(path)
         assert doc["schema_version"] == 1
-        assert doc["meta"]["seed"] == 7
+        assert doc["meta"] == {"seed": 7}
         assert doc["dataset_fingerprint"] == data.fingerprint()
+        # A model file written without meta still loads.
+        del doc["meta"]
+        io.save_json(path, doc)
+        assert io.load_model(path)[0].mu == params.mu
 
     def test_kind_checked(self, tmp_path):
         path = tmp_path / "other.json"
@@ -153,6 +158,14 @@ class TestChainDocuments:
         assert loaded.accept_rate == chain.accept_rate
         assert loaded.meta == chain.meta
         assert data_back.fingerprint() == data.fingerprint()
+
+    def test_trace_chain_is_refused(self, tmp_path, small_chain):
+        # chain.json requires an acceptance rate, which a trace does not record.
+        chain, data = small_chain
+        io.export_trace(chain, tmp_path / "trace.csv")
+        with pytest.raises(ValueError, match="no acceptance rate"):
+            io.save_chain(tmp_path / "chain.json", io.load_trace(tmp_path / "trace.csv"), data)
+        assert not (tmp_path / "chain.json").exists()
 
     def test_kind_checked(self, tmp_path):
         path = tmp_path / "other.json"
@@ -241,6 +254,20 @@ class TestSelectionDocuments:
         assert doc["rule"] == "modal"
         assert abs(sum(r["freq"] for r in doc["gamma_table"]) - 1.0) < 1e-12
         assert [(tuple(r["gamma"]), r["freq"]) for r in doc["gamma_table"]] == list(report.table)
+
+    def test_trace_chain_writes_null_rates(self, tmp_path, small_chain):
+        # A trace records no acceptance, and report.json must stay valid
+        # JSON: null, never NaN.
+        chain, _ = small_chain
+        io.export_trace(chain, tmp_path / "trace.csv")
+        path = tmp_path / "selection.json"
+        io.save_selection(path, select_variables(io.load_trace(tmp_path / "trace.csv")), 0)
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+        assert doc["meta"] == {"accept_rate": None, "accept_rate_kept": None, "seed": 0}
 
 
 class TestTraceValidation:

@@ -283,7 +283,7 @@ class TestPhiLogKernel:
         # table lookup, summed for the current phi and a proposal at once
         # as the scan does, must give the bits of each density evaluated
         # in full, which seeded chains were drawn with.
-        stub = SimpleNamespace(log_det=0.0, quad=lambda mu: 0.0)
+        stub = SimpleNamespace(log_det=0.0)
         rng = np.random.default_rng(31)
         for _ in range(300):
             d = int(rng.integers(1, 11))
@@ -296,7 +296,7 @@ class TestPhiLogKernel:
             log_priors = sampler._log_priors(state.priors, gamma).tolist()
             for phi, log_prior in zip(phis, log_priors):
                 expected = float(np.sum(normal_logpdf(phi, (tau * np.power(c, gamma)) ** 2)))
-                got = sampler._kernel_value(stub, log_prior, rng.normal(), rng.uniform(0.1, 3.0))
+                got = sampler._kernel_value(stub, 0.0, log_prior, rng.uniform(0.1, 3.0))
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
@@ -410,9 +410,9 @@ class TestUpdatePhi:
         assert np.array_equal(state.phi, start)
 
     def test_scan_kernel_matches_phi_log_kernel(self, toy10):
-        # The log-kernel the scan compares, read from a CorrFactor whose
-        # quadratic form the sigma2 step already computed, against the public
-        # phi_log_kernel and an explicit-inverse evaluation.
+        # The log-kernel the scan compares, from a state's CorrFactor and
+        # the quadratic form of y - mu, against the public phi_log_kernel
+        # and an explicit-inverse evaluation.
         data = make_dataset("linear", 54)
         for d in (toy10, data):
             hyper = default_hyperparams(d)
@@ -423,10 +423,11 @@ class TestUpdatePhi:
                 gamma = rng.integers(0, 2, size=d.dim)
                 state = chain_state(hyper, phi, d)
                 factor = state.factor
-                factor.quad(mu)
+                quad = factor.quad(d.responses - mu)
                 # The scan sums phi's prior rows beside a proposal's.
                 state.prior_rows(phi * phi, 0), state.prior_rows((2.0 * phi) ** 2, 1)
-                scan = sampler._kernel_value(factor, sampler._log_priors(state.priors, gamma).tolist()[0], mu, sigma2)
+                log_prior = sampler._log_priors(state.priors, gamma).tolist()[0]
+                scan = sampler._kernel_value(factor, quad, log_prior, sigma2)
                 public = phi_log_kernel(phi, mu, sigma2, gamma, d, hyper)
                 assert scan == public
                 r = build_corr_matrix(d.points, phi**2, nugget=SAMPLER_NUGGET)
@@ -466,11 +467,51 @@ def test_rejected_proposal_skips_the_gls_solve(toy10, monkeypatch):
     hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.5, iters=60, burnin=10, seed=4)
     init = GpParams(mu=float(toy10.responses.mean()), sigma2=1.0, phi=np.full(3, 0.5))
     chain = run_chain(toy10, hyper, init=init)
-    formed = sum("_ones_y" in vars(f) for f in made[1:])
+    formed = sum("_ones_y" in vars(f) for f, _ in made[1:])
     accepted = round(chain.accept_rate * hyper.iters)
     assert 0 < accepted < len(made) - 1
     # An accepted proposal at the last scan is never read by a mu step.
     assert accepted - 1 <= formed <= accepted
+
+
+def _break_every_third_potrf(monkeypatch):
+    # Every third dpotrf writes its factor into the proposal's buffer in
+    # full and then reports a breakdown, so _cholesky raises
+    # NotPositiveDefiniteError after potrf has run.
+    real_potrf = linalg.dpotrf
+    calls = [0]
+
+    def breaks_every_third(m, **kwargs):
+        lower, info = real_potrf(m, **kwargs)
+        calls[0] += 1
+        return lower, 3 if calls[0] % 3 == 0 else info
+
+    monkeypatch.setattr(linalg, "dpotrf", breaks_every_third)
+
+
+def test_state_quad_is_the_current_factor_at_the_current_mu(toy10, monkeypatch):
+    # The phi step reads state.quad for the current phi and solves each
+    # proposal against state.resid, so after the sigma2 step and after an
+    # accepted, a rejected or a failed phi step both must hold the bits a
+    # fresh y - mu and a fresh solve of it give.
+    def check(state):
+        assert state.resid.tobytes() == (state.y - state.mu).tobytes()
+        assert state.quad == state.factor.quad(state.resid)
+
+    _break_every_third_potrf(monkeypatch)
+    state = chain_state(Hyperparams.for_dim(3, tau=0.3, prop_sd=0.3), np.full(3, 0.5), toy10, seed=2)
+    check(state)
+    seen = set()
+    for _ in range(150):
+        update_mu(state)
+        update_sigma2(state)
+        check(state)
+        accepted, failures = state.accepted, state.failures
+        update_phi(state)
+        check(state)
+        seen.add("accepted" if state.accepted > accepted else "failed" if state.failures > failures else "rejected")
+        update_gamma(state)
+    assert seen == {"accepted", "rejected", "failed"}
 
 
 class TestLeanScanParity:
@@ -573,18 +614,9 @@ class TestChainOwnsItsBuffers:
     the factor the scan carries or the R0 values its build left."""
 
     def test_rejected_and_failed_proposals_leave_the_current_factor(self, toy10, monkeypatch):
-        # Every third dpotrf writes its factor into the proposal's buffer in
-        # full and then reports a breakdown, so _cholesky raises
-        # NotPositiveDefiniteError after potrf has run.  Each slot owns its
-        # GEMV output, so the current one keeps exp(-D theta) of its phi.
-        real_potrf = linalg.dpotrf
-        calls = [0]
-
-        def breaks_every_third(m, **kwargs):
-            lower, info = real_potrf(m, **kwargs)
-            calls[0] += 1
-            return lower, 3 if calls[0] % 3 == 0 else info
-
+        # Some proposals fail after potrf has written their buffer
+        # (_break_every_third_potrf).  Each slot owns its GEMV output, so
+        # the current one keeps exp(-D theta) of its phi.
         real_step = sampler.update_phi
         seen = {"accepted": 0, "rejected": 0, "failed": 0}
 
@@ -602,7 +634,7 @@ class TestChainOwnsItsBuffers:
                 assert (factor.lower.tobytes(order="A"), gemv.tobytes()) == before
             assert gemv.tobytes() == np.exp(state.pairs.rows @ -(state.phi * state.phi)).tobytes()
 
-        monkeypatch.setattr(linalg, "dpotrf", breaks_every_third)
+        _break_every_third_potrf(monkeypatch)
         monkeypatch.setattr(sampler, "update_phi", checked)
         hyper = Hyperparams.for_dim(3, tau=0.3, prop_sd=0.3, iters=150, burnin=10, seed=2)
         chain = run_chain(toy10, hyper, init=GpParams(mu=0.0, sigma2=1.0, phi=np.full(3, 0.5)))
@@ -648,13 +680,15 @@ class TestGewekeJointDistribution:
         stats = np.empty((steps, 3 * d + 1))
         for t in range(steps):
             # update_phi reads the responses from the state, with the
-            # current factor's.
+            # current factor's, and the residual and quadratic form of them.
             state.y = mu + np.sqrt(sigma2) * (state.factor.lower @ rng.normal(size=n))
             state.rhs = linalg.gls_rhs(state.y)
             state.factor = linalg.CorrFactor(state.factor.lower, state.rhs)
+            state.resid = state.y - mu
+            state.quad = state.factor.quad(state.resid)
             update_phi(state)
             update_gamma(state)
-            stats[t] = [*state.phi, *state.phi**2, *state.gamma, state.factor.quad(mu) / (n * sigma2)]
+            stats[t] = [*state.phi, *state.phi**2, *state.gamma, state.factor.quad(state.y - mu) / (n * sigma2)]
         tau2, c2, p = hyper.tau**2, hyper.c**2, hyper.p
         expect = np.concatenate([np.zeros(d), (1 - p) * tau2 + p * c2 * tau2, p, [1.0]])
         # Standard errors by batch means, 50 batches of 400 steps.
@@ -694,7 +728,7 @@ class TestExactPosteriorOracle:
         terms = np.empty((len(phi), 4))
         for i, point in enumerate(phi):
             f = fixed_nugget_factor(data.pair_table, point * point, SAMPLER_NUGGET, data.responses)
-            terms[i] = f.log_det, f.one_rinv_one, f.gls_mean, f.quad(f.gls_mean)
+            terms[i] = f.log_det, f.one_rinv_one, f.gls_mean, f.quad(data.responses - f.gls_mean)
         log_det, q, gls_mean, s2 = terms.T
         spike = np.log1p(-hyper.p) + normal_logpdf(phi, hyper.tau**2)
         slab = np.log(hyper.p) + normal_logpdf(phi, (hyper.c * hyper.tau) ** 2)
