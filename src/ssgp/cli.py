@@ -243,8 +243,10 @@ def _render_benchmark(report) -> None:
 def _cmd_design(args) -> int:
     if args.kind == "maximin-lhd":
         design = maximin_lhd(args.n, args.d, args.seed, args.sweeps)
-    else:
+    elif args.sweeps is None:
         design = random_lhd(args.n, args.d, args.seed)
+    else:
+        raise ValueError("--sweeps applies only to --kind maximin-lhd")
     io.write_design_csv(args.out, design.points)
     print(f"wrote {args.n}x{args.d} {args.kind} design to {args.out}")
     return EXIT_OK
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_des.add_argument("--n", type=int, required=True)
     p_des.add_argument("--d", type=int, required=True)
     p_des.add_argument("--seed", type=int, default=0)
-    p_des.add_argument("--sweeps", type=int, default=None)
+    p_des.add_argument("--sweeps", type=int, default=None, help="swaps to try (maximin-lhd only)")
     p_des.add_argument("--out", default="design.csv")
     p_des.set_defaults(func=_cmd_design)
 

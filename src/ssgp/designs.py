@@ -65,9 +65,9 @@ _SCREEN_BATCH = 32
 
 def _screen_slack(d: int) -> float:
     # Coordinates lie in [0, 1], so a squared distance is a sum of d terms
-    # in [0, 1], and both the sweep's sum and the screen's update of a
-    # stored one lie within (d + 3)^2 2^-53 of the true value.  The slack is
-    # four times the sum of the two bounds.
+    # in [0, 1]; in any order (pdist's at the start, the sweep's axis-0 sum
+    # after) it lies within (d + 3)^2 2^-53 of the true value, as does the
+    # screen's update of a stored one.  The slack is 4x the two bounds' sum.
     return (d + 3) ** 2 * 2.0**-50
 
 
@@ -102,8 +102,10 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     the two currently closest points, the pair that limits the criterion.
 
     A swap moves only points a and b, so each sweep recomputes only their
-    distances to the others, in the same order of summation over the
-    coordinates as pdist (Jin, Chen & Sudjianto 2005).  A swap that brings
+    distances to the others (Jin, Chen & Sudjianto 2005), by an axis-0 sum
+    over the coordinates.  The start's distances come from pdist, whose sum
+    differs from that one in the last bit for some pairs (from d = 8 with
+    scipy 1.17); the screen's slack covers both.  A swap that brings
     a or b closer to some point than the current minimum is rejected
     without the inverse-square sum: the other distances cannot raise the
     minimum back.
@@ -130,8 +132,7 @@ def maximin_lhd(n: int, d: int, seed, sweeps: int | None = None) -> Design:
     sweeps = 100 * n if sweeps is None else integer("sweeps", sweeps, 0)
     rng = _as_rng(seed)
     design = random_lhd(n, d, rng)
-    # One row per coordinate, so the axis-0 sum below adds coordinate by
-    # coordinate, as pdist does.
+    # One row per coordinate, so the axis-0 sum below adds coordinate by coordinate.
     cols = design.points.T.copy()
     first, partner, coord = _sweep_draws(rng, n, d, sweeps)
 

@@ -398,17 +398,12 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     the mean-estimation correction term (1 - 1' R^-1 r)^2 / (1' R^-1 1).
     Negative MSEs from round-off are clamped to zero and flagged.
 
-    A point's mean is bitwise the same whatever other points share the call
-    and whatever BLAS is linked: no reduction that forms it goes through
-    BLAS or runs in an order that depends on the number of points.  Its
-    correlations are summed coordinate by coordinate at any width; the
-    width from which _cross_corr loops over coordinates instead of building
-    an (m, n, d) tensor, and the row blocks it loops in, are only cost
-    choices.  The MSE goes through a multi-right-hand-side solve and a
-    GEMV, so it agrees across batches only to rounding, and `clamped` can
-    differ between batches for an MSE at round-off level.  (With OpenBLAS,
-    batches of two or more points agree bitwise: their GEMV runs over whole
-    blocks of test points.)
+    Every field of a point's prediction is bitwise the same at every batch
+    width, one included (OpenBLAS, one thread); the mean is so on any BLAS,
+    as no reduction that forms it goes through BLAS or runs in an order
+    that depends on the width.  _cross_corr's switch to a per-coordinate
+    loop and its row blocks are only cost choices, and the MSE and `clamped`
+    read CorrFactor.cross_terms, which runs a batch's kernels at every width.
 
     The factor of R(theta), with its nugget escalation and 1'R^-1 1, and
     the solve R^-1 (y - mu) are kept on `data` for the last (theta,
@@ -440,16 +435,8 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     # nor an axis-0 sum of r * v[:, None] sums in the same order at m = 1
     # as at m > 1.
     means = params.mu + (rt * rinv_resid).sum(axis=1)
-    # With V = L^-1 r: r'R^-1 r = |V|^2 and 1'R^-1 r = (L^-1 1)'V.
-    v = factor.whiten(rt.T)
-    m, block = len(rt), linalg._GEMV_BLOCK
-    # A lone point is solved by another kernel anyway; it keeps its GEMV.
-    if m > 1 and m % block:
-        padded = np.zeros((data.n, m - m % block + block), order="F")
-        padded[:, :m] = v
-        v = padded
-    corr_term = (1.0 - factor.w1 @ v) ** 2 / factor.one_rinv_one
-    mses = params.sigma2 * (1.0 - np.einsum("ij,ij->j", v, v) + corr_term)[:m]
+    quad, one_rinv_r = factor.cross_terms(rt)
+    mses = params.sigma2 * (1.0 - quad + (1.0 - one_rinv_r) ** 2 / factor.one_rinv_one)
     # Bitwise max(s, 0.0): only s < 0 becomes +0.0; -0.0 and NaN pass through.
     clamped = mses < 0
     mses[clamped] = 0.0

@@ -78,8 +78,8 @@ PIVOT_TOL = 1e-12
 # OpenBLAS's GEMV tail kernel gives other last bits than its main kernel,
 # so two operands come padded with zeros to whole blocks of this many: the
 # rows of a PairTable, which makes each off-diagonal entry of R bitwise the
-# one the full (n*n, d) product gives, and the test points of gp's MSE
-# GEMV, which keeps a point's MSE independent of the batch width.
+# one the full (n*n, d) product gives, and the columns CorrFactor.cross_terms
+# solves, which keeps a test point's terms independent of the batch width.
 _GEMV_BLOCK = 8
 
 
@@ -194,10 +194,10 @@ class CorrFactor:
     proposal and likelihood value reads it.  w1 = L^-1 1, 1'R^-1 1 and the
     GLS mean (1'R^-1 1)^-1 1'R^-1 y are computed the first time each is
     read, from one two-column triangular solve [L^-1 1, L^-1 y].  Nothing
-    else is kept: quad solves afresh on every call, and the caller keeps
-    the value (the Gibbs chain in its state, for the scan's sigma2 and phi
-    steps).  It is a plain class because the Gibbs scan makes one per
-    proposal.
+    else is kept: quad and cross_terms solve afresh on every call, and the
+    caller keeps the value (the Gibbs chain in its state, for the scan's
+    sigma2 and phi steps).  It is a plain class because the Gibbs scan
+    makes one per proposal.
     """
 
     def __init__(self, lower: np.ndarray, rhs: np.ndarray):
@@ -223,12 +223,22 @@ class CorrFactor:
     def quad(self, resid) -> float:
         """resid'R^-1 resid = |L^-1 resid|^2 by one triangular solve, for a
         residual such as y - mu; non-negative by construction, not checked."""
-        v = self.whiten(resid)
+        v = dtrtrs(self.lower, resid, lower=1)[0]
         return float(v @ v)
 
-    def whiten(self, b) -> np.ndarray:
-        """L^-1 b by one triangular solve; b is not checked."""
-        return dtrtrs(self.lower, b, lower=1)[0]
+    def cross_terms(self, r) -> tuple[np.ndarray, np.ndarray]:
+        """(r'R^-1 r, 1'R^-1 r) = (|L^-1 r|^2, w1'L^-1 r) for each row r of
+        an (m, n) block, unchecked.  The rows are copied into a Fortran
+        (n, M) block, M a positive whole number of _GEMV_BLOCKs, zero past
+        column m; one dtrtrs solves max(m, 2) columns in place, and the norms
+        and the w1 GEMV run over the whole block, so m = 1 runs a batch's
+        kernels and (OpenBLAS, one thread) no row's values depend on m."""
+        m, n = r.shape
+        v = np.empty((n, -(-max(m, 1) // _GEMV_BLOCK) * _GEMV_BLOCK), order="F")
+        v[:, :m] = r.T
+        v[:, m:] = 0.0
+        dtrtrs(self.lower, v[:, : max(m, 2)], lower=1, overwrite_b=1)
+        return np.einsum("ij,ij->j", v, v)[:m], (self.w1 @ v)[:m]
 
     def inverse_diagonal(self) -> np.ndarray:
         """diag R^-1, the column sums of squares of L^-1 (trtri on a copy)."""

@@ -139,6 +139,15 @@ def test_factors_are_made_in_one_place():
     assert scratch_calls == []
 
 
+def test_only_linalg_reads_the_gemv_block():
+    # The GEMV padding is linalg's concern: PairTable rows and the columns
+    # CorrFactor.cross_terms solves.  No other module pads for it.
+    readers = {owner for owner, node in _owned_nodes()
+               if (isinstance(node, ast.Attribute) and node.attr == "_GEMV_BLOCK")
+               or (isinstance(node, ast.Name) and node.id == "_GEMV_BLOCK")}
+    assert readers and {owner.split(".")[0] for owner in readers} == {"linalg"}
+
+
 def test_corr_factor_keeps_no_per_call_state():
     # After __init__ a CorrFactor holds its factor and the values its
     # cached_property methods return; no method stores what one call was

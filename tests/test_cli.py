@@ -59,6 +59,15 @@ class TestDesignCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_sweeps_with_random_lhd_exit_2(self, tmp_path, capsys):
+        # A random LHD makes no swaps; the flag is rejected, not ignored.
+        out = tmp_path / "x.csv"
+        args = ["design", "--kind", "random-lhd", "--n", "6", "--d", "2", "--sweeps", "7", "--out", str(out)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--sweeps" in err
+        assert not out.exists()
+
     def test_negative_seed_exit_2_names_seed(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert cli.main(["design", "--n", "6", "--d", "2", "--seed", "-1", "--out", str(out)]) == 2

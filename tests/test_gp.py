@@ -544,11 +544,7 @@ class TestPrediction:
         xs = np.array([[0.2, 0.4, 0.6], [0.9, 0.1, 0.5]])
         batch = predict_batch(params, toy10, xs)
         for i, row in enumerate(xs):
-            single = predict_batch(params, toy10, row)[0]
-            assert batch[i].mean == single.mean
-            # Reduction order differs between the batched einsum and the
-            # single-point path, so only match to relative rounding.
-            assert batch[i].mse == pytest.approx(single.mse, rel=1e-9)
+            assert _bits(predict_batch(params, toy10, row)) == _bits(batch[i : i + 1])
 
     def test_mean_independent_of_batch_width(self):
         # At n = 54, d = 10 a BLAS GEMV mean, a tensordot exponent or an
@@ -630,9 +626,8 @@ class TestPrediction:
         t = gp._LOOP_MIN_WIDTH
         xs = np.resize(scale_points(toy20.points, toy20.ranges, "from_unit"), (t + 1, toy20.dim))
         xs_unit = scale_points(xs, toy20.ranges, "to_unit")
-        v = factor.whiten(gp._cross_corr(toy20.points, xs_unit, params.theta).T)
-        corr_term = (1.0 - factor.w1 @ v) ** 2 / factor.one_rinv_one
-        raw = params.sigma2 * (1.0 - np.einsum("ij,ij->j", v, v) + corr_term)
+        quad, one_rinv_r = factor.cross_terms(gp._cross_corr(toy20.points, xs_unit, params.theta))
+        raw = params.sigma2 * (1.0 - quad + (1.0 - one_rinv_r) ** 2 / factor.one_rinv_one)
         wide = predict_batch(params, toy20, xs, nugget=0.0)
         assert (raw < 0).any() and (raw >= 0).any()
         for p, s in zip(wide, raw):
@@ -644,17 +639,21 @@ class TestPrediction:
         narrow = predict_batch(params, toy20, xs[: t - 1], nugget=0.0)
         assert _bits(narrow) == _bits(wide[: t - 1])
 
-    def test_mse_bits_do_not_depend_on_batch_width(self, linear54):
-        # From two points up, each point's prediction is bitwise the same at
-        # every width, on either side of the loop width and of the row
-        # blocks' edges.
+    def test_mse_bits_do_not_depend_on_batch_width(self, linear54, borehole50):
+        # Each point's prediction is bitwise the same at every width, a lone
+        # point included, on either side of the loop width and of the row
+        # blocks' edges; an empty batch predicts nothing.
         rng = np.random.default_rng(17)
-        params = GpParams(mu=0.3, sigma2=2.0, phi=rng.uniform(0.3, 1.5, linear54.dim))
-        b = _block_rows(linear54.n)
-        xs = rng.uniform(size=(2 * b + 1, linear54.dim))
-        widest = _bits(predict_batch(params, linear54, xs))
-        for m in [*range(2, 2 * gp._LOOP_MIN_WIDTH), b - 1, b, b + 1]:
-            assert _bits(predict_batch(params, linear54, xs[:m])) == widest[:m], m
+        for data in (linear54, borehole50):
+            params = GpParams(mu=0.3, sigma2=2.0, phi=rng.uniform(0.3, 1.5, data.dim))
+            b = _block_rows(data.n)
+            xs = rng.uniform(size=(2 * b + 1, data.dim))
+            widest = _bits(predict_batch(params, data, xs))
+            assert predict_batch(params, data, xs[:0]) == []
+            for m in [*range(1, 2 * gp._LOOP_MIN_WIDTH), b - 1, b, b + 1]:
+                assert _bits(predict_batch(params, data, xs[:m])) == widest[:m], m
+            for i in range(40):
+                assert _bits(predict_batch(params, data, xs[i])) == widest[i : i + 1], i
 
     def test_wide_batch_peak_memory(self, linear54):
         # The exponent is built in the (m, n) output and one row block's term
