@@ -89,10 +89,6 @@ def _load_dataset(args) -> Dataset:
             bad = int(np.argmax(ranges[:, 1] <= ranges[:, 0])) + 1
             raise ValueError(f"column x{bad} is constant; cannot infer its range")
     else:
-        if np.any(x < 0) or np.any(x > 1):
-            raise ValueError(
-                "data outside [0,1]; pass --ranges lo:hi,... or --observed-ranges"
-            )
         ranges = None
     return Dataset.from_arrays(x, y, ranges)
 
@@ -156,11 +152,7 @@ def _cmd_predict(args) -> int:
     else:
         chain, data = io.load_chain(args.chain)
         params = select_variables(chain).params
-    header = io.peek_header(args.test)
-    if header and header[-1] == "y":
-        x_test, truth = io.read_data_csv(args.test)
-    else:
-        x_test, truth = io.read_design_csv(args.test), None
+    x_test, truth = io.read_test_csv(args.test)
     preds = predict_batch(params, data, x_test)
     means = [p.mean for p in preds]
     mses = [p.mse for p in preds]

@@ -100,17 +100,21 @@ class Dataset:
     def from_arrays(cls, points, responses, ranges=None) -> "Dataset":
         """Build a Dataset from original-scale points.
 
-        When `ranges` is omitted the points are taken to live on the unit
-        hypercube already and the ranges default to (0, 1) per dimension.
+        When `ranges` is omitted the points must lie on the unit hypercube
+        already, and the ranges default to (0, 1) per dimension; a ValueError
+        names the first column with a point outside [0, 1].
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if ranges is None:
-            ranges = np.tile([0.0, 1.0], (pts.shape[1], 1))
-            scaled = pts
-        else:
+        if ranges is not None:
             ranges = np.asarray(ranges, dtype=float)
-            scaled = scale_points(pts, ranges, "to_unit")
-        return cls(scaled, responses, ranges)
+            return cls(scale_points(pts, ranges, "to_unit"), responses, ranges)
+        # Built first, so a non-finite or mismatched input gets its own message.
+        data = cls(pts, responses, np.tile([0.0, 1.0], (pts.shape[1], 1)))
+        outside = ((data.points < 0) | (data.points > 1)).any(axis=0)
+        if outside.any():
+            raise ValueError(f"column x{int(np.argmax(outside)) + 1} has points outside [0, 1]; "
+                             "data off the unit cube needs ranges (--ranges lo:hi,... or --observed-ranges)")
+        return data
 
     @property
     def n(self) -> int:

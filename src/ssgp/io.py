@@ -53,6 +53,8 @@ def _parse_cell(cell, row_idx, col_name, path):
 
 
 def _parse_table(path, header, rows):
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     out = np.empty((len(rows), len(header)))
     for i, row in enumerate(rows, start=2):
         if len(row) != len(header):
@@ -72,19 +74,24 @@ def _expect_x_columns(path, names):
         )
 
 
-def peek_header(path) -> list:
-    """Column names of a CSV without parsing the body."""
-    header, _ = _read_rows(path)
-    return header
+def _design_table(path, header, rows) -> np.ndarray:
+    _expect_x_columns(path, header)
+    return _parse_table(path, header, rows)
+
+
+def _data_table(path, header, rows):
+    if len(header) < 2 or header[-1] != "y":
+        raise ValueError(
+            f"{path}: combined data needs columns x1,...,xd followed by y"
+        )
+    _expect_x_columns(path, header[:-1])
+    table = _parse_table(path, header, rows)
+    return table[:, :-1], table[:, -1]
 
 
 def read_design_csv(path) -> np.ndarray:
     """Design matrix from a CSV with header x1,...,xd."""
-    header, rows = _read_rows(path)
-    _expect_x_columns(path, header)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return _parse_table(path, header, rows)
+    return _design_table(path, *_read_rows(path))
 
 
 def read_response_csv(path) -> np.ndarray:
@@ -92,23 +99,21 @@ def read_response_csv(path) -> np.ndarray:
     header, rows = _read_rows(path)
     if header != ["y"]:
         raise ValueError(f"{path}: response file must have the single column y")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
     return _parse_table(path, header, rows).ravel()
 
 
 def read_data_csv(path):
     """Combined CSV (x1,...,xd,y): returns (points, responses)."""
+    return _data_table(path, *_read_rows(path))
+
+
+def read_test_csv(path):
+    """Test points, read once: a combined CSV (x1,...,xd,y) gives (points,
+    responses), a design CSV (x1,...,xd) gives (points, None)."""
     header, rows = _read_rows(path)
-    if len(header) < 2 or header[-1] != "y":
-        raise ValueError(
-            f"{path}: combined data needs columns x1,...,xd followed by y"
-        )
-    _expect_x_columns(path, header[:-1])
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    table = _parse_table(path, header, rows)
-    return table[:, :-1], table[:, -1]
+    if header[-1] == "y":
+        return _data_table(path, header, rows)
+    return _design_table(path, header, rows), None
 
 
 def write_design_csv(path, points) -> None:
@@ -234,10 +239,8 @@ def load_model(path):
 
 
 def save_chain(path, chain: Chain, data: Dataset) -> None:
-    """chain.json; raises ValueError for a chain with no acceptance rate (a
-    loaded trace), which the document requires."""
-    if chain.accept_rate is None:
-        raise ValueError("chain has no acceptance rate (a loaded trace); chain.json requires one")
+    """chain.json: the chain's draws, acceptance rate and meta, and the data
+    it was drawn on; load_chain reads it back."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "chain",
@@ -296,41 +299,20 @@ def save_selection(path, post, seed) -> None:
     save_json(path, doc)
 
 
-def _trace_header(d) -> list:
-    return ["scan", "mu", "sigma2"] + [f"phi_{k + 1}" for k in range(d)] + [f"gamma_{k + 1}" for k in range(d)]
-
-
 def export_trace(chain: Chain, path) -> None:
     """Write stored draws as CSV: scan, mu, sigma2, phi_1.., gamma_1..
 
     Floats are written with repr so a parsed file reproduces the draws
-    bit for bit.
+    bit for bit.  The file is an export for inspection; chain.json is what
+    load_chain reads back.
     """
+    d = chain.dim
+    header = ["scan", "mu", "sigma2"] + [f"phi_{k + 1}" for k in range(d)] + [f"gamma_{k + 1}" for k in range(d)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_trace_header(chain.dim)) + "\n")
+        fh.write(",".join(header) + "\n")
         for i in range(chain.size):
             cells = [str(int(chain.scans[i])), repr(float(chain.mu[i])), repr(float(chain.sigma2[i]))]
             cells += [repr(float(v)) for v in chain.phi[i]]
             cells += [str(int(g)) for g in chain.gamma[i]]
             fh.write(",".join(cells) + "\n")
 
-
-def load_trace(path) -> Chain:
-    """Rebuild a Chain from an exported trace CSV (no meta, rate unknown)."""
-    header, rows = _read_rows(path)
-    if header[:3] != ["scan", "mu", "sigma2"] or (len(header) - 3) % 2 != 0:
-        raise ValueError(f"{path}: not a trace CSV")
-    d = (len(header) - 3) // 2
-    expected = _trace_header(d)
-    if header != expected:
-        raise ValueError(f"{path}: trace columns must be {','.join(expected)}")
-    table = _parse_table(path, header, rows)
-    return Chain(
-        mu=table[:, 1],
-        sigma2=table[:, 2],
-        phi=table[:, 3 : 3 + d],
-        gamma=_indicators(path, "gamma", table[:, 3 + d :]),
-        scans=_scan_indices(path, "scan", table[:, 0]),
-        accept_rate=None,
-        meta={},
-    )

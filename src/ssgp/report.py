@@ -29,7 +29,7 @@ class Posterior:
     order.  `selected` holds 1-based variable indices.  `params` is the
     plug-in of posterior means of mu, sigma2 and phi.  `accept_rate` is the
     chain's MH acceptance over every scan and `accept_rate_kept` over the
-    scans after burn-in, each None for a loaded trace, which records neither.
+    scans after burn-in, None only for a chain whose meta has no such key.
     """
 
     modal_gamma: tuple
@@ -40,7 +40,7 @@ class Posterior:
     rule: str
     tie: bool
     params: GpParams
-    accept_rate: float | None
+    accept_rate: float
     accept_rate_kept: float | None
 
     def selection_fields(self) -> dict:

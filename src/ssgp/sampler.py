@@ -151,16 +151,16 @@ def default_hyperparams(data: Dataset, seed: int = 0, **overrides) -> Hyperparam
 
 @dataclass(frozen=True)
 class Chain:
-    """Stored post-burn-in draws, columnar, plus acceptance bookkeeping
-    (accept_rate is None for a chain loaded from a trace, which records no
-    rate)."""
+    """Stored post-burn-in draws, columnar, plus acceptance bookkeeping:
+    accept_rate is the MH acceptance over every scan, and meta holds the
+    rate per phase (run_chain's, or the one chain.json brought back)."""
 
     mu: np.ndarray
     sigma2: np.ndarray
     phi: np.ndarray
     gamma: np.ndarray
     scans: np.ndarray
-    accept_rate: float | None
+    accept_rate: float
     meta: dict
 
     @property

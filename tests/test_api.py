@@ -170,6 +170,25 @@ def test_corr_factor_keeps_no_per_call_state():
     assert stores == []
 
 
+def test_every_function_is_used_in_src():
+    # No test-only helpers in src/: each module-level function of src/ssgp
+    # is called, imported or exported (so imported by __init__) somewhere in
+    # src/ssgp outside its own def.
+    funcs = {f"{path.stem}.{node.name}"
+             for path in (ROOT / "src" / "ssgp").glob("*.py")
+             for node in ast.parse(path.read_text(encoding="utf-8")).body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    owners = {}
+    for owner, node in _owned_nodes():
+        name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        owners.setdefault(name, set()).add(owner)
+    unused = sorted(func for func in funcs
+                    if all(owner == func or owner.startswith(func + ".")
+                           for owner in owners.get(func.split(".")[1], ())))
+    assert unused == []
+
+
 def test_posterior_is_read_in_one_place():
     # report.select_variables makes the one Posterior record of a chain, and
     # outside io's save and load it is the one reader of a chain's fields:

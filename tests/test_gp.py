@@ -74,6 +74,15 @@ class TestDataset:
         assert np.array_equal(data.ranges, [[0.0, 1.0], [0.0, 1.0]])
         assert data.n == 2 and data.dim == 2
 
+    def test_from_arrays_without_ranges_needs_the_unit_cube(self):
+        # Unchecked, these points got ranges (0, 1) and tau = 1/15.
+        with pytest.raises(ValueError, match=r"column x1 has points outside \[0, 1\]"):
+            Dataset.from_arrays([[5.0], [10.0], [7.0]], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="column x2 "):
+            Dataset.from_arrays([[0.5, 0.5], [0.2, -0.1]], [1.0, 2.0])
+        data = Dataset.from_arrays([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0])
+        assert np.array_equal(data.points, [[0.0, 1.0], [1.0, 0.0]])
+
     def test_from_arrays_scales(self):
         data = Dataset.from_arrays([[5.0], [15.0]], [1.0, 2.0], ranges=[[0.0, 20.0]])
         assert np.allclose(data.points, [[0.25], [0.75]])

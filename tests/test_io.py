@@ -1,6 +1,5 @@
 """Persistence: canonical JSON, CSV readers/writers, document round trips."""
 
-import json
 import re
 
 import numpy as np
@@ -100,10 +99,14 @@ class TestResponseAndDataCsv:
         with pytest.raises(ValueError, match="followed by y"):
             io.read_data_csv(path)
 
-    def test_peek_header(self, tmp_path):
+    def test_test_csv_y_is_optional(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x1,x2,y\n0.1,0.2,1.0\n")
-        assert io.peek_header(path) == ["x1", "x2", "y"]
+        x, y = io.read_test_csv(path)
+        assert np.array_equal(x, [[0.1, 0.2]]) and np.array_equal(y, [1.0])
+        path.write_text("x1,x2\n0.1,0.2\n")
+        x, y = io.read_test_csv(path)
+        assert np.array_equal(x, [[0.1, 0.2]]) and y is None
 
 
 class TestPredictionsCsv:
@@ -158,14 +161,6 @@ class TestChainDocuments:
         assert loaded.accept_rate == chain.accept_rate
         assert loaded.meta == chain.meta
         assert data_back.fingerprint() == data.fingerprint()
-
-    def test_trace_chain_is_refused(self, tmp_path, small_chain):
-        # chain.json requires an acceptance rate, which a trace does not record.
-        chain, data = small_chain
-        io.export_trace(chain, tmp_path / "trace.csv")
-        with pytest.raises(ValueError, match="no acceptance rate"):
-            io.save_chain(tmp_path / "chain.json", io.load_trace(tmp_path / "trace.csv"), data)
-        assert not (tmp_path / "chain.json").exists()
 
     def test_kind_checked(self, tmp_path):
         path = tmp_path / "other.json"
@@ -254,76 +249,3 @@ class TestSelectionDocuments:
         assert doc["rule"] == "modal"
         assert abs(sum(r["freq"] for r in doc["gamma_table"]) - 1.0) < 1e-12
         assert [(tuple(r["gamma"]), r["freq"]) for r in doc["gamma_table"]] == list(report.table)
-
-    def test_trace_chain_writes_null_rates(self, tmp_path, small_chain):
-        # A trace records no acceptance, and report.json must stay valid
-        # JSON: null, never NaN.
-        chain, _ = small_chain
-        io.export_trace(chain, tmp_path / "trace.csv")
-        path = tmp_path / "selection.json"
-        io.save_selection(path, select_variables(io.load_trace(tmp_path / "trace.csv")), 0)
-
-        def refuse(name):
-            raise ValueError(f"{name} is not JSON")
-
-        doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
-        assert doc["meta"] == {"accept_rate": None, "accept_rate_kept": None, "seed": 0}
-
-
-class TestTraceValidation:
-    def test_rejects_non_trace(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="not a trace"):
-            io.load_trace(path)
-
-    def test_rejects_wrong_column_names(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("scan,mu,sigma2,phi_1,gamma_2\n1,0.0,1.0,0.5,1\n")
-        with pytest.raises(ValueError, match="trace"):
-            io.load_trace(path)
-
-    @pytest.mark.parametrize("cell", ["0.7", "2", "-1"])
-    def test_rejects_gamma_other_than_zero_or_one(self, tmp_path, small_chain, cell):
-        # A fractional gamma must not be truncated to 0.
-        chain, _ = small_chain
-        path = tmp_path / "trace.csv"
-        io.export_trace(chain, path)
-        lines = path.read_text().splitlines()
-        row = lines[2].split(",")
-        row[-1] = cell
-        lines[2] = ",".join(row)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=rf"trace\.csv: gamma entry {float(cell)!r} is not 0 or 1"):
-            io.load_trace(path)
-
-    @pytest.mark.parametrize(
-        "cell,message",
-        [
-            ("3.7", "scan entry 3.7 is not a positive integer"),
-            ("-4", "scan entry -4.0 is not a positive integer"),
-        ],
-    )
-    def test_rejects_scan_other_than_positive_integer(self, tmp_path, small_chain, cell, message):
-        # A fractional scan must not be truncated to 3, nor a negative one kept.
-        chain, _ = small_chain
-        path = tmp_path / "trace.csv"
-        io.export_trace(chain, path)
-        lines = path.read_text().splitlines()
-        row = lines[1].split(",")
-        row[0] = cell
-        lines[1] = ",".join(row)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=rf"trace\.csv: {re.escape(message)}"):
-            io.load_trace(path)
-
-    def test_rejects_scans_out_of_order(self, tmp_path, small_chain):
-        chain, _ = small_chain
-        path = tmp_path / "trace.csv"
-        io.export_trace(chain, path)
-        lines = path.read_text().splitlines()
-        lines[2], lines[3] = lines[3], lines[2]
-        path.write_text("\n".join(lines) + "\n")
-        # Rows 1 and 2 swapped: entry 2 is the scan of row 1.
-        with pytest.raises(ValueError, match=rf"trace\.csv: scan is not strictly increasing: entry 2 is {chain.scans[1]} after {chain.scans[2]}"):
-            io.load_trace(path)

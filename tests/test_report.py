@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from ssgp.io import export_trace, load_trace
+from ssgp.io import export_trace
 from ssgp.report import select_variables
 from ssgp.sampler import Chain, Hyperparams, run_chain
 
@@ -171,7 +171,7 @@ class TestPosteriorParams:
 
 class TestAcceptance:
     def test_kept_rate_unknown_without_meta(self):
-        # A chain rebuilt from a trace CSV carries no meta.
+        # A chain whose meta has no accept_rate_kept key reports None.
         post = select_variables(chain_from_gammas([[1, 0], [0, 1]]))
         assert post.accept_rate == 0.5 and post.accept_rate_kept is None
 
@@ -183,12 +183,14 @@ class TestTraceExport:
         chain = run_chain(data, hyper)
         path = tmp_path / "trace.csv"
         export_trace(chain, path)
-        loaded = load_trace(path)
-        assert np.array_equal(loaded.scans, chain.scans)
-        assert np.array_equal(loaded.mu, chain.mu)
-        assert np.array_equal(loaded.sigma2, chain.sigma2)
-        assert np.array_equal(loaded.phi, chain.phi)
-        assert np.array_equal(loaded.gamma, chain.gamma)
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert len(header) == 3 + 2 * chain.dim and len(rows) == chain.size
+        table = np.array([[float(cell) for cell in row] for row in rows])
+        assert np.array_equal(table[:, 0], chain.scans)
+        assert np.array_equal(table[:, 1], chain.mu)
+        assert np.array_equal(table[:, 2], chain.sigma2)
+        assert np.array_equal(table[:, 3 : 3 + chain.dim], chain.phi)
+        assert np.array_equal(table[:, 3 + chain.dim :], chain.gamma)
 
     def test_header_layout(self, tmp_path):
         chain = chain_from_gammas([[1, 0], [0, 1]])
