@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 
 from . import linalg
 from .designs import random_lhd, scale_points
@@ -100,20 +101,25 @@ class Dataset:
     def from_arrays(cls, points, responses, ranges=None) -> "Dataset":
         """Build a Dataset from original-scale points.
 
-        When `ranges` is omitted the points must lie on the unit hypercube
-        already, and the ranges default to (0, 1) per dimension; a ValueError
-        names the first column with a point outside [0, 1].
+        The points must lie within `ranges`, bounds included; when `ranges`
+        is omitted they must lie on the unit hypercube already, and the
+        ranges default to (0, 1) per dimension.  A ValueError names the
+        first column with a point outside its range.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if ranges is not None:
-            ranges = np.asarray(ranges, dtype=float)
-            return cls(scale_points(pts, ranges, "to_unit"), responses, ranges)
         # Built first, so a non-finite or mismatched input gets its own message.
-        data = cls(pts, responses, np.tile([0.0, 1.0], (pts.shape[1], 1)))
-        outside = ((data.points < 0) | (data.points > 1)).any(axis=0)
+        if ranges is None:
+            data = cls(pts, responses, np.tile([0.0, 1.0], (pts.shape[1], 1)))
+            hint = "; data off the unit cube needs ranges (--ranges lo:hi,... or --observed-ranges)"
+        else:
+            ranges = np.asarray(ranges, dtype=float)
+            data = cls(scale_points(pts, ranges, "to_unit"), responses, ranges)
+            hint = ""
+        lo, hi = data.ranges.T
+        outside = ((pts < lo) | (pts > hi)).any(axis=0)
         if outside.any():
-            raise ValueError(f"column x{int(np.argmax(outside)) + 1} has points outside [0, 1]; "
-                             "data off the unit cube needs ranges (--ranges lo:hi,... or --observed-ranges)")
+            j = int(np.argmax(outside))
+            raise ValueError(f"column x{j + 1} has points outside [{lo[j]:g}, {hi[j]:g}]{hint}")
         return data
 
     @property
@@ -327,65 +333,19 @@ def mle_fit(data: Dataset, opts: FitOptions | None = None, start=None) -> GpPara
     return GpParams(mu=mu_hat, sigma2=s2_hat, phi=np.sqrt(theta_hat))
 
 
-# Test-point count from which _cross_corr sums its exponent one coordinate
-# at a time, in row blocks, rather than in one einsum.  A cost choice only:
-# both paths sum the same terms in the same order.  The loop pays four numpy
-# calls per coordinate and block; the einsum builds an (m, n, d) difference
-# tensor.  At n = 54, d = 10 on a shared 2-vCPU x86-64 machine (one BLAS
-# thread; the ranges are three runs on a machine whose speed varies) the
-# loop takes 50-65 us to the einsum's 8-13 us at m = 1, about the same at
-# m = 32 (80-125 and 90-105 us), and 1.2-2.0 ms to 2.1-3.2 ms at m = 1000.
-_LOOP_MIN_WIDTH = 32
-
-# Bytes of one row block of the loop's exponent, so a block has
-# _BLOCK_BYTES // (8 n) rows.  The block and its term buffer (512 KiB
-# together) stay in a core's L2 cache (2 MiB on the machine measured) while
-# all d coordinates pass over them; two whole (m, n) buffers leave it from
-# m n ~ 10^5 on.  Measured with d = 10 and one thread, at n = 54, m = 1000
-# and at n = 200, m = 10^4: 64 KiB blocks paid more per-call overhead, and
-# 512 KiB blocks were no faster at either size.
-_BLOCK_BYTES = 256 * 1024
-
-
 def _cross_corr(train_pts, test_pts, theta) -> np.ndarray:
     """Correlations between test and training points, shape (m, n).
 
-    Each exponent sum_k theta_k (x_k - x'_k)^2 is accumulated coordinate by
-    coordinate, k = 0 to d-1, starting from zero, on both paths: the einsum
-    below _LOOP_MIN_WIDTH test points and the per-coordinate loop from it.
-    So its value does not depend on m or on the path, and the width at which
-    the path changes is only a cost choice.  The loop reads coordinate-major
-    copies of the points and fills the output in row blocks of
-    _BLOCK_BYTES, each with one term buffer of its size: coordinate 0's term
-    goes in negated and each later term is subtracted, which in
-    round-to-nearest gives bitwise the negated sum, and the block's exp is
-    taken in place.  A BLAS contraction here (tensordot over the flattened
-    (n*m, d) array) sums in an order that changes with m.
+    One call to scipy's weighted cdist: for each pair it sums
+    (theta_k d_k) d_k, d_k = x_k - x'_k, over k = 0 to d-1 in order from
+    zero, in a compiled loop with no BLAS, so a point's exponent does not
+    depend on m.  The exponent is negated and exponentiated in place.  A
+    BLAS contraction here (tensordot over the flattened (n*m, d) array)
+    sums in an order that changes with m.
     """
-    m, n = len(test_pts), len(train_pts)
-    if m < _LOOP_MIN_WIDTH:
-        diff = test_pts[:, None, :] - train_pts[None, :, :]
-        return np.exp(-np.einsum("mnd,mnd,d->mn", diff, diff, theta))
-    train_cols = np.ascontiguousarray(train_pts.T)
-    test_cols = np.ascontiguousarray(test_pts.T)[:, :, None]
-    first, *rest = theta.tolist()
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    out = np.empty((m, n))
-    term = np.empty((min(rows, m), n))
-    for start in range(0, m, rows):
-        acc = out[start : start + rows]
-        tmp = term[: len(acc)]
-        cols = test_cols[:, start : start + rows]
-        np.subtract(cols[0], train_cols[0], out=acc)
-        acc *= acc
-        acc *= -first
-        for k, theta_k in enumerate(rest, 1):
-            np.subtract(cols[k], train_cols[k], out=tmp)
-            tmp *= tmp
-            tmp *= theta_k
-            acc -= tmp
-        np.exp(acc, out=acc)
-    return out
+    out = cdist(test_pts, train_pts, "sqeuclidean", w=theta)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
 
 
 def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT_NUGGET):
@@ -403,11 +363,11 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     Negative MSEs from round-off are clamped to zero and flagged.
 
     Every field of a point's prediction is bitwise the same at every batch
-    width, one included (OpenBLAS, one thread); the mean is so on any BLAS,
-    as no reduction that forms it goes through BLAS or runs in an order
-    that depends on the width.  _cross_corr's switch to a per-coordinate
-    loop and its row blocks are only cost choices, and the MSE and `clamped`
-    read CorrFactor.cross_terms, which runs a batch's kernels at every width.
+    width, one included (OpenBLAS, one thread).  No BLAS forms the mean:
+    _cross_corr sums each pair's exponent in scipy's compiled loop, and
+    each mean is one row's sum, neither in an order that depends on the
+    width.  The MSE and `clamped` read CorrFactor.cross_terms, which runs a
+    batch's kernels at every width.
 
     The factor of R(theta), with its nugget escalation and 1'R^-1 1, and
     the solve R^-1 (y - mu) are kept on `data` for the last (theta,
@@ -431,7 +391,8 @@ def predict_batch(params: GpParams, data: Dataset, xstars, nugget=linalg.DEFAULT
     factor, rinv_resid = data._prediction_factor(theta, nugget, params.mu)
 
     # A dimension with theta_k = 0 adds +0.0 to every exponent whatever the
-    # coordinate; zeroing it keeps a huge one from forming inf * 0 = NaN.
+    # coordinate; zeroing it keeps one that scales to inf from forming
+    # (0 * inf) * inf = NaN.
     if not theta.all():
         xs_unit[:, theta == 0] = 0.0
     rt = _cross_corr(data.points, xs_unit, theta)

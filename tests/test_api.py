@@ -189,6 +189,26 @@ def test_every_function_is_used_in_src():
     assert unused == []
 
 
+def test_every_constant_is_read_in_src():
+    # As for functions: each name a module of src/ssgp assigns at module
+    # level (dunders aside) is read, imported or exported somewhere in
+    # src/ssgp, so no setting is left that only tests still read.
+    assigned = set()
+    for path in (ROOT / "src" / "ssgp").glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            assigned |= {f"{path.stem}.{name.id}" for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name) and not name.id.startswith("__")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+            for _, node in _owned_nodes()
+            if isinstance(node, ast.alias)
+            or isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    unused = sorted(name for name in assigned if name.split(".")[1] not in read)
+    assert assigned
+    assert unused == []
+
+
 def test_posterior_is_read_in_one_place():
     # report.select_variables makes the one Posterior record of a chain, and
     # outside io's save and load it is the one reader of a chain's fields:

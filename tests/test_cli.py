@@ -124,6 +124,14 @@ class TestFitCommand:
         out = tmp_path / "model.json"
         assert cli.main(["fit", "--data", str(path), "--ranges", "0:10", "--out", str(out)]) == 0
 
+    def test_data_outside_given_ranges_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        write_data_csv(path, np.array([[2.0], [8.0], [5.0]]), [1.0, 2.0, 1.5])
+        out = tmp_path / "model.json"
+        assert cli.main(["fit", "--data", str(path), "--ranges", "0:6", "--out", str(out)]) == 2
+        assert "column x1 has points outside [0, 6]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_observed_ranges(self, tmp_path):
         path = tmp_path / "wide.csv"
         write_data_csv(path, np.array([[2.0], [8.0], [5.0]]), [1.0, 2.0, 1.5])

@@ -48,11 +48,6 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def _block_rows(n):
-    # Rows in one of _cross_corr's row blocks at n training points.
-    return gp._BLOCK_BYTES // (8 * n)
-
-
 def _bits(preds):
     # Every field of every prediction, as exact bit patterns.
     return [(np.float64(p.mean).tobytes(), np.float64(p.mse).tobytes(), p.clamped) for p in preds]
@@ -82,6 +77,16 @@ class TestDataset:
             Dataset.from_arrays([[0.5, 0.5], [0.2, -0.1]], [1.0, 2.0])
         data = Dataset.from_arrays([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0])
         assert np.array_equal(data.points, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_from_arrays_needs_points_within_ranges(self):
+        # Unchecked, 70 on the range (0, 20) became the unit point 3.5.
+        with pytest.raises(ValueError, match=r"column x1 has points outside \[0, 20\]"):
+            Dataset.from_arrays([[5.0], [10.0], [70.0]], [1.0, 2.0, 3.0], ranges=[[0.0, 20.0]])
+        with pytest.raises(ValueError, match="column x2 "):
+            Dataset.from_arrays([[1.0, 5.0], [2.0, -0.5]], [1.0, 2.0], ranges=[[0.0, 2.0], [-0.25, 5.0]])
+        # A point on either bound is kept.
+        data = Dataset.from_arrays([[0.05], [0.15], [0.1]], [1.0, 2.0, 3.0], ranges=[[0.05, 0.15]])
+        assert data.n == 3
 
     def test_from_arrays_scales(self):
         data = Dataset.from_arrays([[5.0], [15.0]], [1.0, 2.0], ranges=[[0.0, 20.0]])
@@ -562,15 +567,13 @@ class TestPrediction:
         data = make_dataset("linear", 54)
         params = GpParams(mu=0.3, sigma2=2.0, phi=np.linspace(0.2, 1.5, data.dim))
         lo, hi = data.ranges.T
-        b = _block_rows(data.n)
-        xs = lo + np.random.default_rng(7).random((2 * b + 1, data.dim)) * (hi - lo)
+        xs = lo + np.random.default_rng(7).random((1213, data.dim)) * (hi - lo)
         batch = [p.mean for p in predict_batch(params, data, xs)]
         single = [predict_batch(params, data, x)[0].mean for x in xs]
-        # Width 2, widths either side of where _cross_corr switches from its
-        # einsum to its per-coordinate loop, and either side of its row
-        # blocks' edges.
-        t = gp._LOOP_MIN_WIDTH
-        for width in (2, t - 1, t, t + 1, b - 1, b, b + 1):
+        # Width 2, and widths either side of 32 and of 606, where a kernel
+        # that switched from an einsum to a per-coordinate loop at 32 points
+        # and ran that loop in 256 KiB row blocks changed path at n = 54.
+        for width in (2, 31, 32, 33, 605, 606, 607):
             chunked = [
                 p.mean
                 for i in range(0, len(xs), width)
@@ -613,8 +616,9 @@ class TestPrediction:
         huge, plain = predict_batch(params, data, [[1e308, 0.5], [0.3, 0.5]])
         assert np.isfinite([huge.mean, huge.mse]).all()
         assert _bits([huge]) == _bits([plain])
-        # The same in the second row block of the per-coordinate loop.
-        b = _block_rows(data.n)
+        # The same at index 10922 of a wide batch, where a kernel that summed
+        # in 256 KiB row blocks began its second block at n = 3.
+        b = 10922
         wide = np.tile([0.3, 0.5], (b + 1, 1))
         wide[b, 0] = 1e308
         wide_preds = predict_batch(params, data, wide)
@@ -622,6 +626,14 @@ class TestPrediction:
         assert np.isfinite([huge.mean, huge.mse]).all()
         assert _bits([huge]) == _bits([plain_in_wide])
         assert huge.mean == plain.mean
+        # A coordinate that scales to inf, where (0 * inf) * inf is NaN.
+        half = Dataset.from_arrays(
+            [[0.05, 0.2], [0.25, 0.9], [0.4, 0.4]], [1.0, -0.5, 2.0], ranges=[[0.0, 0.5], [0.0, 1.0]]
+        )
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            inf_pt, plain = predict_batch(params, half, [[1e308, 0.5], [0.15, 0.5]])
+        assert np.isfinite([inf_pt.mean, inf_pt.mse]).all()
+        assert _bits([inf_pt]) == _bits([plain])
 
     def test_negative_mse_clamped_to_zero(self, toy20):
         # At the training points with no nugget the MSE is zero up to
@@ -632,8 +644,7 @@ class TestPrediction:
         params = mle_fit(toy20, FitOptions(seed=0))
         lower, _ = linalg.corr_cholesky(toy20.points, params.theta, 0.0)
         factor = linalg.CorrFactor(lower, toy20.gls_rhs)
-        t = gp._LOOP_MIN_WIDTH
-        xs = np.resize(scale_points(toy20.points, toy20.ranges, "from_unit"), (t + 1, toy20.dim))
+        xs = np.resize(scale_points(toy20.points, toy20.ranges, "from_unit"), (33, toy20.dim))
         xs_unit = scale_points(xs, toy20.ranges, "to_unit")
         quad, one_rinv_r = factor.cross_terms(gp._cross_corr(toy20.points, xs_unit, params.theta))
         raw = params.sigma2 * (1.0 - quad + (1.0 - one_rinv_r) ** 2 / factor.one_rinv_one)
@@ -644,30 +655,50 @@ class TestPrediction:
                 assert p.clamped and np.float64(p.mse).tobytes() == np.float64(0.0).tobytes()
             else:
                 assert not p.clamped and p.mse == s
-        # Flags and mse bits agree below and above the loop width.
-        narrow = predict_batch(params, toy20, xs[: t - 1], nugget=0.0)
-        assert _bits(narrow) == _bits(wide[: t - 1])
+        # Flags and mse bits agree at widths 31 and 33.
+        narrow = predict_batch(params, toy20, xs[:31], nugget=0.0)
+        assert _bits(narrow) == _bits(wide[:31])
 
     def test_mse_bits_do_not_depend_on_batch_width(self, linear54, borehole50):
         # Each point's prediction is bitwise the same at every width, a lone
-        # point included, on either side of the loop width and of the row
-        # blocks' edges; an empty batch predicts nothing.
+        # point included, from 1 to 63 and either side of 606 (n = 54) and
+        # 655 (n = 50), the row-block edges of a kernel that summed in
+        # 256 KiB blocks; an empty batch predicts nothing.
         rng = np.random.default_rng(17)
-        for data in (linear54, borehole50):
+        for data, b in ((linear54, 606), (borehole50, 655)):
             params = GpParams(mu=0.3, sigma2=2.0, phi=rng.uniform(0.3, 1.5, data.dim))
-            b = _block_rows(data.n)
             xs = rng.uniform(size=(2 * b + 1, data.dim))
             widest = _bits(predict_batch(params, data, xs))
             assert predict_batch(params, data, xs[:0]) == []
-            for m in [*range(1, 2 * gp._LOOP_MIN_WIDTH), b - 1, b, b + 1]:
+            for m in [*range(1, 64), b - 1, b, b + 1]:
                 assert _bits(predict_batch(params, data, xs[:m])) == widest[:m], m
             for i in range(40):
                 assert _bits(predict_batch(params, data, xs[i])) == widest[i : i + 1], i
 
+    @pytest.mark.parametrize("m", [1, 2, 606, 1000])
+    def test_cross_corr_sums_each_pair_in_order(self, linear54, borehole50, m):
+        # Pins the kernel's arithmetic: acc = 0, then acc += (theta_k d_k) d_k
+        # for k = 0..d-1 in order, then exp(-acc), bit for bit.  A scipy
+        # whose weighted cdist sums in another order or association fails
+        # here, and with it README's claim that a point's prediction does
+        # not depend on the batch width.
+        rng = np.random.default_rng(23)
+        for data in (linear54, borehole50):
+            theta = rng.uniform(0.3, 1.5, data.dim) ** 2
+            xs = rng.uniform(size=(m, data.dim))
+            diff = xs[:, None, :] - data.points[None, :, :]
+            acc = np.zeros((m, data.n))
+            for k in range(data.dim):
+                acc += (theta[k] * diff[..., k]) * diff[..., k]
+            expected = np.exp(-acc)
+            got = gp._cross_corr(data.points, xs, theta)
+            assert got.shape == (m, data.n)
+            assert got.tobytes() == expected.tobytes()
+
     def test_wide_batch_peak_memory(self, linear54):
-        # The exponent is built in the (m, n) output and one row block's term
-        # buffer; the einsum's (m, n, d) difference tensor alone would take
-        # m n d 8 bytes.
+        # cdist builds the exponent in the (m, n) output, which is negated
+        # and exponentiated in place; an (m, n, d) difference tensor alone
+        # would take m n d 8 bytes.
         params = GpParams(mu=0.3, sigma2=2.0, phi=np.linspace(0.2, 1.5, linear54.dim))
         lo, hi = linear54.ranges.T
         xs = lo + np.random.default_rng(3).random((2000, linear54.dim)) * (hi - lo)
